@@ -6,7 +6,8 @@
 //! client watching that job learned *nothing* about μᵏ until the whole
 //! enumeration finished. This workload quantifies what the anytime
 //! evaluator changes, on two live TCP servers that differ only in the
-//! `anytime` flag:
+//! `anytime` flag (both with the planner off, so the job enumerates
+//! rather than taking the class census):
 //!
 //! - **time to first estimate (TTFE)** — how long until the client
 //!   holds *any* information about μᵏ, the value it asked for. On the
@@ -182,10 +183,14 @@ fn run_trial(client: &mut Client, query: &str, k: usize) -> Trial {
 /// Time `trials` cliff jobs on one server and return the raw samples
 /// plus the server's final counter evidence.
 fn run_side(anytime: bool, nulls: usize, k: usize, trials: usize) -> (SideReport, u64, u64) {
+    // Planner off on both sides: the class census would answer these
+    // jobs in one pass, and this workload measures the enumeration
+    // cliff that anytime serving still covers.
     let cfg = ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 4,
         anytime,
+        planner: false,
         ..ServerConfig::default()
     };
     let server = Server::bind(&cfg).expect("bind ephemeral port");

@@ -14,10 +14,11 @@
 //! pinned to one of four catalogs — Theorem-1 direct `mu` (routed,
 //! sub-millisecond, cache-friendly), Theorem-5 chase-then-measure
 //! `cond`, Theorem-8 UCQ `compare`, and an enumeration-fallback cliff
-//! of `series` jobs whose μᵏ sweeps cost tens to hundreds of
-//! milliseconds each. Job ranks are zipf-distributed, so hot ranks
-//! re-hit the result cache while the tail keeps missing; seeded churn
-//! events drop and re-dial connections mid-step.
+//! of `series` jobs whose μᵏ sweeps cost tens of milliseconds each
+//! (one class census; hundreds when enumerated). Job ranks are
+//! zipf-distributed, so hot ranks re-hit the result cache while the
+//! tail keeps missing; seeded churn events drop and re-dial connections
+//! mid-step.
 //!
 //! Each offered-QPS step reports client-observed counts (ok / busy /
 //! error / lost), HDR-style latency quantiles (p50/p90/p99/p999, ~3%
@@ -229,9 +230,11 @@ pub fn catalog(class: usize, ranks: usize) -> Catalog {
             Catalog { name: "theorem8-ucq", setup, jobs }
         }
         _ => {
-            // Enumeration-fallback cliff: `series` always runs the
-            // general engine; μ¹..μᵏ over five nulls costs tens to
-            // hundreds of milliseconds as k climbs from 6 to 9.
+            // Enumeration-fallback cliff: `series` takes the fallback
+            // route. With the planner on, one class census answers
+            // μ¹..μᵏ over five nulls in tens of milliseconds whatever
+            // k is; enumerated, the job costs tens to hundreds of
+            // milliseconds as k climbs from 6 to 9.
             let mut setup = vec![
                 "fact R(c0,_x0). R(c1,_x1). R(c2,_x2). R(c3,_x3). R(c4,_x4).".to_string(),
             ];

@@ -9,7 +9,8 @@
 //! * [`measure`]: the finite measures `μᵏ` and the alternative `mᵏ`
 //!   (Theorem 2) by exhaustive enumeration;
 //! * [`poly_engine`]: exact closed forms — `|Suppᵏ|` as a polynomial in
-//!   `k`, limits as ratios of leading coefficients (Theorems 1 and 3);
+//!   `k`, limits as ratios of leading coefficients (Theorems 1 and 3),
+//!   and the class census that yields every finite `μᵏ` in one pass;
 //! * [`theorems`]: the fast paths each theorem licenses (naïve
 //!   evaluation for Theorem 1, the chase for Theorem 5, …);
 //! * [`owa`]: open-world measures (Proposition 2);
@@ -33,7 +34,8 @@ pub mod weighted;
 pub use measure::{m_k, m_k_series, mu_k, mu_k_conditional, mu_k_conditional_series, mu_k_series, Series};
 pub use owa::{owa_m_k, OwaCount};
 pub use poly_engine::{
-    census_poly, conditional_polys, mu_conditional_exact, mu_exact, support_poly, SupportPoly,
+    census_classes, census_poly, conditional_polys, mu_conditional_exact, mu_exact, support_poly,
+    SeriesCensus, SeriesCost, SeriesEngine, SupportPoly,
 };
 pub use proof_lemmas::{
     bijective_image_census, mu_k_bijective, non_bijective_exact, partition_of_valuations,

@@ -19,15 +19,255 @@
 //! class is (all singletons, all fresh) — precisely the `C`-bijective
 //! valuations of naïve evaluation — so `μ(Q, D) ∈ {0, 1}` with value 1
 //! iff naïve evaluation succeeds.
+//!
+//! The same classes also give the *finite* counts exactly, for every
+//! `k` at once ([`SeriesCensus`]): the named constants are the first `c`
+//! of the canonical enumeration (name-sorted, as in
+//! [`caz_idb::ConstEnum`]), so for `k < c` the valuations of `Vᵏ(D)` are
+//! exactly the classes with no fresh block whose highest named index is
+//! below `k` — one valuation each. One class walk thus answers the whole
+//! series `μ¹..μᴷ`, whose enumeration visits `Σₖ kᵐ` valuations.
 
 use crate::support::SuppEvent;
 use caz_arith::combinatorics::{for_each_partial_injection, for_each_set_partition};
 use caz_arith::{Poly, Ratio};
-use caz_idb::{Cst, Database, NullId, Valuation};
+use caz_idb::{ConstEnum, Cst, Database, NullId, Valuation};
 
 /// Guard against accidentally exponential inputs: the engine enumerates
 /// `Bell(m)` partitions times the partial injections into `A`.
 pub const MAX_NULLS: usize = 10;
+
+/// The largest named-constant pool the class walk supports (partial
+/// injections are tracked in a 64-bit mask).
+pub const MAX_NAMED: usize = 64;
+
+/// The census of one event over one database: how many classes `(ρ, f)`
+/// hold the event, bucketed by what decides their valuation count at
+/// each `k`. [`support_poly`] folds it into the polynomial;
+/// [`SeriesCensus::count`] evaluates it at any finite `k`, including
+/// `k < c` where the polynomial does not apply.
+#[derive(Clone, Debug)]
+pub struct SeriesCensus {
+    /// `m`: number of nulls of the database.
+    pub nulls: usize,
+    /// `c = |A|`: number of named constants (`Const(D) ∪ C`).
+    pub named_count: usize,
+    /// `by_fresh[j]`: true classes with `j` fresh blocks, each worth
+    /// `(k − c)ⱼ` valuations once `k ≥ c`.
+    by_fresh: Vec<u64>,
+    /// `by_reach[r]`: true classes with no fresh block whose named
+    /// blocks use the first `r` named constants at most (highest named
+    /// index `r − 1`; `r = 0` only for the empty database of nulls).
+    /// Such a class is one valuation of `Vᵏ(D)` exactly when `r ≤ k`.
+    by_reach: Vec<u64>,
+    /// Number of classes where the event holds.
+    pub true_classes: u64,
+    /// Total number of classes inspected.
+    pub total_classes: u64,
+}
+
+impl SeriesCensus {
+    /// Walk every class `(ρ, f)` once, recording the true ones.
+    ///
+    /// Panics past [`MAX_NULLS`] nulls or [`MAX_NAMED`] named constants;
+    /// callers serving untrusted input check [`SeriesCost::census_eligible`]
+    /// first.
+    pub fn new(event: &dyn SuppEvent, db: &Database) -> SeriesCensus {
+        let nulls: Vec<NullId> = db.nulls().into_iter().collect();
+        let m = nulls.len();
+        assert!(
+            m <= MAX_NULLS,
+            "support-polynomial engine caps at {MAX_NULLS} nulls (got {m})"
+        );
+        let named = named_pool(event, db);
+        let c = named.len();
+        assert!(c <= MAX_NAMED, "named-constant pool larger than 64 not supported");
+
+        // Reserved fresh constants, pairwise distinct and outside A by
+        // construction; interned once, not once per class.
+        let fresh: Vec<Cst> = (0..m).map(|i| Cst::fresh_in("pe", i)).collect();
+        let mut census = SeriesCensus {
+            nulls: m,
+            named_count: c,
+            by_fresh: vec![0; m + 1],
+            by_reach: vec![0; c + 1],
+            true_classes: 0,
+            total_classes: 0,
+        };
+        for_each_set_partition(m, |assignment, num_blocks| {
+            for_each_partial_injection(num_blocks, c, |inj| {
+                census.total_classes += 1;
+                // Representative valuation for the class: named blocks take
+                // their constant, fresh blocks the next fresh constant.
+                let mut fresh_seen = 0usize;
+                let mut block_value: Vec<Option<Cst>> = vec![None; num_blocks];
+                let v = Valuation::from_pairs(nulls.iter().enumerate().map(|(i, &n)| {
+                    let b = assignment[i];
+                    let cst = *block_value[b].get_or_insert_with(|| match inj[b] {
+                        Some(t) => named[t],
+                        None => {
+                            fresh_seen += 1;
+                            fresh[fresh_seen - 1]
+                        }
+                    });
+                    (n, cst)
+                }));
+                if event.holds(&v, &v.apply_db(db)) {
+                    census.true_classes += 1;
+                    let j = inj.iter().filter(|t| t.is_none()).count();
+                    census.by_fresh[j] += 1;
+                    if j == 0 {
+                        let reach = inj.iter().flatten().map(|&t| t + 1).max().unwrap_or(0);
+                        census.by_reach[reach] += 1;
+                    }
+                }
+            });
+        });
+        census
+    }
+
+    /// `|Suppᵏ(event, D)|` for any `k`, exactly as enumerating `Vᵏ(D)`
+    /// under the canonical enumeration would count it (saturating past
+    /// `u128`, far beyond any enumerable `kᵐ`).
+    pub fn count(&self, k: usize) -> u128 {
+        let c = self.named_count;
+        if k < c {
+            return self.by_reach[..=k].iter().map(|&n| u128::from(n)).sum();
+        }
+        let mut total = 0u128;
+        let mut falling = 1u128; // (k − c)ⱼ, built up one factor per j
+        for (j, &n) in self.by_fresh.iter().enumerate() {
+            if j > 0 {
+                falling = falling.saturating_mul((k - c).saturating_sub(j - 1) as u128);
+            }
+            total = total.saturating_add(falling.saturating_mul(u128::from(n)));
+        }
+        total
+    }
+
+    /// `μᵏ(event, D) = |Suppᵏ| / kᵐ`, equal to [`crate::mu_k`] (which
+    /// enumerates) for every `k ≥ 1` with `kᵐ` in `u128`.
+    pub fn mu_k(&self, k: usize) -> Ratio {
+        match ConstEnum::count_valuations(k, self.nulls) {
+            Some(0) | None => Ratio::zero(),
+            Some(total) => Ratio::from_frac(self.count(k), total),
+        }
+    }
+
+    /// The support polynomial: `Σⱼ by_fresh[j] · (k − c)ⱼ`, exact for
+    /// `k ≥ c`.
+    pub fn poly(&self) -> Poly {
+        let c = self.named_count as i64;
+        let mut poly = Poly::zero();
+        for (j, &n) in self.by_fresh.iter().enumerate().filter(|(_, &n)| n > 0) {
+            poly += &(&Poly::constant(Ratio::from_int(n)) * &Poly::falling_factorial(c, j));
+        }
+        poly
+    }
+}
+
+/// `A = Const(D) ∪ C`, name-sorted: the named prefix of the canonical
+/// enumeration, so named index `t` is the constant `cₜ₊₁`.
+fn named_pool(event: &dyn SuppEvent, db: &Database) -> Vec<Cst> {
+    let mut named: Vec<Cst> = db.consts().into_iter().collect();
+    named.extend(event.constants());
+    named.sort_by_key(|c| c.name());
+    named.dedup();
+    named
+}
+
+/// Which exact engine answers a finite series `μ¹..μᴷ`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SeriesEngine {
+    /// One [`SeriesCensus`] class walk, whatever `K` is.
+    Census,
+    /// Enumerate `Vᵏ(D)` for each `k` in turn.
+    Enumeration,
+}
+
+impl SeriesEngine {
+    /// Stable lower-case name used in wire output.
+    pub fn name(self) -> &'static str {
+        match self {
+            SeriesEngine::Census => "census",
+            SeriesEngine::Enumeration => "enumeration",
+        }
+    }
+}
+
+/// The closed-form cost of both exact engines for one series job, in
+/// event evaluations. Both are saturating `u128`s.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SeriesCost {
+    /// `m`: number of nulls.
+    pub nulls: usize,
+    /// `c`: number of named constants.
+    pub named_count: usize,
+    /// Classes the census inspects:
+    /// `Σ_b S(m, b) · Σ_i C(b, i) · c! / (c − i)!`.
+    pub classes: u128,
+    /// Valuations enumeration visits: `Σ_{k ≤ K} kᵐ`.
+    pub valuations: u128,
+}
+
+impl SeriesCost {
+    /// The cost of `series` to depth `k_max` for `event` over `db`.
+    pub fn of(event: &dyn SuppEvent, db: &Database, k_max: usize) -> SeriesCost {
+        let nulls = db.nulls().len();
+        let named_count = named_pool(event, db).len();
+        let valuations = (1..=k_max).fold(0u128, |acc, k| {
+            acc.saturating_add(ConstEnum::count_valuations(k, nulls).unwrap_or(u128::MAX))
+        });
+        SeriesCost { nulls, named_count, classes: census_classes(nulls, named_count), valuations }
+    }
+
+    /// Whether [`SeriesCensus::new`] accepts the instance at all (it
+    /// panics otherwise).
+    pub fn census_eligible(&self) -> bool {
+        self.nulls <= MAX_NULLS && self.named_count <= MAX_NAMED
+    }
+
+    /// The cheaper engine: the census when it is eligible and inspects
+    /// fewer classes than enumeration visits valuations.
+    pub fn engine(&self) -> SeriesEngine {
+        if self.census_eligible() && self.classes < self.valuations {
+            SeriesEngine::Census
+        } else {
+            SeriesEngine::Enumeration
+        }
+    }
+}
+
+/// Number of classes `(ρ, f)` for `m` nulls and `c` named constants:
+/// `Σ_b S(m, b) · Σ_i C(b, i) · c! / (c − i)!` (saturating).
+pub fn census_classes(m: usize, c: usize) -> u128 {
+    // Bell(m) ≤ the class count, and Bell(m) > u128::MAX past this many
+    // nulls: skip the quadratic Stirling row for absurd inputs.
+    const BELL_EXCEEDS_U128: usize = 45;
+    if m >= BELL_EXCEEDS_U128 {
+        return u128::MAX;
+    }
+    // Stirling row S(m, ·) by the usual recurrence.
+    let mut stirling = vec![0u128; m + 1];
+    stirling[0] = 1;
+    for n in 1..=m {
+        for b in (1..=n).rev() {
+            stirling[b] = (b as u128).saturating_mul(stirling[b]).saturating_add(stirling[b - 1]);
+        }
+        stirling[0] = 0;
+    }
+    let injections = |b: usize| {
+        // Σ_i C(b, i) · (c)ᵢ, with C(b, i) built incrementally.
+        let (mut binom, mut falling, mut sum) = (1u128, 1u128, 1u128);
+        for i in 1..=b.min(c) {
+            binom = binom.saturating_mul((b - i + 1) as u128) / i as u128;
+            falling = falling.saturating_mul((c - i + 1) as u128);
+            sum = sum.saturating_add(binom.saturating_mul(falling));
+        }
+        sum
+    };
+    (0..=m).fold(0u128, |acc, b| acc.saturating_add(stirling[b].saturating_mul(injections(b))))
+}
 
 /// The exact support polynomial of an event over a database, together
 /// with the class census (for diagnostics and the FP^{#P} experiment).
@@ -76,52 +316,14 @@ impl SupportPoly {
 /// assert!(sp.mu_limit().is_zero()); // degree 1 < m = 2
 /// ```
 pub fn support_poly(event: &dyn SuppEvent, db: &Database) -> SupportPoly {
-    let nulls: Vec<NullId> = db.nulls().into_iter().collect();
-    let m = nulls.len();
-    assert!(
-        m <= MAX_NULLS,
-        "support-polynomial engine caps at {MAX_NULLS} nulls (got {m})"
-    );
-    let mut named: Vec<Cst> = db.consts().into_iter().collect();
-    named.extend(event.constants());
-    named.sort_by_key(|c| c.name());
-    named.dedup();
-    let c = named.len();
-    assert!(c <= 64, "named-constant pool larger than 64 not supported");
-
-    let mut poly = Poly::zero();
-    let mut true_classes = 0u64;
-    let mut total_classes = 0u64;
-
-    for_each_set_partition(m, |assignment, num_blocks| {
-        for_each_partial_injection(num_blocks, c, |inj| {
-            total_classes += 1;
-            // Representative valuation for the class: named blocks take
-            // their constant, fresh blocks take reserved fresh constants
-            // (pairwise distinct, outside A by construction).
-            let mut fresh_seen = 0usize;
-            let mut block_value: Vec<Option<Cst>> = vec![None; num_blocks];
-            let v = Valuation::from_pairs(nulls.iter().enumerate().map(|(i, &n)| {
-                let b = assignment[i];
-                let cst = *block_value[b].get_or_insert_with(|| match inj[b] {
-                    Some(t) => named[t],
-                    None => {
-                        let f = Cst::fresh_in("pe", fresh_seen);
-                        fresh_seen += 1;
-                        f
-                    }
-                });
-                (n, cst)
-            }));
-            if event.holds(&v, &v.apply_db(db)) {
-                true_classes += 1;
-                let j = inj.iter().filter(|t| t.is_none()).count();
-                poly += &Poly::falling_factorial(c as i64, j);
-            }
-        });
-    });
-
-    SupportPoly { poly, nulls: m, named_count: c, true_classes, total_classes }
+    let census = SeriesCensus::new(event, db);
+    SupportPoly {
+        poly: census.poly(),
+        nulls: census.nulls,
+        named_count: census.named_count,
+        true_classes: census.true_classes,
+        total_classes: census.total_classes,
+    }
 }
 
 /// The exact limit measure `μ(event, D)` (Theorem 1: always 0 or 1).
@@ -230,6 +432,65 @@ mod tests {
                 "census for {src}"
             );
         }
+    }
+
+    #[test]
+    fn census_counts_match_enumeration_below_and_above_c() {
+        // c = 3 named constants (a, b, c1), m = 2: rows k = 1, 2 sit
+        // below c, where the polynomial does not apply.
+        let db = parse_database("R(a, _x). R(b, _y). S(c1).").unwrap().db;
+        for src in ["Q := exists p. R(a, p) & R(b, p)", "Q := exists p. R(p, a) | S(p)"] {
+            let ev = BoolQueryEvent::new(parse_query(src).unwrap());
+            let census = SeriesCensus::new(&ev, &db);
+            assert_eq!(census.named_count, 3);
+            for k in 1..=6 {
+                let exact = crate::support::supp_k_count(&ev, &db, k);
+                assert_eq!(census.count(k), exact, "{src} at k={k}");
+                assert_eq!(census.mu_k(k), crate::mu_k(&ev, &db, k), "{src} at k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn census_classes_is_the_walked_class_count() {
+        for (m, c) in [(0, 0), (0, 3), (1, 0), (2, 2), (3, 5), (4, 1), (5, 5)] {
+            let db = parse_database(
+                &(0..m).map(|i| format!("N(_n{i}).")).chain((0..c).map(|i| format!("K(k{i}).")))
+                    .collect::<Vec<_>>()
+                    .join(" "),
+            )
+            .unwrap()
+            .db;
+            let ev = NotEvent::new(Box::new(BoolQueryEvent::new(
+                parse_query("Never := exists u. N(u) & !N(u)").unwrap(),
+            )));
+            let census = SeriesCensus::new(&ev, &db);
+            assert_eq!((census.nulls, census.named_count), (m, c));
+            assert_eq!(census.true_classes, census.total_classes);
+            assert_eq!(u128::from(census.total_classes), census_classes(m, c), "m={m} c={c}");
+        }
+        // The series-cliff instance: five nulls, five named constants.
+        assert_eq!(census_classes(5, 5), 10_427);
+        // Past the early-return threshold Bell(m) alone overflows u128.
+        assert!(caz_arith::combinatorics::bell(45) > caz_arith::BigInt::from(u128::MAX));
+        assert_eq!(census_classes(45, 0), u128::MAX);
+    }
+
+    #[test]
+    fn series_cost_picks_the_cheaper_eligible_engine() {
+        let cost = |nulls, named_count, k_max: usize| SeriesCost {
+            nulls,
+            named_count,
+            classes: census_classes(nulls, named_count),
+            valuations: (1..=k_max as u128).map(|k| k.pow(nulls as u32)).sum(),
+        };
+        assert_eq!(cost(5, 5, 8).engine(), SeriesEngine::Census);
+        assert_eq!(cost(5, 5, 2).engine(), SeriesEngine::Enumeration);
+        // Ineligible instances never take the census, however cheap.
+        let big = SeriesCost { nulls: MAX_NULLS + 1, named_count: 0, classes: 1, valuations: 2 };
+        assert_eq!(big.engine(), SeriesEngine::Enumeration);
+        let wide = SeriesCost { nulls: 1, named_count: MAX_NAMED + 1, classes: 1, valuations: 2 };
+        assert_eq!(wide.engine(), SeriesEngine::Enumeration);
     }
 
     #[test]

@@ -67,7 +67,10 @@ pub enum PlanKind {
     Mu,
     /// The conditional measure `μ(Q | Σ, D[, ā])`.
     Cond,
-    /// The finite sequence `μ¹..μᵏ` (streamed; never routed).
+    /// The finite sequence `μ¹..μᵏ` (streamed). No theorem route
+    /// applies, so it always falls back; the caller answers it from the
+    /// class census or by enumeration, whichever `caz_core::SeriesCost`
+    /// says is cheaper.
     Series,
     /// The support order between two answers.
     Compare,

@@ -146,8 +146,11 @@ impl fmt::Display for Route {
 /// The candidate routes for each job kind, cheapest first. Kinds with
 /// no entry always fall back: `naive` is already the fast path,
 /// `certain` needs the full support machinery in general, and `series`
-/// asks for the finite prefix `μ¹..μᵏ`, which no limit theorem
-/// shortcuts.
+/// asks for the finite prefix `μ¹..μᵏ`, which no limit theorem decides.
+/// The caller still picks the cheaper exact engine for a series: one
+/// Theorem 3 class census (`caz_core::SeriesCensus`) answers every `k`
+/// at once, against enumerating `Σₖ kᵐ` valuations
+/// (`caz_core::SeriesCost`).
 pub fn candidates(kind: PlanKind) -> &'static [Route] {
     match kind {
         PlanKind::Mu => &[Route::Theorem1Direct],

@@ -1,6 +1,14 @@
 //! Anytime evaluation of `series` jobs: streamed approximate estimates
 //! plus work-stealing parallel support enumeration.
 //!
+//! With the planner on, most `series` jobs never get here: the class
+//! census ([`Session::eval_series_planned`]) answers every row in one
+//! pass whose size depends on `m` and `c` but not on `k`, and it runs
+//! inline on the worker. Anytime serving covers the residual region
+//! where enumeration is still the engine — a named-constant pool large
+//! enough that the census costs more than `Σₖ kᵐ` valuations, more
+//! nulls than the census accepts, or `--no-planner`.
+//!
 //! The sequential series path ([`Session::eval_series_chunks`]) walks
 //! `μ¹..μᵏ` in ascending `k`, so a client staring at a `series Q 9`
 //! over a 5-null database sees nothing for the entire `9⁵`-valuation
@@ -30,9 +38,9 @@
 use crate::pool::{resume_group_panic, JobResult};
 use crate::proto;
 use crate::server::{eval_series_on_worker, record_hit, store_result, HitFlag, Shared};
-use crate::session::{EvalRequest, Session};
+use crate::session::{push_series_row, EvalRequest, Session};
 use caz_arith::Ratio;
-use caz_core::{mu_k, supp_k_count_slice, Estimate, MuSampler, Series, SuppEvent};
+use caz_core::{mu_k, supp_k_count_slice, Estimate, MuSampler, SeriesEngine, SuppEvent};
 use caz_idb::{ConstEnum, Database};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -66,8 +74,9 @@ fn approx_payload(est: &Estimate) -> String {
 /// per-`k` rows through `emit_row`, exact aggregate stored — and layers
 /// the approx stream (`emit_approx`, payload only: the driver frames it
 /// under the literal `approx` tag) plus parallel enumeration on top.
-/// With anytime disabled ([`Shared::anytime`] is `None`) it delegates
-/// to the sequential path unchanged. Returns
+/// With anytime disabled ([`Shared::anytime`] is `None`), or when the
+/// planner answers the job from the class census, it delegates to the
+/// sequential path unchanged: no sampler, no scatter. Returns
 /// `Err(`[`proto::CANCELLED`]`)` once `cancel` is observed; rows
 /// already emitted went to a connection that no longer exists, and
 /// nothing is cached.
@@ -82,7 +91,11 @@ pub(crate) fn eval_series_anytime(
     emit_row: &mut dyn FnMut(usize, &str),
     emit_approx: &mut dyn FnMut(&str),
 ) -> JobResult {
-    let Some(interval) = shared.anytime else {
+    let census = || {
+        shared.planner
+            && session.series_cost(&ev.args).is_ok_and(|c| c.engine() == SeriesEngine::Census)
+    };
+    let Some(interval) = shared.anytime.filter(|_| !census()) else {
         return eval_series_on_worker(shared, session, ev, hit, start, emit_row);
     };
     let key = session.cache_key(ev);
@@ -145,13 +158,7 @@ pub(crate) fn eval_series_anytime(
                 Ratio::from_frac(hits as i128, total as i128)
             }
         };
-        // Render through the same Display impl as the sequential path
-        // so rows and the cached aggregate match byte-for-byte.
-        let row_block = Series { ks: vec![k], values: vec![value] }.to_string();
-        let row = row_block.trim_end_matches('\n');
-        emit_row(k, row);
-        aggregate.push_str(row);
-        aggregate.push('\n');
+        push_series_row(&mut aggregate, emit_row, k, value);
     }
     store_result(shared, key.as_ref(), &aggregate);
     Ok(aggregate)

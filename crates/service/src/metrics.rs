@@ -134,6 +134,10 @@ pub struct Metrics {
     /// five `planner_*` counters sum to `jobs_executed_total`: each
     /// executed (non-cache-hit) job notes exactly one route.
     pub route_fallback: AtomicU64,
+    /// Executed `series` jobs the planner answered from one support-
+    /// polynomial class census instead of enumerating valuations (a
+    /// subset of `planner_fallback_total`: no theorem routes a series).
+    pub series_census: AtomicU64,
     /// The process's replication role, numerically encoded
     /// ([`crate::replication::Role::as_u64`]: 0 single, 1 leader,
     /// 2 replica) so the snapshot stays all-`u64`.
@@ -216,6 +220,7 @@ impl Default for Metrics {
             route_theorem5: AtomicU64::new(0),
             route_theorem8: AtomicU64::new(0),
             route_fallback: AtomicU64::new(0),
+            series_census: AtomicU64::new(0),
             role: AtomicU64::new(0),
             replication_records_shipped: AtomicU64::new(0),
             replication_bytes_shipped: AtomicU64::new(0),
@@ -337,6 +342,7 @@ impl Metrics {
             self.route_theorem8.load(Ordering::Relaxed),
         );
         line("planner_fallback_total", self.route_fallback.load(Ordering::Relaxed));
+        line("series_census_total", self.series_census.load(Ordering::Relaxed));
         line("role", self.role.load(Ordering::Relaxed));
         line(
             "replication_records_shipped_total",
@@ -456,6 +462,7 @@ mod tests {
             "anytime_chunks_total 0",
             "subtasks_stolen_total 0",
             "subtasks_cancelled_total 0",
+            "series_census_total 0",
             // Replication keys are always present; a standalone server
             // reports role 0 (single) and ready 1.
             "role 0",

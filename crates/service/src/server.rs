@@ -53,6 +53,7 @@ use crate::proto::{decode_frame, encode_frame, WireFrame, WireReply};
 use crate::reactor::Reactor;
 use crate::replication::{MissPolicy, ReplicaHandle, ReplicationSink, Role};
 use crate::session::{parse_eval_job, EvalKind, EvalRequest, Reply, Request, Session};
+use caz_core::SeriesEngine;
 use caz_store::{FsyncPolicy, Store};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -83,8 +84,9 @@ pub struct ServerConfig {
     pub fsync: FsyncPolicy,
     /// Route evaluations through the complexity-aware planner
     /// (`caz-planner`), taking theorem-licensed fast paths where their
-    /// preconditions hold. Disabled (`--no-planner`), every job runs
-    /// the general enumeration engine and counts as
+    /// preconditions hold, and answering `series` jobs from one class
+    /// census where that beats enumeration. Disabled (`--no-planner`),
+    /// every job runs the general enumeration engine and counts as
     /// `planner_fallback_total`.
     pub planner: bool,
     /// Admission control: the most commands one connection may have
@@ -105,10 +107,13 @@ pub struct ServerConfig {
     /// Anytime serving for expensive `series` jobs over live
     /// connections: stream `ok* approx …` estimate chunks while the
     /// exact enumeration proceeds, and split that enumeration across
-    /// the pool as work-stealing subtasks. Disabled (`--no-anytime`),
-    /// series jobs run the sequential legacy path with no approx
-    /// chunks — the differential baseline; final frames are
-    /// byte-identical either way.
+    /// the pool as work-stealing subtasks. Only jobs the class census
+    /// does not answer (see [`ServerConfig::planner`]) enumerate at
+    /// all, so with the planner on this covers the residual region:
+    /// large named-constant pools, or more nulls than the census
+    /// accepts. Disabled (`--no-anytime`), series jobs run the
+    /// sequential legacy path with no approx chunks — the differential
+    /// baseline; final frames are byte-identical either way.
     pub anytime: bool,
     /// Target cadence of `ok* approx …` chunks in milliseconds
     /// (`--anytime-interval-ms`).
@@ -352,7 +357,7 @@ pub(crate) enum Step {
         jobs: Vec<MultiJob>,
     },
     /// A `series` line: stream row chunks from a worker via
-    /// [`Session::eval_series_chunks`] (no rows when the worker finds
+    /// [`Session::eval_series_planned`] (no rows when the worker finds
     /// the aggregate in the cache — the driver replays them instead).
     Series { ev: EvalRequest, start: Instant },
     /// A `plan`/`explain` line: classification runs on a worker (the
@@ -608,8 +613,9 @@ pub(crate) fn eval_on_worker(
     result
 }
 
-/// [`eval_on_worker`] for a `series` job: on a miss the rows stream
-/// through `emit` while later rows are still being computed; on a hit
+/// [`eval_on_worker`] for a `series` job: on a miss the rows go
+/// through `emit` — streamed row by row while enumeration computes later
+/// rows, or all at once when the class census answers the job; on a hit
 /// nothing is emitted and the driver replays the cached aggregate.
 pub(crate) fn eval_series_on_worker(
     shared: &Shared,
@@ -624,11 +630,22 @@ pub(crate) fn eval_series_on_worker(
         record_hit(shared, hit, start);
         return Ok(text);
     }
-    // Series jobs always run the enumeration engine (no limit theorem
-    // shortcuts a finite μ¹..μᵏ prefix); note the route before the
-    // compute so a panicking job is still attributed.
+    // No limit theorem routes a finite μ¹..μᵏ prefix, so series jobs
+    // count as fallback executions; note the route before the compute
+    // so a panicking job is still attributed. The planner still picks
+    // the cheaper exact engine: one class census answers every row at
+    // once when it inspects fewer classes than Σₖ kᵐ valuations.
     shared.metrics.note_route(caz_planner::Route::EnumerationFallback);
-    let result = session.eval_series_chunks(&ev.args, emit);
+    let result = if shared.planner {
+        let mut note_engine = |engine| {
+            if engine == SeriesEngine::Census {
+                shared.metrics.series_census.fetch_add(1, Ordering::Relaxed);
+            }
+        };
+        session.eval_series_planned(&ev.args, &mut note_engine, emit)
+    } else {
+        session.eval_series_chunks(&ev.args, emit)
+    };
     if let Ok(text) = &result {
         store_result(shared, key.as_ref(), text);
     }

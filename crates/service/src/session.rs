@@ -10,9 +10,10 @@
 
 use caz_compare::{best_answers, dominated};
 use caz_constraints::{parse_constraints, ConstraintSet};
+use caz_arith::Ratio;
 use caz_core::{
-    certain_answers, mu_k, mu_k_series, BoolQueryEvent, ConstraintEvent, Series, SuppEvent,
-    TupleAnswerEvent,
+    certain_answers, mu_k, mu_k_series, BoolQueryEvent, ConstraintEvent, Series, SeriesCensus,
+    SeriesCost, SeriesEngine, SuppEvent, TupleAnswerEvent,
 };
 use caz_datalog::{certain_datalog_answers, naive_eval_datalog, parse_program, DatalogEvent};
 use crate::cache::CacheKey;
@@ -24,6 +25,7 @@ use caz_logic::{naive_eval, parse_query, Query};
 use caz_planner::{ExecOutcome, Features, PlanKind, QueryRef, Rejection, Route};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Reserved relation name used to embed the answer tuple into the
 /// database before canonicalization, so that cache keys are invariant
@@ -32,12 +34,18 @@ const ANSWER_REL: &str = "__caz_answer";
 
 /// Interpreter state: the loaded database, named queries, constraints,
 /// and Datalog programs.
+///
+/// A server clones the session into every evaluation job, so the parts
+/// that grow with every definition (queries, programs, the setup log)
+/// are shared copy-on-write: a clone costs three reference counts, and
+/// a later definition copies them only while a job still holds the old
+/// snapshot.
 #[derive(Default, Clone)]
 pub struct Session {
     db: Database,
     nulls: BTreeMap<String, NullId>,
-    queries: BTreeMap<String, Query>,
-    programs: BTreeMap<String, caz_datalog::Program>,
+    queries: Arc<BTreeMap<String, Query>>,
+    programs: Arc<BTreeMap<String, caz_datalog::Program>>,
     sigma: ConstraintSet,
     /// The raw state-mutating lines applied so far, in order, exactly
     /// as a fresh session would need to replay them to reach this
@@ -45,7 +53,7 @@ pub struct Session {
     /// these over the leader's client port before sending the job (see
     /// [`crate::replication::MissPolicy::Proxy`]). `clear` resets it
     /// along with everything else.
-    setup: Vec<String>,
+    setup: Arc<Vec<String>>,
 }
 
 /// Outcome of one command.
@@ -300,7 +308,7 @@ impl Session {
         apply: fn(&mut Session, &str) -> Result<Reply, String>,
     ) -> Result<Reply, String> {
         let reply = apply(self, src)?;
-        self.setup.push(format!("{word} {src}"));
+        Arc::make_mut(&mut self.setup).push(format!("{word} {src}"));
         Ok(reply)
     }
 
@@ -410,7 +418,7 @@ impl Session {
     fn add_query(&mut self, src: &str) -> Result<Reply, String> {
         let q = parse_query(src).map_err(|e| e.to_string())?;
         let name = q.name.clone();
-        self.queries.insert(name.clone(), q);
+        Arc::make_mut(&mut self.queries).insert(name.clone(), q);
         Ok(Reply::Text(format!("query {name} defined")))
     }
 
@@ -418,7 +426,7 @@ impl Session {
         let multi = src.replace(';', "\n");
         let p = parse_program(&multi).map_err(|e| e.to_string())?;
         let name = p.output.resolve();
-        self.programs.insert(name.clone(), p);
+        Arc::make_mut(&mut self.programs).insert(name.clone(), p);
         Ok(Reply::Text(format!("program {name} defined")))
     }
 
@@ -569,14 +577,42 @@ impl Session {
         let (ev, k_max) = self.series_args(rest)?;
         let mut out = String::new();
         for k in 1..=k_max {
-            let v = mu_k(ev.as_ref(), &self.db, k);
-            // Render through the same Display impl as the aggregate
-            // path so the chunk rows concatenate byte-for-byte.
-            let row_block = Series { ks: vec![k], values: vec![v] }.to_string();
-            let row = row_block.trim_end_matches('\n');
-            emit(k, row);
-            out.push_str(row);
-            out.push('\n');
+            push_series_row(&mut out, emit, k, mu_k(ev.as_ref(), &self.db, k));
+        }
+        Ok(out)
+    }
+
+    /// The closed-form cost of both exact series engines for a `series`
+    /// request, and with it the engine [`Session::eval_series_planned`]
+    /// takes.
+    pub fn series_cost(&self, rest: &str) -> Result<SeriesCost, String> {
+        let (ev, k_max) = self.series_args(rest)?;
+        Ok(SeriesCost::of(ev.as_ref(), &self.db, k_max))
+    }
+
+    /// [`Session::eval_series_chunks`] through the cheaper exact engine:
+    /// when [`SeriesCost::engine`] picks the class census, one
+    /// [`SeriesCensus`] walk yields every row (emitted together once it
+    /// finishes) instead of enumerating `Σₖ kᵐ` valuations; otherwise
+    /// this is `eval_series_chunks` itself. Replies are byte-identical
+    /// either way. `note_engine` fires once, before any evaluation, when
+    /// the request is well-formed.
+    pub fn eval_series_planned(
+        &self,
+        rest: &str,
+        note_engine: &mut dyn FnMut(SeriesEngine),
+        emit: &mut dyn FnMut(usize, &str),
+    ) -> Result<String, String> {
+        let (ev, k_max) = self.series_args(rest)?;
+        let engine = SeriesCost::of(ev.as_ref(), &self.db, k_max).engine();
+        note_engine(engine);
+        if engine == SeriesEngine::Enumeration {
+            return self.eval_series_chunks(rest, emit);
+        }
+        let census = SeriesCensus::new(ev.as_ref(), &self.db);
+        let mut out = String::new();
+        for k in 1..=k_max {
+            push_series_row(&mut out, emit, k, census.mu_k(k));
         }
         Ok(out)
     }
@@ -758,12 +794,33 @@ impl Session {
         };
         let job = self.prepare_job(&ev)?;
         let plan = caz_planner::plan(&job);
+        let series = match ev.kind {
+            EvalKind::Series => Some(self.series_cost(&ev.args)?),
+            _ => None,
+        };
         Ok(PlanReport {
             route: plan.route,
             features: plan.features,
             rejected: plan.rejected,
+            series,
         })
     }
+}
+
+/// Render row `k` of a series through the same [`Series`] Display as
+/// the aggregate path, so streamed rows concatenate byte-for-byte to
+/// [`Session::eval`]'s reply; hand it to `emit` and append it to `out`.
+pub(crate) fn push_series_row(
+    out: &mut String,
+    emit: &mut dyn FnMut(usize, &str),
+    k: usize,
+    value: Ratio,
+) {
+    let row_block = Series { ks: vec![k], values: vec![value] }.to_string();
+    let row = row_block.trim_end_matches('\n');
+    emit(k, row);
+    out.push_str(row);
+    out.push('\n');
 }
 
 /// The `μ… = value` reply line, shared by the enumeration and routed
@@ -795,6 +852,9 @@ pub struct PlanReport {
     pub features: Features,
     /// Candidates tried and rejected before `route`, in order.
     pub rejected: Vec<Rejection>,
+    /// For `series` jobs: the cost of both exact engines, and so the
+    /// engine the planner runs the job on.
+    pub series: Option<SeriesCost>,
 }
 
 impl PlanReport {
@@ -810,14 +870,20 @@ impl PlanReport {
     }
 
     /// The `explain` report as `(tag, payload)` lines: one `route`
-    /// line, one `features` line, and one `reject` line per rejected
-    /// candidate. A server frames each as a tagged reply chunk; the
-    /// plain REPL joins them as `tag payload` text lines.
+    /// line, one `features` line, for `series` jobs one
+    /// `engine census|enumeration <classes> <valuations>` line, and one
+    /// `reject` line per rejected candidate. A server frames each as a
+    /// tagged reply chunk; the plain REPL joins them as `tag payload`
+    /// text lines.
     pub fn lines(&self) -> Vec<(&'static str, String)> {
         let mut out = vec![
             ("route", self.route.name().to_string()),
             ("features", self.features.to_string()),
         ];
+        if let Some(cost) = &self.series {
+            let engine = cost.engine().name();
+            out.push(("engine", format!("{engine} {} {}", cost.classes, cost.valuations)));
+        }
         for r in &self.rejected {
             out.push(("reject", format!("{}: {}", r.route.name(), r.reason)));
         }
@@ -1044,5 +1110,51 @@ mod tests {
         assert!(s.eval_series_chunks("Nope 4", &mut |_, _| n += 1).is_err());
         assert!(s.eval_series_chunks("Col 0", &mut |_, _| n += 1).is_err());
         assert_eq!(n, 0);
+    }
+
+    #[test]
+    fn planned_series_takes_the_census_and_matches_enumeration() {
+        let mut s = Session::new();
+        // Five nulls and five named constants: rows k = 1..4 lie below c.
+        run(&mut s, "fact R(c0, _x0). R(c1, _x1). R(c2, _x2). R(c3, _x3). R(c4, _x4).");
+        run(&mut s, "query Q := exists v. R(c1, v) & R(c3, v)");
+        let cost = s.series_cost("Q 8").unwrap();
+        assert_eq!((cost.classes, cost.engine()), (10_427, SeriesEngine::Census));
+        let mut engines = Vec::new();
+        let mut rows = Vec::new();
+        let planned = s
+            .eval_series_planned("Q 8", &mut |e| engines.push(e), &mut |k, row| {
+                rows.push((k, row.to_string()))
+            })
+            .unwrap();
+        assert_eq!(engines, [SeriesEngine::Census]);
+        assert_eq!(rows.iter().map(|(k, _)| *k).collect::<Vec<_>>(), (1..=8).collect::<Vec<_>>());
+        assert_eq!(planned, s.eval_series_chunks("Q 8", &mut |_, _| {}).unwrap());
+        // A short series is cheaper to enumerate, and says so.
+        assert_eq!(s.series_cost("Q 2").unwrap().engine(), SeriesEngine::Enumeration);
+        // Malformed requests fail before any engine is noted.
+        assert!(s.eval_series_planned("Q 0", &mut |e| engines.push(e), &mut |_, _| {}).is_err());
+        assert_eq!(engines.len(), 1);
+        let explain = run(&mut s, "explain series Q 8");
+        assert!(explain.contains("\nengine census 10427 "), "{explain}");
+    }
+
+    #[test]
+    fn census_is_never_chosen_past_its_caps() {
+        let mut s = Session::new();
+        let facts: Vec<String> = (0..11).map(|i| format!("N(_n{i}).")).collect();
+        run(&mut s, &format!("fact {}", facts.join(" ")));
+        run(&mut s, "query Q := exists u. N(u)");
+        // 11 nulls, no named constants: Bell(11) classes would beat
+        // Σ k¹¹ valuations for k ≤ 24, but the census cannot take 11.
+        let cost = s.series_cost("Q 24").unwrap();
+        assert!(cost.classes < cost.valuations && !cost.census_eligible());
+        assert_eq!(cost.engine(), SeriesEngine::Enumeration);
+
+        let mut s = Session::new();
+        let consts: Vec<String> = (0..65).map(|i| format!("K(k{i}).")).collect();
+        run(&mut s, &format!("fact N(_n). {}", consts.join(" ")));
+        run(&mut s, "query Q := exists u. N(u)");
+        assert_eq!(s.series_cost("Q 24").unwrap().engine(), SeriesEngine::Enumeration);
     }
 }

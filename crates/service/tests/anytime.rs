@@ -8,7 +8,9 @@
 //! byte-identical to the sequential path — and only the exact terminal
 //! aggregate is ever cached. The differential layer drives a seeded
 //! random catalog (`CAZ_TEST_SEED`, fixed default) through two live
-//! servers that differ only in the anytime flag.
+//! servers that differ only in the anytime flag. Both run with the
+//! planner off, so every series enumerates; `series_census.rs` covers
+//! the planner's census path.
 
 use caz_service::proto::{decode_frame, WireFrame, WireReply};
 use caz_service::{Server, ServerConfig, ShutdownHandle};
@@ -23,11 +25,15 @@ fn seed() -> u64 {
         .unwrap_or(3707)
 }
 
+/// A two-worker server with the planner off: anytime serving is for
+/// series jobs that enumerate, and with the planner on the class census
+/// answers these five-null jobs in one short pass instead.
 fn spawn_server(anytime: bool) -> (SocketAddr, ShutdownHandle, std::thread::JoinHandle<()>) {
     let cfg = ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         anytime,
+        planner: false,
         ..ServerConfig::default()
     };
     let server = Server::bind(&cfg).expect("bind ephemeral port");

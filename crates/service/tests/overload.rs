@@ -232,11 +232,14 @@ fn full_queue_sheds_with_exact_busy_framing_and_reconciled_counters() {
 fn queue_deadline_expires_waiting_jobs_without_running_them() {
     // Deep queue, 30ms deadline: all four jobs are admitted, the first
     // is dequeued by the idle worker within microseconds and runs for
-    // ~100ms+, so the other three are past their deadline when their
+    // ~0.5s (a sixth null puts ~164k classes in its support
+    // polynomial; five nulls take only ~40ms, too close to the
+    // deadline), so the other three are past their deadline when their
     // turn comes.
     let (addr, handle, join) = spawn_cfg(overload_cfg(8, 30));
     let mut a = Client::connect(addr);
     a.setup();
+    a.send_ok("fact R(c5, _x5).");
     let jobs: Vec<String> = (0..4).map(|i| format!("mu Q (c{i}, _x{i})")).collect();
     a.push(&format!(
         "eval* {}",
@@ -403,7 +406,7 @@ fn graceful_drain_completes_accepted_backlog_before_closing() {
     assert!(facts_reply.starts_with("ok "), "fact reply: {facts_reply:?}");
 
     // Shutdown lands while the backlog is pending (each enumeration
-    // takes ~100ms+; the controller acts within a few milliseconds).
+    // takes ~40ms+; the controller acts within a few milliseconds).
     let mut ctl = Client::connect(addr);
     ctl.push("shutdown");
     assert_eq!(ctl.read_raw_line(), "bye");

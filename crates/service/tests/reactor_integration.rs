@@ -10,10 +10,18 @@ use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
-fn spawn_server(workers: usize) -> (SocketAddr, ShutdownHandle, std::thread::JoinHandle<()>) {
+/// A server with `workers` workers. `planner: false` pins `series` to
+/// the enumeration engine: the streaming and cancellation tests need a
+/// five-null series that is slow row by row, which the planner's class
+/// census would answer in one short pass.
+fn spawn_server(
+    workers: usize,
+    planner: bool,
+) -> (SocketAddr, ShutdownHandle, std::thread::JoinHandle<()>) {
     let cfg = ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers,
+        planner,
         ..ServerConfig::default()
     };
     let server = Server::bind(&cfg).expect("bind ephemeral port");
@@ -101,7 +109,7 @@ fn stats_field(stats: &str, name: &str) -> u64 {
 #[test]
 fn one_reactor_thread_serves_64_concurrent_connections() {
     const CONNS: usize = 64;
-    let (addr, handle, join) = spawn_server(4);
+    let (addr, handle, join) = spawn_server(4, true);
 
     // 64 simultaneous connections, each with its own session state.
     let mut clients: Vec<Client> = (0..CONNS).map(|_| Client::connect(addr)).collect();
@@ -186,7 +194,7 @@ fn one_reactor_thread_serves_64_concurrent_connections() {
 
 #[test]
 fn series_streams_chunks_before_the_last_k_is_computed() {
-    let (addr, handle, join) = spawn_server(2);
+    let (addr, handle, join) = spawn_server(2, false);
     let mut client = Client::connect(addr);
 
     // Five nulls make μᵏ cost grow steeply with k: the last few k of
@@ -258,7 +266,7 @@ fn set_rcvbuf(stream: &TcpStream, bytes: i32) {
 #[test]
 fn slow_reader_stalls_only_its_own_connection() {
     const PIPELINED: usize = 4000;
-    let (addr, handle, join) = spawn_server(2);
+    let (addr, handle, join) = spawn_server(2, true);
 
     // The slow reader: a tiny receive buffer, thousands of pipelined
     // commands, and no reading for a while. The replies (hundreds of
@@ -316,7 +324,7 @@ fn slow_reader_stalls_only_its_own_connection() {
 /// observable — no enumeration subtask saw the cancel token before the
 /// job settled — and panics on every hard contract violation.
 fn abrupt_disconnect_scenario() -> Result<(), String> {
-    let (addr, handle, join) = spawn_server(2);
+    let (addr, handle, join) = spawn_server(2, false);
     let facts = {
         let rows: Vec<String> = (0..5).map(|i| format!("R(c{i}, _x{i}).")).collect();
         format!("fact {}", rows.join(" "))

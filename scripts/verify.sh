@@ -8,8 +8,9 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
-echo "==> cargo build --release"
-cargo build --release
+# --workspace: later stages run the caz-bench binaries from target/release.
+echo "==> cargo build --release --workspace"
+cargo build --release --workspace
 
 echo "==> cargo test -q"
 cargo test -q
@@ -43,6 +44,16 @@ fi
 echo "==> planner differential suite (CAZ_TEST_SEED=${CAZ_TEST_SEED})"
 if ! cargo test -q -p caz-service --test planner_differential; then
     echo "planner differential FAILED — reproduce with: CAZ_TEST_SEED=${CAZ_TEST_SEED} cargo test -p caz-service --test planner_differential" >&2
+    exit 1
+fi
+
+# Census differential stage: the support-polynomial class census vs.
+# valuation enumeration, count for count at every k in 1..=K (k < c
+# included), over seeded databases and Boolean, negated, tuple and
+# Datalog events.
+echo "==> census differential suite (CAZ_TEST_SEED=${CAZ_TEST_SEED})"
+if ! cargo test -q --release --test census_differential; then
+    echo "census differential FAILED — reproduce with: CAZ_TEST_SEED=${CAZ_TEST_SEED} cargo test --release --test census_differential" >&2
     exit 1
 fi
 
@@ -134,16 +145,20 @@ echo "    load smoke OK: overload shed cleanly, report schema intact"
 
 # Anytime smoke stage: run one cliff series job (7^5 = 16807
 # valuations on the last row, over the split threshold) against a live
-# server twice — anytime on (the default) and --no-anytime — over a
-# real TCP connection (batch mode deliberately doesn't stream, so the
-# wire is the only place this can be observed). Asserts the contract
-# docs/ANYTIME.md promises: the first frame is an approx estimate
-# (the eager batch precedes all exact work), and deleting the approx
-# frames leaves output byte-identical to the sequential baseline.
-echo "==> anytime smoke (streamed estimates, --no-anytime byte identity)"
-anytime_series() { # $1: "on"|"off"  $2: output file
+# server twice — anytime on (the default) and --no-anytime, both with
+# --no-planner so the job enumerates instead of taking the class
+# census — over a real TCP connection (batch mode deliberately doesn't
+# stream, so the wire is the only place this can be observed). Asserts
+# the contract docs/ANYTIME.md promises: the first frame is an approx
+# estimate (the eager batch precedes all exact work), and deleting the
+# approx frames leaves output byte-identical to the sequential
+# baseline. A third run on a default server takes the census: no
+# approx frames, and the same exact bytes.
+echo "==> anytime smoke (streamed estimates, --no-anytime and census byte identity)"
+anytime_series() { # $1: "on"|"off"|"census"  $2: output file
     local flags=()
-    [ "$1" = off ] && flags+=(--no-anytime)
+    [ "$1" = on ] && flags+=(--no-planner)
+    [ "$1" = off ] && flags+=(--no-planner --no-anytime)
     ./target/release/caz serve --addr 127.0.0.1:0 --workers 4 "${flags[@]}" \
         2> "$STORE_TMP/serve.err" &
     local srv=$!
@@ -170,6 +185,7 @@ anytime_series() { # $1: "on"|"off"  $2: output file
 }
 anytime_series on "$STORE_TMP/series_any.out"
 anytime_series off "$STORE_TMP/series_seq.out"
+anytime_series census "$STORE_TMP/series_census.out"
 # The eager estimator batch runs before any exact work, so the very
 # first frame must be an approx chunk.
 first_frame="$(head -n 1 "$STORE_TMP/series_any.out")"
@@ -184,7 +200,10 @@ grep -v '^ok\* approx ' "$STORE_TMP/series_any.out" > "$STORE_TMP/series_any.exa
 cmp -s "$STORE_TMP/series_any.exact" "$STORE_TMP/series_seq.out" \
     || { echo "anytime smoke FAILED: exact frames diverge from --no-anytime" >&2; \
          diff "$STORE_TMP/series_any.exact" "$STORE_TMP/series_seq.out" >&2 || true; exit 1; }
-echo "    anytime OK: estimates streamed first, exact frames byte-identical"
+cmp -s "$STORE_TMP/series_census.out" "$STORE_TMP/series_seq.out" \
+    || { echo "anytime smoke FAILED: census frames diverge from enumeration" >&2; \
+         diff "$STORE_TMP/series_census.out" "$STORE_TMP/series_seq.out" >&2 || true; exit 1; }
+echo "    anytime OK: estimates streamed first, exact frames byte-identical (census too)"
 
 # HTTP smoke stage: the gateway over raw /dev/tcp (no curl, no HTTP
 # library — the point is that a shell is a sufficient client). Two
