@@ -1,6 +1,5 @@
-//! Shared workload builders used by both the experiment harness and the
-//! Criterion benchmarks, so the numbers in EXPERIMENTS.md and the bench
-//! reports come from identical inputs.
+//! Shared workload builders for the experiment harness, so every
+//! number in EXPERIMENTS.md comes from the same inputs.
 
 use caz_constraints::{parse_constraints, ConstraintSet, Fd};
 use caz_idb::{cst, parse_database, Database, NullId, Tuple, Value};

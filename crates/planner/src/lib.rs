@@ -28,7 +28,9 @@
 //! lane); [`execute`] runs the chosen route by delegating into the
 //! existing engines. The planner never invents semantics: a route whose
 //! precondition fails is *rejected*, and [`Route::EnumerationFallback`]
-//! hands the job back to the caller's enumeration path untouched.
+//! runs the general engines — the paper's definitions, counted over
+//! valuations — which answer every job. Forcing that route (a server's
+//! `--no-planner`) is the same [`execute`] call with no planning.
 //!
 //! The crate is deliberately engine-shaped, not protocol-shaped: it
 //! knows nothing about sessions, caches, or wire framing. `caz-service`
@@ -46,15 +48,20 @@ pub use route::{Route, ROUTES};
 
 use caz_arith::Ratio;
 use caz_constraints::ConstraintSet;
-use caz_core::mu_conditional_fd;
-use caz_datalog::{naive_contains_datalog, Program};
+use caz_core::{
+    certain_answers, mu_conditional_exact, mu_conditional_fd, mu_exact, BoolQueryEvent,
+    ConstraintEvent, SuppEvent, TupleAnswerEvent,
+};
+use caz_datalog::{
+    certain_datalog_answers, naive_contains_datalog, naive_eval_datalog, DatalogEvent, Program,
+};
 use caz_idb::{Database, Tuple};
 use caz_logic::Query;
 use std::collections::BTreeSet;
 
-/// Which evaluation the job asks for. Mirrors the service's command
-/// vocabulary (`naive`, `certain`, `best`, `mu`, `cond`, `series`,
-/// `compare`) without depending on it.
+/// Which evaluation the job asks for: the evaluation commands of the
+/// service's command language, each named by its command word
+/// ([`PlanKind::name`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlanKind {
     /// Naïve evaluation (already the fast path by definition).
@@ -68,12 +75,38 @@ pub enum PlanKind {
     /// The conditional measure `μ(Q | Σ, D[, ā])`.
     Cond,
     /// The finite sequence `μ¹..μᵏ` (streamed). No theorem route
-    /// applies, so it always falls back; the caller answers it from the
-    /// class census or by enumeration, whichever `caz_core::SeriesCost`
-    /// says is cheaper.
+    /// applies, and the job carries no `k`: the caller runs its rows on
+    /// the class census or by enumeration, whichever
+    /// `caz_core::SeriesCost` says is cheaper, over [`event`].
     Series,
     /// The support order between two answers.
     Compare,
+}
+
+impl PlanKind {
+    /// Every kind, in the order `help` lists the commands.
+    pub const ALL: [PlanKind; 7] = [
+        PlanKind::Naive,
+        PlanKind::Certain,
+        PlanKind::Best,
+        PlanKind::Mu,
+        PlanKind::Cond,
+        PlanKind::Series,
+        PlanKind::Compare,
+    ];
+
+    /// The command word that asks for this kind.
+    pub fn name(self) -> &'static str {
+        match self {
+            PlanKind::Naive => "naive",
+            PlanKind::Certain => "certain",
+            PlanKind::Best => "best",
+            PlanKind::Mu => "mu",
+            PlanKind::Cond => "cond",
+            PlanKind::Series => "series",
+            PlanKind::Compare => "compare",
+        }
+    }
 }
 
 /// The query under evaluation: first-order or a Datalog program.
@@ -87,8 +120,12 @@ pub enum QueryRef<'a> {
 }
 
 /// One fully resolved evaluation job: everything the planner needs to
-/// classify and route. Tuples are owned (they are tiny); the query,
-/// constraint set, and database are borrowed from the caller's session.
+/// classify, route and execute. Tuples are owned (they are tiny); the
+/// query, constraint set, and database are borrowed from the caller's
+/// session. A job must be well-formed — a `compare` job carries both
+/// tuples, and a measure job's tuple (absent only for a Boolean query)
+/// matches the query's arity — which the caller checks while resolving
+/// it.
 #[derive(Clone, Debug)]
 pub struct Job<'a> {
     /// Which evaluation is being asked for.
@@ -146,13 +183,12 @@ pub fn plan(job: &Job) -> Plan {
 }
 
 /// What executing a route produced. The caller (who owns request
-/// formatting) renders these; [`ExecOutcome::Fallback`] means "run your
-/// own enumeration path — this job is not routed".
+/// formatting) renders these.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ExecOutcome {
     /// A measure value (`mu` / `cond` jobs).
     Measure(Ratio),
-    /// An answer set (`best` jobs).
+    /// An answer set (`naive` / `certain` / `best` jobs).
     Tuples(BTreeSet<Tuple>),
     /// Both directions of the support order `⊴` (`compare` jobs):
     /// `d12` is `t1 ⊴ t2`, `d21` is `t2 ⊴ t1`.
@@ -162,13 +198,13 @@ pub enum ExecOutcome {
         /// Whether the second tuple is dominated by the first.
         d21: bool,
     },
-    /// The job is not routed; the caller must enumerate.
-    Fallback,
 }
 
-/// Execute a routed job. The route must come from [`plan`] on the same
-/// job — executing a route whose precondition does not hold is a logic
-/// error and yields `Err` rather than a wrong answer.
+/// Execute a job on `route`: one [`plan`] picked for the same job, or
+/// [`Route::EnumerationFallback`], whose general engines answer every
+/// kind except `series` (its rows are the caller's, over [`event`]).
+/// Executing a route whose precondition does not hold is a logic error
+/// and yields `Err` rather than a wrong answer.
 pub fn execute(job: &Job, route: Route) -> Result<ExecOutcome, String> {
     route.precondition(job).map_err(|reason| {
         format!("route {} does not apply: {reason}", route.name())
@@ -212,7 +248,56 @@ pub fn execute(job: &Job, route: Route) -> Result<ExecOutcome, String> {
                 _ => Err("Theorem 8 routes only best/compare jobs".into()),
             }
         }
-        Route::EnumerationFallback => Ok(ExecOutcome::Fallback),
+        Route::EnumerationFallback => enumerate(job),
+    }
+}
+
+/// The general engines: the paper's definitions evaluated directly —
+/// support counting over valuations for the measures, exponential in
+/// the number of nulls.
+fn enumerate(job: &Job) -> Result<ExecOutcome, String> {
+    let db = job.db;
+    Ok(match (job.kind, job.query) {
+        (PlanKind::Naive, QueryRef::Fo(q)) => ExecOutcome::Tuples(caz_logic::naive_eval(q, db)),
+        (PlanKind::Naive, QueryRef::Datalog(p)) => ExecOutcome::Tuples(naive_eval_datalog(p, db)),
+        (PlanKind::Certain, QueryRef::Fo(q)) => ExecOutcome::Tuples(certain_answers(q, db)),
+        (PlanKind::Certain, QueryRef::Datalog(p)) => {
+            ExecOutcome::Tuples(certain_datalog_answers(p, db))
+        }
+        (PlanKind::Best, QueryRef::Fo(q)) => ExecOutcome::Tuples(caz_compare::best_answers(q, db)),
+        (PlanKind::Mu, _) => ExecOutcome::Measure(mu_exact(&*event(job), db)),
+        (PlanKind::Cond, _) => {
+            let sigma = ConstraintEvent::new(job.sigma.clone());
+            ExecOutcome::Measure(mu_conditional_exact(&*event(job), &sigma, db))
+        }
+        (PlanKind::Compare, QueryRef::Fo(q)) => {
+            let (Some(t1), Some(t2)) = (&job.tuple, &job.tuple2) else {
+                return Err("compare needs two tuples".into());
+            };
+            ExecOutcome::Comparison {
+                d12: caz_compare::dominated(q, db, t1, t2),
+                d21: caz_compare::dominated(q, db, t2, t1),
+            }
+        }
+        (PlanKind::Series, _) => {
+            return Err("series rows run on the caller's series engines".into());
+        }
+        (PlanKind::Best | PlanKind::Compare, QueryRef::Datalog(_)) => {
+            return Err("the support order is defined for first-order queries only".into());
+        }
+    })
+}
+
+/// The support event of a measure job (`mu`, `cond`, `series`): the
+/// query holds at the answer tuple, or, with no tuple, the Boolean
+/// query holds. The one builder for every engine that counts support.
+pub fn event(job: &Job) -> Box<dyn SuppEvent> {
+    match (job.query, &job.tuple) {
+        (QueryRef::Datalog(p), t) => {
+            Box::new(DatalogEvent::new(p.clone(), t.clone().unwrap_or_else(Tuple::empty)))
+        }
+        (QueryRef::Fo(q), None) => Box::new(BoolQueryEvent::new(q.clone())),
+        (QueryRef::Fo(q), Some(t)) => Box::new(TupleAnswerEvent::new(q.clone(), t.clone())),
     }
 }
 
@@ -410,8 +495,14 @@ mod tests {
             let p = plan(&j);
             assert_eq!(p.route, Route::EnumerationFallback);
             assert!(p.rejected.is_empty());
-            assert_eq!(execute(&j, p.route).unwrap(), ExecOutcome::Fallback);
         }
+        // The fallback runs the general engines itself; only series
+        // rows are left to the caller.
+        let j = job(PlanKind::Certain, &q, &sigma, &db, None);
+        let answers = BTreeSet::from([Tuple::empty()]);
+        assert_eq!(execute(&j, Route::EnumerationFallback), Ok(ExecOutcome::Tuples(answers)));
+        let j = job(PlanKind::Series, &q, &sigma, &db, None);
+        assert!(execute(&j, Route::EnumerationFallback).is_err());
     }
 
     #[test]

@@ -29,8 +29,9 @@ pub enum Route {
     /// Theorem 8: PTIME `best`/`compare` for unions of conjunctive
     /// queries via small certificates.
     Theorem8Ucq,
-    /// No theorem applies: hand the job to the caller's general
-    /// enumeration engine.
+    /// No theorem applies: run the general engines, which compute every
+    /// measure by counting support over valuations (exponential in the
+    /// number of nulls). Always sound; forcing it disables planning.
     EnumerationFallback,
 }
 
@@ -131,7 +132,7 @@ impl Route {
                 }
                 Ok(())
             }
-            // The fallback is always sound: it computes nothing itself.
+            // The fallback is always sound: it is the definition itself.
             Route::EnumerationFallback => Ok(()),
         }
     }
@@ -146,11 +147,8 @@ impl fmt::Display for Route {
 /// The candidate routes for each job kind, cheapest first. Kinds with
 /// no entry always fall back: `naive` is already the fast path,
 /// `certain` needs the full support machinery in general, and `series`
-/// asks for the finite prefix `μ¹..μᵏ`, which no limit theorem decides.
-/// The caller still picks the cheaper exact engine for a series: one
-/// Theorem 3 class census (`caz_core::SeriesCensus`) answers every `k`
-/// at once, against enumerating `Σₖ kᵐ` valuations
-/// (`caz_core::SeriesCost`).
+/// asks for the finite prefix `μ¹..μᵏ`, which no limit theorem decides
+/// (see [`PlanKind::Series`] for its exact engines).
 pub fn candidates(kind: PlanKind) -> &'static [Route] {
     match kind {
         PlanKind::Mu => &[Route::Theorem1Direct],
@@ -181,15 +179,7 @@ mod tests {
 
     #[test]
     fn candidates_never_include_the_fallback() {
-        for kind in [
-            PlanKind::Naive,
-            PlanKind::Certain,
-            PlanKind::Best,
-            PlanKind::Mu,
-            PlanKind::Cond,
-            PlanKind::Series,
-            PlanKind::Compare,
-        ] {
+        for kind in PlanKind::ALL {
             assert!(!candidates(kind).contains(&Route::EnumerationFallback));
         }
     }

@@ -1,15 +1,18 @@
 //! Anytime evaluation of `series` jobs: streamed approximate estimates
-//! plus work-stealing parallel support enumeration.
+//! plus work-stealing parallel support enumeration — the enumeration
+//! engine of the one evaluation pipeline
+//! ([`eval_on_worker`](crate::server::eval_on_worker)) for a `series`
+//! job streamed to a live connection.
 //!
 //! With the planner on, most `series` jobs never get here: the class
-//! census ([`Session::eval_series_planned`]) answers every row in one
-//! pass whose size depends on `m` and `c` but not on `k`, and it runs
-//! inline on the worker. Anytime serving covers the residual region
-//! where enumeration is still the engine — a named-constant pool large
-//! enough that the census costs more than `Σₖ kᵐ` valuations, more
-//! nulls than the census accepts, or `--no-planner`.
+//! census answers every row in one pass whose size depends on `m` and
+//! `c` but not on `k`, and it runs inline on the worker. Anytime
+//! serving covers the residual region where enumeration is still the
+//! engine — a named-constant pool large enough that the census costs
+//! more than `Σₖ kᵐ` valuations, more nulls than the census accepts, or
+//! `--no-planner`.
 //!
-//! The sequential series path ([`Session::eval_series_chunks`]) walks
+//! Sequential enumeration (`Session::eval_series_chunks`) walks
 //! `μ¹..μᵏ` in ascending `k`, so a client staring at a `series Q 9`
 //! over a 5-null database sees nothing for the entire `9⁵`-valuation
 //! tail — the enumeration cliff measured by the E21 load class. This
@@ -37,14 +40,14 @@
 
 use crate::pool::{resume_group_panic, JobResult};
 use crate::proto;
-use crate::server::{eval_series_on_worker, record_hit, store_result, HitFlag, Shared};
-use crate::session::{push_series_row, EvalRequest, Session};
+use crate::server::{Live, Shared};
+use crate::session::push_series_row;
 use caz_arith::Ratio;
-use caz_core::{mu_k, supp_k_count_slice, Estimate, MuSampler, SeriesEngine, SuppEvent};
+use caz_core::{mu_k, supp_k_count_slice, Estimate, MuSampler, SuppEvent};
 use caz_idb::{ConstEnum, Database};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Below this many valuations a `μᵏ` row runs inline on the owning
 /// worker: scatter/steal bookkeeping would dominate the enumeration.
@@ -68,47 +71,27 @@ fn approx_payload(est: &Estimate) -> String {
     format!("{:.6} ±{:.6} {}", est.value, est.std_error, est.samples)
 }
 
-/// The anytime pipeline for one `series` job, run on a worker thread.
+/// Enumerate the rows `μ¹..μ^k_max` of one `series` job on a worker
+/// thread, streaming estimates while the exact rows compute.
 ///
-/// Mirrors [`eval_series_on_worker`] — cache lookup, route accounting,
-/// per-`k` rows through `emit_row`, exact aggregate stored — and layers
-/// the approx stream (`emit_approx`, payload only: the driver frames it
-/// under the literal `approx` tag) plus parallel enumeration on top.
-/// With anytime disabled ([`Shared::anytime`] is `None`), or when the
-/// planner answers the job from the class census, it delegates to the
-/// sequential path unchanged: no sampler, no scatter. Returns
-/// `Err(`[`proto::CANCELLED`]`)` once `cancel` is observed; rows
-/// already emitted went to a connection that no longer exists, and
-/// nothing is cached.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn eval_series_anytime(
+/// Rows go through `live.row` exactly as sequential enumeration emits
+/// them; the approx stream (`live.approx`, payload only: the driver
+/// frames it under the literal `approx` tag) and parallel enumeration
+/// are layered on top, with approx chunks every `interval`. Returns the
+/// exact aggregate, or `Err(`[`proto::CANCELLED`]`)` once `live.cancel`
+/// is observed; rows already emitted went to a connection that no
+/// longer exists, and nothing is cached.
+pub(crate) fn enumerate(
     shared: &Shared,
-    session: &Session,
-    ev: &EvalRequest,
-    hit: &HitFlag,
-    start: Instant,
-    cancel: &Arc<AtomicBool>,
-    emit_row: &mut dyn FnMut(usize, &str),
-    emit_approx: &mut dyn FnMut(&str),
+    event: Box<dyn SuppEvent>,
+    db: &Database,
+    k_max: usize,
+    interval: Duration,
+    live: &mut Live<'_>,
 ) -> JobResult {
-    let census = || {
-        shared.planner
-            && session.series_cost(&ev.args).is_ok_and(|c| c.engine() == SeriesEngine::Census)
-    };
-    let Some(interval) = shared.anytime.filter(|_| !census()) else {
-        return eval_series_on_worker(shared, session, ev, hit, start, emit_row);
-    };
-    let key = session.cache_key(ev);
-    if let Some(text) = key.as_ref().and_then(|k| shared.cache.get(k)) {
-        record_hit(shared, hit, start);
-        return Ok(text);
-    }
-    // Same accounting contract as the sequential path: the route is
-    // noted once per executed job, before any work that could fail.
-    shared.metrics.note_route(caz_planner::Route::EnumerationFallback);
-    let (event, k_max) = session.series_args(&ev.args)?;
+    let Live { row: emit_row, approx: emit_approx, cancel } = live;
     let event: Arc<dyn SuppEvent> = Arc::from(event);
-    let db = Arc::new(session.db().clone());
+    let db = Arc::new(db.clone());
     let m = db.nulls().len();
 
     // The estimator targets the final (most expensive) row μ^k_max and
@@ -160,7 +143,6 @@ pub(crate) fn eval_series_anytime(
         };
         push_series_row(&mut aggregate, emit_row, k, value);
     }
-    store_result(shared, key.as_ref(), &aggregate);
     Ok(aggregate)
 }
 

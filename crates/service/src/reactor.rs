@@ -70,14 +70,13 @@
 //! — the workspace is std-only by charter, so no crate dependency; all
 //! `unsafe` in this crate is confined to those few wrappers.
 
-use crate::anytime::eval_series_anytime;
 use crate::http::{self, HttpError, RequestParser, Routed};
 use crate::pool::{DetachedJob, JobResult, Outcome, TrySubmitError};
 use crate::proto::{encode_frame, WireFrame, WireReply};
 use crate::server::{
     classify, done_frame, eval_on_worker, multi_frame, new_hit_flag, plan_frames, plan_on_worker,
-    series_frames, settle_eval, settle_plan, single_frame, Control, HitFlag, MultiJob, Shared,
-    Step,
+    series_frames, settle_eval, settle_plan, single_frame, Control, HitFlag, Live, MultiJob,
+    Shared, Step,
 };
 use crate::session::Session;
 use std::collections::{HashMap, VecDeque};
@@ -840,7 +839,7 @@ impl Reactor {
                     id,
                     DetachedJob {
                         work: Box::new(move || {
-                            eval_on_worker(&job_shared, &job_session, &ev, &job_hit, start)
+                            eval_on_worker(&job_shared, &job_session, &ev, &job_hit, start, None)
                         }),
                         on_done: Box::new(move |result, outcome| {
                             notifier.push(Completion {
@@ -871,7 +870,14 @@ impl Reactor {
                         id,
                         DetachedJob {
                             work: Box::new(move || {
-                                eval_on_worker(&job_shared, &job_session, &ev, &job_hit, start)
+                                eval_on_worker(
+                                    &job_shared,
+                                    &job_session,
+                                    &ev,
+                                    &job_hit,
+                                    start,
+                                    None,
+                                )
                             }),
                             on_done: Box::new(move |result, outcome| {
                                 notifier.push(Completion {
@@ -945,25 +951,28 @@ impl Reactor {
                     id,
                     DetachedJob {
                         work: Box::new(move || {
-                            eval_series_anytime(
-                                &job_shared,
-                                &job_session,
-                                &ev,
-                                &job_hit,
-                                start,
-                                &cancel,
-                                &mut |k, row| {
+                            let live = Live {
+                                row: &mut |k, row| {
                                     row_notifier.push(Completion {
                                         conn: id,
                                         done: Done::SeriesRow { k, row: row.to_string() },
                                     });
                                 },
-                                &mut |payload| {
+                                approx: &mut |payload| {
                                     approx_notifier.push(Completion {
                                         conn: id,
                                         done: Done::SeriesApprox { payload: payload.to_string() },
                                     });
                                 },
+                                cancel: &cancel,
+                            };
+                            eval_on_worker(
+                                &job_shared,
+                                &job_session,
+                                &ev,
+                                &job_hit,
+                                start,
+                                Some(live),
                             )
                         }),
                         on_done: Box::new(move |result, outcome| {

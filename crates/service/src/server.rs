@@ -16,11 +16,12 @@
 //! This module holds everything the reactor and the offline batch
 //! driver share: [`classify`] turns one command line into either
 //! immediate reply frames or pool work; [`eval_on_worker`] runs on a
-//! pool thread and does the whole evaluation pipeline there — cache-key
-//! canonicalization (itself a color-refinement pass, so it must not run
-//! on the reactor thread), cache lookup, evaluation on a miss, and
-//! cache + persistent-store insertion; [`settle_eval`] applies the
-//! finished job's metrics symmetrically in both drivers.
+//! pool thread and does the whole evaluation pipeline there, for every
+//! job kind — resolving the request, cache-key canonicalization (itself
+//! a color-refinement pass, so it must not run on the reactor thread),
+//! cache lookup, evaluation on a miss, and cache + persistent-store
+//! insertion; [`settle_eval`] applies the finished job's metrics
+//! symmetrically in both drivers.
 //!
 //! With `--cache-path` set, [`Shared::new`] opens a [`caz_store::Store`]
 //! and warm-starts the cache from it before the first request is
@@ -52,8 +53,12 @@ use crate::pool::{JobResult, Outcome, WorkerPool};
 use crate::proto::{decode_frame, encode_frame, WireFrame, WireReply};
 use crate::reactor::Reactor;
 use crate::replication::{MissPolicy, ReplicaHandle, ReplicationSink, Role};
-use crate::session::{parse_eval_job, EvalKind, EvalRequest, Reply, Request, Session};
-use caz_core::SeriesEngine;
+use crate::session::{
+    parse_eval_job, series_rows, EvalKind, EvalRequest, Reply, Request, Session, Sink,
+};
+use caz_core::{SeriesEngine, SuppEvent};
+use caz_idb::Database;
+use caz_planner::Route;
 use caz_store::{FsyncPolicy, Store};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -86,8 +91,8 @@ pub struct ServerConfig {
     /// (`caz-planner`), taking theorem-licensed fast paths where their
     /// preconditions hold, and answering `series` jobs from one class
     /// census where that beats enumeration. Disabled (`--no-planner`),
-    /// every job runs the general enumeration engine and counts as
-    /// `planner_fallback_total`.
+    /// every job takes the forced enumeration route on the same
+    /// pipeline and counts as `planner_fallback_total`.
     pub planner: bool,
     /// Admission control: the most commands one connection may have
     /// admitted (in flight or queued behind its in-flight command) at
@@ -107,13 +112,14 @@ pub struct ServerConfig {
     /// Anytime serving for expensive `series` jobs over live
     /// connections: stream `ok* approx …` estimate chunks while the
     /// exact enumeration proceeds, and split that enumeration across
-    /// the pool as work-stealing subtasks. Only jobs the class census
-    /// does not answer (see [`ServerConfig::planner`]) enumerate at
-    /// all, so with the planner on this covers the residual region:
+    /// the pool as work-stealing subtasks: anytime is the enumeration
+    /// engine of the one evaluation pipeline. Only jobs the class
+    /// census does not answer (see [`ServerConfig::planner`]) enumerate
+    /// at all, so with the planner on this covers the residual region:
     /// large named-constant pools, or more nulls than the census
-    /// accepts. Disabled (`--no-anytime`), series jobs run the
-    /// sequential legacy path with no approx chunks — the differential
-    /// baseline; final frames are byte-identical either way.
+    /// accepts. Disabled (`--no-anytime`), series rows enumerate
+    /// sequentially with no approx chunks — the differential baseline;
+    /// final frames are byte-identical either way.
     pub anytime: bool,
     /// Target cadence of `ok* approx …` chunks in milliseconds
     /// (`--anytime-interval-ms`).
@@ -194,8 +200,8 @@ pub(crate) struct Shared {
     /// (see [`ServerConfig::queue_deadline_ms`]).
     pub(crate) queue_deadline: Option<std::time::Duration>,
     /// Anytime serving for streamed `series` jobs: `Some(cadence)` of
-    /// the approx chunks, `None` when `--no-anytime` forces the
-    /// sequential legacy path (see [`ServerConfig::anytime`]).
+    /// the approx chunks, `None` when `--no-anytime` makes enumeration
+    /// sequential (see [`ServerConfig::anytime`]).
     pub(crate) anytime: Option<std::time::Duration>,
     /// Sniff and serve HTTP/1.1 alongside the line protocol (see
     /// [`ServerConfig::http`]).
@@ -356,9 +362,9 @@ pub(crate) enum Step {
         ready: Vec<WireFrame>,
         jobs: Vec<MultiJob>,
     },
-    /// A `series` line: stream row chunks from a worker via
-    /// [`Session::eval_series_planned`] (no rows when the worker finds
-    /// the aggregate in the cache — the driver replays them instead).
+    /// A `series` line: stream row chunks from a worker through
+    /// [`eval_on_worker`] (no rows when the worker finds the aggregate
+    /// in the cache — the driver replays them instead).
     Series { ev: EvalRequest, start: Instant },
     /// A `plan`/`explain` line: classification runs on a worker (the
     /// Theorem-4 check naïvely evaluates Σ against the database — data-
@@ -468,24 +474,10 @@ pub(crate) fn new_hit_flag() -> HitFlag {
 
 /// Record a cache hit resolved on a worker: flag the job as a hit and
 /// account it (`jobs_cached`, `cache_hit_latency`).
-pub(crate) fn record_hit(shared: &Shared, hit: &HitFlag, start: Instant) {
+fn record_hit(shared: &Shared, hit: &HitFlag, start: Instant) {
     hit.store(true, Ordering::Release);
     shared.metrics.jobs_cached.fetch_add(1, Ordering::Relaxed);
     shared.metrics.cache_hit_latency.record(start.elapsed());
-}
-
-/// Publish one freshly computed result: into the in-memory cache, and
-/// (when persistence is on) onto the flusher's write-behind queue.
-/// Runs in the worker closure, *not* in the completion handler — a job
-/// whose connection vanished mid-flight still caches and persists its
-/// result.
-pub(crate) fn store_result(shared: &Shared, key: Option<&CacheKey>, text: &str) {
-    if let Some(k) = key {
-        shared.cache.insert(k, text.to_string());
-        if let Some(store) = &shared.store {
-            store.append(k, text);
-        }
-    }
 }
 
 /// How long a proxied miss may spend connecting to / talking to the
@@ -497,18 +489,9 @@ const PROXY_TIMEOUT: Duration = Duration::from_secs(10);
 /// reply. Returns `None` on any transport trouble or protocol surprise
 /// — the caller then computes locally, so a dead or unreachable leader
 /// degrades a proxying replica to a computing one instead of an erroring
-/// one. `series` jobs never proxy (their chunked replies don't fit the
-/// one-line exchange); [`classify`] routes them elsewhere already.
+/// one. `series` jobs never proxy: their chunked replies don't fit the
+/// one-line exchange.
 fn proxy_to_leader(addr: &str, session: &Session, ev: &EvalRequest) -> Option<JobResult> {
-    let word = match ev.kind {
-        EvalKind::Naive => "naive",
-        EvalKind::Certain => "certain",
-        EvalKind::Best => "best",
-        EvalKind::Mu => "mu",
-        EvalKind::Cond => "cond",
-        EvalKind::Compare => "compare",
-        EvalKind::Series => return None,
-    };
     let stream = TcpStream::connect(addr).ok()?;
     stream.set_nodelay(true).ok()?;
     stream.set_read_timeout(Some(PROXY_TIMEOUT)).ok()?;
@@ -532,24 +515,74 @@ fn proxy_to_leader(addr: &str, session: &Session, ev: &EvalRequest) -> Option<Jo
             _ => return None,
         }
     }
-    match exchange(&format!("{word} {}", ev.args))? {
+    match exchange(&format!("{} {}", ev.kind.name(), ev.args))? {
         WireFrame::Final(WireReply::Ok(text)) => Some(Ok(text)),
         WireFrame::Final(WireReply::Err(e)) => Some(Err(e)),
         _ => None,
     }
 }
 
-/// The whole evaluation pipeline for one `eval`/`mu`/`certain` job,
-/// run on a worker thread: canonicalize the cache key, resolve a hit,
-/// or evaluate and publish the result.
+/// A live connection streaming a `series` job: each row goes out as a
+/// chunk as soon as it is computed, and enumeration may run as anytime
+/// scatter, with `approx` estimates in between, until the reactor fires
+/// `cancel` on disconnect.
+pub(crate) struct Live<'a> {
+    pub(crate) row: &'a mut dyn FnMut(usize, &str),
+    pub(crate) approx: &'a mut dyn FnMut(&str),
+    pub(crate) cancel: &'a Arc<AtomicBool>,
+}
+
+/// A worker's [`Sink`]: rows go to the live connection, if any; the
+/// class census is counted in `series_census_total`; and enumeration
+/// runs as anytime scatter when anytime is on and the job streams, else
+/// sequentially.
+struct WorkerSink<'a, 'l> {
+    shared: &'a Shared,
+    live: Option<Live<'l>>,
+}
+
+impl Sink for WorkerSink<'_, '_> {
+    fn row(&mut self, k: usize, row: &str) {
+        if let Some(live) = self.live.as_mut() {
+            (live.row)(k, row)
+        }
+    }
+
+    fn rows(
+        &mut self,
+        engine: SeriesEngine,
+        event: Box<dyn SuppEvent>,
+        db: &Database,
+        k_max: usize,
+    ) -> Result<String, String> {
+        if engine == SeriesEngine::Census {
+            self.shared.metrics.series_census.fetch_add(1, Ordering::Relaxed);
+        } else if let (Some(interval), Some(live)) = (self.shared.anytime, self.live.as_mut()) {
+            return crate::anytime::enumerate(self.shared, event, db, k_max, interval, live);
+        }
+        Ok(series_rows(engine, &*event, db, k_max, &mut |k, row| self.row(k, row)))
+    }
+}
+
+/// The one evaluation pipeline, run on a worker thread for every job
+/// kind: resolve → cache key → hit → proxy → route guard → execute →
+/// store. `live` is the connection a `series` job streams its rows to
+/// (none on a hit: the driver replays the cached aggregate instead).
 pub(crate) fn eval_on_worker(
     shared: &Shared,
     session: &Session,
     ev: &EvalRequest,
     hit: &HitFlag,
     start: Instant,
+    live: Option<Live<'_>>,
 ) -> JobResult {
-    let key = session.cache_key(ev);
+    // An unresolvable request still counts as one executed job on the
+    // enumeration route, keeping the per-route counters summing to
+    // `jobs_executed_total`.
+    let job = session
+        .resolve(ev)
+        .inspect_err(|_| shared.metrics.note_route(Route::EnumerationFallback))?;
+    let key = job.cache_key();
     if let Some(text) = key.as_ref().and_then(|k| shared.cache.get(k)) {
         record_hit(shared, hit, start);
         return Ok(text);
@@ -561,25 +594,23 @@ pub(crate) fn eval_on_worker(
     // `jobs_executed_total`), plus `replication_proxied_total`. A
     // leader error reply still counts in `errors_total`, which the
     // hit-flagged settle path would otherwise skip.
-    if shared.role == Role::Replica && shared.on_miss == MissPolicy::Proxy {
-        if let Some(addr) = &shared.leader_addr {
-            if let Some(result) = proxy_to_leader(addr, session, ev) {
-                shared.metrics.replication_proxied.fetch_add(1, Ordering::Relaxed);
-                record_hit(shared, hit, start);
-                match result {
-                    Ok(text) => {
-                        // Warm the local cache: replication will bring
-                        // the same immutable entry anyway.
-                        if let Some(k) = key.as_ref() {
-                            shared.cache.insert(k, text.clone());
-                        }
-                        return Ok(text);
-                    }
-                    Err(e) => {
-                        shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                        return Err(e);
-                    }
+    let proxy = shared.role == Role::Replica && shared.on_miss == MissPolicy::Proxy;
+    let leader = shared.leader_addr.as_deref().filter(|_| proxy && job.series_len.is_none());
+    if let Some(result) = leader.and_then(|addr| proxy_to_leader(addr, session, ev)) {
+        shared.metrics.replication_proxied.fetch_add(1, Ordering::Relaxed);
+        record_hit(shared, hit, start);
+        match result {
+            Ok(text) => {
+                // Warm the local cache: replication will bring the same
+                // immutable entry anyway.
+                if let Some(k) = key.as_ref() {
+                    shared.cache.insert(k, text.clone());
                 }
+                return Ok(text);
+            }
+            Err(e) => {
+                shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                return Err(e);
             }
         }
     }
@@ -590,64 +621,26 @@ pub(crate) fn eval_on_worker(
     // per-route counters summing to `jobs_executed_total`.
     struct NoteOnDrop<'a> {
         metrics: &'a Metrics,
-        route: caz_planner::Route,
+        route: Route,
     }
     impl Drop for NoteOnDrop<'_> {
         fn drop(&mut self) {
             self.metrics.note_route(self.route);
         }
     }
-    let mut note = NoteOnDrop {
-        metrics: &shared.metrics,
-        route: caz_planner::Route::EnumerationFallback,
-    };
-    let result = if shared.planner {
-        session.eval_planned(ev, &mut |route| note.route = route)
-    } else {
-        session.eval(ev)
-    };
+    let mut note = NoteOnDrop { metrics: &shared.metrics, route: Route::EnumerationFallback };
+    let mut sink = WorkerSink { shared, live };
+    let result = job.execute(shared.planner, &mut |route| note.route = route, &mut sink);
     drop(note);
-    if let Ok(text) = &result {
-        store_result(shared, key.as_ref(), text);
-    }
-    result
-}
-
-/// [`eval_on_worker`] for a `series` job: on a miss the rows go
-/// through `emit` — streamed row by row while enumeration computes later
-/// rows, or all at once when the class census answers the job; on a hit
-/// nothing is emitted and the driver replays the cached aggregate.
-pub(crate) fn eval_series_on_worker(
-    shared: &Shared,
-    session: &Session,
-    ev: &EvalRequest,
-    hit: &HitFlag,
-    start: Instant,
-    emit: &mut dyn FnMut(usize, &str),
-) -> JobResult {
-    let key = session.cache_key(ev);
-    if let Some(text) = key.as_ref().and_then(|k| shared.cache.get(k)) {
-        record_hit(shared, hit, start);
-        return Ok(text);
-    }
-    // No limit theorem routes a finite μ¹..μᵏ prefix, so series jobs
-    // count as fallback executions; note the route before the compute
-    // so a panicking job is still attributed. The planner still picks
-    // the cheaper exact engine: one class census answers every row at
-    // once when it inspects fewer classes than Σₖ kᵐ valuations.
-    shared.metrics.note_route(caz_planner::Route::EnumerationFallback);
-    let result = if shared.planner {
-        let mut note_engine = |engine| {
-            if engine == SeriesEngine::Census {
-                shared.metrics.series_census.fetch_add(1, Ordering::Relaxed);
-            }
-        };
-        session.eval_series_planned(&ev.args, &mut note_engine, emit)
-    } else {
-        session.eval_series_chunks(&ev.args, emit)
-    };
-    if let Ok(text) = &result {
-        store_result(shared, key.as_ref(), text);
+    // Publish into the cache and, with persistence on, onto the
+    // flusher's write-behind queue — here on the worker, not in the
+    // completion handler, so a job whose connection vanished mid-flight
+    // still caches and persists its result.
+    if let (Ok(text), Some(k)) = (&result, key.as_ref()) {
+        shared.cache.insert(k, text.clone());
+        if let Some(store) = &shared.store {
+            store.append(k, text);
+        }
     }
     result
 }
@@ -900,7 +893,7 @@ pub fn run_batch<R: BufRead, W: Write>(
                 let hit = new_hit_flag();
                 let job_hit = Arc::clone(&hit);
                 let (result, outcome) = shared.pool.run(Box::new(move || {
-                    eval_on_worker(&job_shared, &job_session, &ev, &job_hit, start)
+                    eval_on_worker(&job_shared, &job_session, &ev, &job_hit, start, None)
                 }));
                 let result = settle_eval(&shared, &hit, start, result, outcome);
                 write_frames(output, &[single_frame(result)])?;
@@ -921,7 +914,14 @@ pub fn run_batch<R: BufRead, W: Write>(
                         let hit = new_hit_flag();
                         let job_hit = Arc::clone(&hit);
                         let rx = shared.pool.submit(Box::new(move || {
-                            eval_on_worker(&job_shared, &job_session, &ev, &job_hit, job_start)
+                            eval_on_worker(
+                                &job_shared,
+                                &job_session,
+                                &ev,
+                                &job_hit,
+                                job_start,
+                                None,
+                            )
                         }));
                         (job, hit, rx)
                     })
@@ -956,14 +956,7 @@ pub fn run_batch<R: BufRead, W: Write>(
                 // Rows are not streamed in batch mode: the aggregate is
                 // rendered as chunked frames below either way.
                 let (result, outcome) = shared.pool.run(Box::new(move || {
-                    eval_series_on_worker(
-                        &job_shared,
-                        &job_session,
-                        &ev,
-                        &job_hit,
-                        start,
-                        &mut |_, _| {},
-                    )
+                    eval_on_worker(&job_shared, &job_session, &ev, &job_hit, start, None)
                 }));
                 let result = settle_eval(&shared, &hit, start, result, outcome);
                 let frames = match result {

@@ -8,24 +8,27 @@
 //! to the worker pool (and cached) while cheap state mutations run
 //! inline on the connection's own [`Session`].
 
-use caz_compare::{best_answers, dominated};
 use caz_constraints::{parse_constraints, ConstraintSet};
 use caz_arith::Ratio;
-use caz_core::{
-    certain_answers, mu_k, mu_k_series, BoolQueryEvent, ConstraintEvent, Series, SeriesCensus,
-    SeriesCost, SeriesEngine, SuppEvent, TupleAnswerEvent,
-};
-use caz_datalog::{certain_datalog_answers, naive_eval_datalog, parse_program, DatalogEvent};
+use caz_core::{mu_k, Series, SeriesCensus, SeriesCost, SeriesEngine, SuppEvent};
+use caz_datalog::parse_program;
 use crate::cache::CacheKey;
 use caz_idb::{
     fnv1a_128, format_tuples, parse_database, try_iso_canonical, Cst, Database, NullId, Tuple,
     Value,
 };
-use caz_logic::{naive_eval, parse_query, Query};
-use caz_planner::{ExecOutcome, Features, PlanKind, QueryRef, Rejection, Route};
+use caz_logic::{parse_query, Query};
+use caz_planner::{ExecOutcome, Features, QueryRef, Rejection, Route};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
+
+/// The read-only evaluation commands (`naive`, `certain`, `best`, `mu`,
+/// `cond`, `series`, `compare`), named by their command words. These
+/// are the expensive requests — worst-case exponential in the number of
+/// nulls — and the only ones a server schedules on the worker pool.
+/// They are the planner's job kinds, variant for variant.
+pub use caz_planner::PlanKind as EvalKind;
 
 /// Reserved relation name used to embed the answer tuple into the
 /// database before canonicalization, so that cache keys are invariant
@@ -64,31 +67,10 @@ pub enum Reply {
     Quit,
 }
 
-/// The read-only evaluation commands. These are the expensive requests
-/// — worst-case exponential in the number of nulls — and the only ones
-/// a server schedules on the worker pool.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EvalKind {
-    /// `naive <name>` — naïve evaluation.
-    Naive,
-    /// `certain <name>` — certain answers.
-    Certain,
-    /// `best <name>` — ⊴-maximal answers.
-    Best,
-    /// `mu <name> [tuple]` — the exact measure μ(Q, D[, ā]).
-    Mu,
-    /// `cond <name> [tuple]` (alias `mucond`) — μ(Q | Σ, D[, ā]).
-    Cond,
-    /// `series <name> <k>` — the finite sequence μ¹..μᵏ.
-    Series,
-    /// `compare <name> (t1) (t2)` — the support order between answers.
-    Compare,
-}
-
 /// A read-only evaluation request: the kind plus its raw argument text
 /// (name, optional tuple literals, series length). Arguments stay
 /// unparsed because tuple literals resolve against per-session null
-/// names.
+/// names; `Session::resolve` parses them.
 #[derive(Clone, Debug)]
 pub struct EvalRequest {
     /// Which evaluation to run.
@@ -225,14 +207,11 @@ impl Request {
             }
             "plan" => Ok(Some(Request::Plan { explain: false, target: rest.to_string() })),
             "explain" => Ok(Some(Request::Plan { explain: true, target: rest.to_string() })),
-            "naive" => eval(EvalKind::Naive),
-            "certain" => eval(EvalKind::Certain),
-            "best" => eval(EvalKind::Best),
-            "mu" => eval(EvalKind::Mu),
-            "cond" | "mucond" => eval(EvalKind::Cond),
-            "series" => eval(EvalKind::Series),
-            "compare" => eval(EvalKind::Compare),
-            other => Err(format!("unknown command {other:?}; try 'help'")),
+            "mucond" => eval(EvalKind::Cond),
+            other => match EvalKind::ALL.into_iter().find(|kind| kind.name() == other) {
+                Some(kind) => eval(kind),
+                None => Err(format!("unknown command {other:?}; try 'help'")),
+            },
         }
     }
 }
@@ -241,12 +220,6 @@ impl Session {
     /// Create an empty session.
     pub fn new() -> Session {
         Session::default()
-    }
-
-    /// The loaded database (read-only; the anytime evaluator clones it
-    /// to share across enumeration subtasks).
-    pub(crate) fn db(&self) -> &Database {
-        &self.db
     }
 
     /// Execute one command line: parse, then apply.
@@ -275,7 +248,7 @@ impl Session {
             Request::AddConstraint(src) => {
                 self.apply_logged("constraint", src, Session::add_constraint)
             }
-            Request::Eval(ev) => self.eval(ev).map(Reply::Text),
+            Request::Eval(ev) => self.eval_planned(ev, &mut |_| {}).map(Reply::Text),
             Request::Plan { explain, target } => {
                 self.plan_for(target).map(|r| Reply::Text(r.text(*explain)))
             }
@@ -285,7 +258,8 @@ impl Session {
             Request::EvalMulti(jobs) => {
                 let mut out = String::new();
                 for (i, job) in jobs.iter().enumerate() {
-                    let result = parse_eval_job(job).and_then(|ev| self.eval(&ev));
+                    let result =
+                        parse_eval_job(job).and_then(|ev| self.eval_planned(&ev, &mut |_| {}));
                     if i > 0 {
                         out.push('\n');
                     }
@@ -318,79 +292,20 @@ impl Session {
         &self.setup
     }
 
-    /// Run a read-only evaluation request. Takes `&self`: a server clones
-    /// the session state into a worker job, so evaluation must not (and
-    /// cannot) touch session state.
+    /// Run a read-only evaluation request on the forced enumeration
+    /// route — the general engines, with no planning — the reference
+    /// every planned reply must match byte for byte. Takes `&self`: a
+    /// server clones the session state into a worker job, so evaluation
+    /// must not (and cannot) touch session state.
     pub fn eval(&self, req: &EvalRequest) -> Result<String, String> {
-        match req.kind {
-            EvalKind::Naive => self.naive(&req.args),
-            EvalKind::Certain => self.certain(&req.args),
-            EvalKind::Best => self.best(&req.args),
-            EvalKind::Mu => self.mu(&req.args, false),
-            EvalKind::Cond => self.mu(&req.args, true),
-            EvalKind::Series => self.series(&req.args),
-            EvalKind::Compare => self.compare(&req.args),
-        }
+        self.resolve(req)?.execute(false, &mut |_| {}, &mut ())
     }
 
-    /// An isomorphism-invariant cache key for `req`, or `None` when the
-    /// request is not cacheable. Cacheable are the evaluations whose
-    /// output never mentions session-local null *names*: `mu`, `cond`,
-    /// and `series` print pure rationals, so two sessions whose
-    /// databases (and answer tuples) differ only by a bijective renaming
-    /// of nulls must — and do — share one cache entry. `naive`,
-    /// `certain`, `best`, and `compare` print tuples containing
-    /// session-specific null names and stay uncached.
-    ///
-    /// The key carries the FNV-1a 128 digest of the canonical database
-    /// form alongside the text; the sharded cache routes on the digest's
-    /// high bits, so renaming-equivalent requests land in the same shard.
+    /// The isomorphism-invariant cache key of `req` (see
+    /// `Job::cache_key`), or `None` when the request does not resolve
+    /// or is not cacheable.
     pub fn cache_key(&self, req: &EvalRequest) -> Option<CacheKey> {
-        let (kind_tag, head, sigma) = match req.kind {
-            EvalKind::Mu => ("mu", req.args.as_str(), None),
-            EvalKind::Cond => ("cond", req.args.as_str(), Some(&self.sigma)),
-            EvalKind::Series => {
-                let (head, k_src) = req.args.rsplit_once(char::is_whitespace)?;
-                let k: usize = k_src.trim().parse().ok()?;
-                return self.cache_key_inner(&format!("series:{k}"), head, None);
-            }
-            _ => return None,
-        };
-        self.cache_key_inner(kind_tag, head, sigma)
-    }
-
-    fn cache_key_inner(
-        &self,
-        kind_tag: &str,
-        head: &str,
-        sigma: Option<&ConstraintSet>,
-    ) -> Option<CacheKey> {
-        let (name, tuple_src) = self.split_name_tuple(head);
-        // Key on the *definition*, not the name: two sessions may bind
-        // the same name to different queries.
-        let def = if let Some(p) = self.programs.get(name) {
-            format!("dl:{p}")
-        } else {
-            format!("fo:{}", self.queries.get(name)?)
-        };
-        let tuple = match tuple_src {
-            Some(src) => self.tuple(src).ok()?,
-            None => Tuple::empty(),
-        };
-        // Embed the answer tuple into the database so its nulls are
-        // renamed consistently with the database's during minimization.
-        let mut ext = self.db.clone();
-        if ext.relation(ANSWER_REL).is_some() {
-            return None; // user squatted on the reserved name; don't cache
-        }
-        ext.insert(ANSWER_REL, tuple);
-        let canon = try_iso_canonical(&ext)?;
-        let shard_hash = fnv1a_128(canon.as_bytes());
-        let sigma_part = sigma.map(|s| s.to_string()).unwrap_or_default();
-        Some(CacheKey {
-            text: format!("{kind_tag}\u{1}{def}\u{1}{sigma_part}\u{1}{canon}"),
-            shard_hash,
-        })
+        self.resolve(req).ok()?.cache_key()
     }
 
     fn add_facts(&mut self, src: &str) -> Result<Reply, String> {
@@ -444,6 +359,16 @@ impl Session {
             .ok_or_else(|| format!("no query named {name:?} (define one with 'query')"))
     }
 
+    /// Resolve a name with the evaluators' shadowing: programs first,
+    /// then queries.
+    fn query_ref(&self, name: &str) -> Result<QueryRef<'_>, String> {
+        if let Some(p) = self.programs.get(name) {
+            Ok(QueryRef::Datalog(p))
+        } else {
+            self.query(name).map(QueryRef::Fo)
+        }
+    }
+
     /// Parse a tuple literal like `(a, _x)` against the session nulls.
     fn tuple(&self, src: &str) -> Result<Tuple, String> {
         let src = src.trim();
@@ -470,334 +395,104 @@ impl Session {
         Ok(Tuple::new(values))
     }
 
-    fn naive(&self, name: &str) -> Result<String, String> {
-        if let Some(p) = self.programs.get(name) {
-            return Ok(format_tuples(&naive_eval_datalog(p, &self.db)));
-        }
-        let q = self.query(name)?;
-        Ok(format_tuples(&naive_eval(q, &self.db)))
-    }
-
-    fn certain(&self, name: &str) -> Result<String, String> {
-        if let Some(p) = self.programs.get(name) {
-            return Ok(format_tuples(&certain_datalog_answers(p, &self.db)));
-        }
-        let q = self.query(name)?;
-        Ok(format_tuples(&certain_answers(q, &self.db)))
-    }
-
-    fn best(&self, name: &str) -> Result<String, String> {
-        let q = self.query(name)?;
-        Ok(format_tuples(&best_answers(q, &self.db)))
-    }
-
-    fn event_for(&self, name: &str, tuple: Option<Tuple>) -> Result<Box<dyn SuppEvent>, String> {
-        if let Some(p) = self.programs.get(name) {
-            let t = tuple.unwrap_or_else(Tuple::empty);
-            if t.arity() != p.output_arity {
-                return Err(format!(
-                    "program {name} has output arity {}, tuple has {}",
-                    p.output_arity,
-                    t.arity()
-                ));
+    /// Resolve an evaluation request into a [`Job`]. This is the one
+    /// parser of evaluation arguments — the name, the tuple literals and
+    /// the series length — and it owns every canonical error text:
+    /// malformed arguments, an unknown name, an arity mismatch. It only
+    /// borrows from the session: nothing is evaluated and no query is
+    /// cloned, so resolving a cache hit stays cheap.
+    pub(crate) fn resolve(&self, req: &EvalRequest) -> Result<Job<'_>, String> {
+        let mut series_len = None;
+        let mut tuple2 = None;
+        let (query, tuple) = match req.kind {
+            EvalKind::Naive | EvalKind::Certain => (self.query_ref(&req.args)?, None),
+            // The support order ranks answers of first-order queries, so
+            // `best` and `compare` look up queries only.
+            EvalKind::Best => (QueryRef::Fo(self.query(&req.args)?), None),
+            EvalKind::Compare => {
+                let open = req.args.find('(').ok_or("usage: compare <name> (t1) (t2)")?;
+                let tuples = &req.args[open..];
+                let mid = tuples.find(')').ok_or("expected two tuples")? + 1;
+                let t1 = self.tuple(&tuples[..mid])?;
+                tuple2 = Some(self.tuple(&tuples[mid..])?);
+                (QueryRef::Fo(self.query(req.args[..open].trim())?), Some(t1))
             }
-            return Ok(Box::new(DatalogEvent::new(p.clone(), t)));
-        }
-        let q = self.query(name)?.clone();
-        Ok(match tuple {
-            None if q.is_boolean() => Box::new(BoolQueryEvent::new(q)),
-            None => return Err(format!("query {name} needs a tuple, e.g.  mu {name} (a, b)")),
-            Some(t) => {
-                if t.arity() != q.arity() {
-                    return Err(format!(
-                        "query {name} has arity {}, tuple has {}",
-                        q.arity(),
-                        t.arity()
-                    ));
+            EvalKind::Mu | EvalKind::Cond | EvalKind::Series => {
+                let mut head = req.args.as_str();
+                if req.kind == EvalKind::Series {
+                    let (name_tuple, k_src) =
+                        head.rsplit_once(char::is_whitespace).ok_or("usage: series <name> <k>")?;
+                    let k: usize = k_src.trim().parse().map_err(|_| "k must be a number")?;
+                    if k == 0 || k > 24 {
+                        return Err("k must be between 1 and 24".into());
+                    }
+                    series_len = Some(k);
+                    head = name_tuple;
                 }
-                Box::new(TupleAnswerEvent::new(q, t))
+                let (name, tuple_src) = split_name_tuple(head);
+                let tuple = tuple_src.map(|s| self.tuple(s)).transpose()?;
+                let query = self.query_ref(name)?;
+                check_arity(name, query, tuple.as_ref())?;
+                (query, tuple)
             }
-        })
-    }
-
-    fn split_name_tuple<'b>(&self, rest: &'b str) -> (&'b str, Option<&'b str>) {
-        match rest.find('(') {
-            Some(i) if rest[..i].trim() != "" => (rest[..i].trim(), Some(rest[i..].trim())),
-            _ => (rest.trim(), None),
-        }
-    }
-
-    fn mu(&self, rest: &str, conditional: bool) -> Result<String, String> {
-        let (name, tuple_src) = self.split_name_tuple(rest);
-        let tuple = tuple_src.map(|s| self.tuple(s)).transpose()?;
-        let ev = self.event_for(name, tuple)?;
-        let value = if conditional {
-            let sev = ConstraintEvent::new(self.sigma.clone());
-            caz_core::mu_conditional_exact(ev.as_ref(), &sev, &self.db)
-        } else {
-            caz_core::mu_exact(ev.as_ref(), &self.db)
         };
-        Ok(mu_reply(conditional, &value))
-    }
-
-    /// Parse and validate `series` arguments: the event plus `k_max`.
-    pub(crate) fn series_args(&self, rest: &str) -> Result<(Box<dyn SuppEvent>, usize), String> {
-        let (head, k_src) = rest
-            .rsplit_once(char::is_whitespace)
-            .ok_or("usage: series <name> <k>")?;
-        let k: usize = k_src.trim().parse().map_err(|_| "k must be a number")?;
-        if k == 0 || k > 24 {
-            return Err("k must be between 1 and 24".into());
-        }
-        let (name, tuple_src) = self.split_name_tuple(head);
-        let tuple = tuple_src.map(|s| self.tuple(s)).transpose()?;
-        Ok((self.event_for(name, tuple)?, k))
-    }
-
-    fn series(&self, rest: &str) -> Result<String, String> {
-        let (ev, k) = self.series_args(rest)?;
-        let s = mu_k_series(ev.as_ref(), &self.db, k);
-        let mut out = String::new();
-        write!(out, "{s}").unwrap();
-        Ok(out)
-    }
-
-    /// Evaluate a `series` request incrementally: `emit(k, row)` fires
-    /// with one rendered table row as soon as that μᵏ is computed
-    /// (ascending `k`) — the server streams each row as a reply chunk
-    /// while later, more expensive `k` are still being enumerated.
-    /// Returns the aggregated text, byte-identical to what
-    /// [`Session::eval`] produces for the same request; the server
-    /// caches that aggregate so cache hits replay the same chunks.
-    pub fn eval_series_chunks(
-        &self,
-        rest: &str,
-        emit: &mut dyn FnMut(usize, &str),
-    ) -> Result<String, String> {
-        let (ev, k_max) = self.series_args(rest)?;
-        let mut out = String::new();
-        for k in 1..=k_max {
-            push_series_row(&mut out, emit, k, mu_k(ev.as_ref(), &self.db, k));
-        }
-        Ok(out)
-    }
-
-    /// The closed-form cost of both exact series engines for a `series`
-    /// request, and with it the engine [`Session::eval_series_planned`]
-    /// takes.
-    pub fn series_cost(&self, rest: &str) -> Result<SeriesCost, String> {
-        let (ev, k_max) = self.series_args(rest)?;
-        Ok(SeriesCost::of(ev.as_ref(), &self.db, k_max))
-    }
-
-    /// [`Session::eval_series_chunks`] through the cheaper exact engine:
-    /// when [`SeriesCost::engine`] picks the class census, one
-    /// [`SeriesCensus`] walk yields every row (emitted together once it
-    /// finishes) instead of enumerating `Σₖ kᵐ` valuations; otherwise
-    /// this is `eval_series_chunks` itself. Replies are byte-identical
-    /// either way. `note_engine` fires once, before any evaluation, when
-    /// the request is well-formed.
-    pub fn eval_series_planned(
-        &self,
-        rest: &str,
-        note_engine: &mut dyn FnMut(SeriesEngine),
-        emit: &mut dyn FnMut(usize, &str),
-    ) -> Result<String, String> {
-        let (ev, k_max) = self.series_args(rest)?;
-        let engine = SeriesCost::of(ev.as_ref(), &self.db, k_max).engine();
-        note_engine(engine);
-        if engine == SeriesEngine::Enumeration {
-            return self.eval_series_chunks(rest, emit);
-        }
-        let census = SeriesCensus::new(ev.as_ref(), &self.db);
-        let mut out = String::new();
-        for k in 1..=k_max {
-            push_series_row(&mut out, emit, k, census.mu_k(k));
-        }
-        Ok(out)
-    }
-
-    fn compare(&self, rest: &str) -> Result<String, String> {
-        let open = rest.find('(').ok_or("usage: compare <name> (t1) (t2)")?;
-        let name = rest[..open].trim();
-        let tuples = &rest[open..];
-        let mid = tuples.find(')').ok_or("expected two tuples")? + 1;
-        let t1 = self.tuple(tuples[..mid].trim())?;
-        let t2 = self.tuple(tuples[mid..].trim())?;
-        let q = self.query(name)?;
-        let d12 = dominated(q, &self.db, &t1, &t2);
-        let d21 = dominated(q, &self.db, &t2, &t1);
-        Ok(compare_verdict(&t1, &t2, d12, d21))
-    }
-
-    /// Resolve a name against the session's definitions with the same
-    /// shadowing the evaluators use: programs first, then queries.
-    fn query_ref(&self, name: &str) -> Result<QueryRef<'_>, String> {
-        if let Some(p) = self.programs.get(name) {
-            Ok(QueryRef::Datalog(p))
-        } else {
-            self.query(name).map(QueryRef::Fo)
-        }
-    }
-
-    /// The tuple/arity validation of [`Session::event_for`], without
-    /// building the event: [`Session::prepare_job`] must fail exactly
-    /// where the enumeration path would, so a routed job can never
-    /// succeed on inputs `eval` rejects.
-    fn check_job_tuple(
-        &self,
-        name: &str,
-        query: &QueryRef<'_>,
-        tuple: Option<&Tuple>,
-    ) -> Result<(), String> {
-        match query {
-            QueryRef::Datalog(p) => {
-                let arity = tuple.map_or(0, Tuple::arity);
-                if arity != p.output_arity {
-                    return Err(format!(
-                        "program {name} has output arity {}, tuple has {arity}",
-                        p.output_arity
-                    ));
-                }
-                Ok(())
-            }
-            QueryRef::Fo(q) => match tuple {
-                None if q.is_boolean() => Ok(()),
-                None => Err(format!("query {name} needs a tuple, e.g.  mu {name} (a, b)")),
-                Some(t) if t.arity() != q.arity() => Err(format!(
-                    "query {name} has arity {}, tuple has {}",
-                    q.arity(),
-                    t.arity()
-                )),
-                Some(_) => Ok(()),
-            },
-        }
-    }
-
-    /// Resolve one evaluation request into a planner [`caz_planner::Job`]:
-    /// the same name lookup, tuple parsing, and validation the
-    /// enumeration path performs, but stopping before any evaluation.
-    /// `Err` means the request is not routable (malformed arguments,
-    /// unknown name, arity mismatch) — [`Session::eval_planned`] then
-    /// delegates to [`Session::eval`], which owns the canonical error
-    /// text.
-    fn prepare_job(&self, req: &EvalRequest) -> Result<caz_planner::Job<'_>, String> {
-        let job = |kind, query, tuple, tuple2| caz_planner::Job {
-            kind,
+        let plan = caz_planner::Job {
+            kind: req.kind,
             query,
             sigma: &self.sigma,
             db: &self.db,
             tuple,
             tuple2,
         };
-        match req.kind {
-            EvalKind::Naive => Ok(job(PlanKind::Naive, self.query_ref(&req.args)?, None, None)),
-            EvalKind::Certain => {
-                Ok(job(PlanKind::Certain, self.query_ref(&req.args)?, None, None))
-            }
-            // `best` resolves named queries only, like [`Session::best`].
-            EvalKind::Best => Ok(job(
-                PlanKind::Best,
-                QueryRef::Fo(self.query(&req.args)?),
-                None,
-                None,
-            )),
-            EvalKind::Mu | EvalKind::Cond => {
-                let (name, tuple_src) = self.split_name_tuple(&req.args);
-                let tuple = tuple_src.map(|s| self.tuple(s)).transpose()?;
-                let query = self.query_ref(name)?;
-                self.check_job_tuple(name, &query, tuple.as_ref())?;
-                let kind = if req.kind == EvalKind::Cond { PlanKind::Cond } else { PlanKind::Mu };
-                Ok(job(kind, query, tuple, None))
-            }
-            EvalKind::Series => {
-                let (head, k_src) = req
-                    .args
-                    .rsplit_once(char::is_whitespace)
-                    .ok_or("usage: series <name> <k>")?;
-                let k: usize = k_src.trim().parse().map_err(|_| "k must be a number")?;
-                if k == 0 || k > 24 {
-                    return Err("k must be between 1 and 24".into());
-                }
-                let (name, tuple_src) = self.split_name_tuple(head);
-                let tuple = tuple_src.map(|s| self.tuple(s)).transpose()?;
-                let query = self.query_ref(name)?;
-                self.check_job_tuple(name, &query, tuple.as_ref())?;
-                Ok(job(PlanKind::Series, query, tuple, None))
-            }
-            EvalKind::Compare => {
-                let open = req.args.find('(').ok_or("usage: compare <name> (t1) (t2)")?;
-                let name = req.args[..open].trim();
-                let tuples = &req.args[open..];
-                let mid = tuples.find(')').ok_or("expected two tuples")? + 1;
-                let t1 = self.tuple(tuples[..mid].trim())?;
-                let t2 = self.tuple(tuples[mid..].trim())?;
-                let q = self.query(name)?;
-                Ok(job(PlanKind::Compare, QueryRef::Fo(q), Some(t1), Some(t2)))
-            }
-        }
+        Ok(Job { plan, series_len })
     }
 
-    /// Evaluate through the planner: classify the request, take the
-    /// cheapest theorem-licensed route, and fall back to the
-    /// enumeration path ([`Session::eval`]) when none applies. Replies
-    /// are byte-identical to the enumeration path's — both render
+    /// Evaluate through the planner: resolve the request, take the
+    /// cheapest theorem-licensed route (the enumeration route when none
+    /// applies) and, for `series`, the cheaper exact engine. Replies are
+    /// byte-identical to [`Session::eval`]'s — every route renders
     /// through the same formatting helpers, and the theorems guarantee
     /// equal values.
     ///
     /// `note_route` fires exactly once per call, *before* any
     /// evaluation work, so a server can attribute the job to its route
-    /// even if evaluation later panics.
+    /// even if evaluation later panics. A request that does not resolve
+    /// is noted as the enumeration route.
     pub fn eval_planned(
         &self,
         req: &EvalRequest,
         note_route: &mut dyn FnMut(Route),
     ) -> Result<String, String> {
-        let job = match self.prepare_job(req) {
-            Ok(job) => job,
-            Err(_) => {
-                // Unroutable request (unknown name, malformed args):
-                // the enumeration path owns the canonical error text.
-                note_route(Route::EnumerationFallback);
-                return self.eval(req);
-            }
-        };
-        let plan = caz_planner::plan(&job);
-        note_route(plan.route);
-        match caz_planner::execute(&job, plan.route) {
-            Ok(ExecOutcome::Measure(v)) => Ok(mu_reply(req.kind == EvalKind::Cond, &v)),
-            Ok(ExecOutcome::Tuples(ts)) => Ok(format_tuples(&ts)),
-            Ok(ExecOutcome::Comparison { d12, d21 }) => {
-                match (&job.tuple, &job.tuple2) {
-                    (Some(t1), Some(t2)) => Ok(compare_verdict(t1, t2, d12, d21)),
-                    _ => self.eval(req),
-                }
-            }
-            // Fallback, or a route/execute disagreement (unreachable by
-            // construction — execute re-checks the precondition): the
-            // enumeration engine is always correct.
-            Ok(ExecOutcome::Fallback) | Err(_) => self.eval(req),
-        }
+        let job = self.resolve(req).inspect_err(|_| note_route(Route::EnumerationFallback))?;
+        job.execute(true, note_route, &mut ())
+    }
+
+    /// Evaluate a `series` request on the enumeration engine,
+    /// incrementally: `emit(k, row)` fires with one rendered table row
+    /// as soon as that μᵏ is computed (ascending `k`). Returns the
+    /// aggregated text, byte-identical to what [`Session::eval`]
+    /// produces for the same request.
+    pub fn eval_series_chunks(
+        &self,
+        rest: &str,
+        mut emit: &mut dyn FnMut(usize, &str),
+    ) -> Result<String, String> {
+        let req = EvalRequest { kind: EvalKind::Series, args: rest.to_string() };
+        self.resolve(&req)?.execute(false, &mut |_| {}, &mut emit)
     }
 
     /// Answer a `plan`/`explain` request: parse the target as an
     /// evaluation command, resolve it into a job, and report the
     /// planner's decision without executing anything.
     pub fn plan_for(&self, target: &str) -> Result<PlanReport, String> {
-        let ev = match Request::parse(target)? {
-            Some(Request::Eval(ev)) => ev,
-            _ => {
-                return Err(
-                    "plan/explain take an evaluation command, e.g.  plan cond Q".into(),
-                )
-            }
+        let Some(Request::Eval(ev)) = Request::parse(target)? else {
+            return Err("plan/explain take an evaluation command, e.g.  plan cond Q".into());
         };
-        let job = self.prepare_job(&ev)?;
-        let plan = caz_planner::plan(&job);
-        let series = match ev.kind {
-            EvalKind::Series => Some(self.series_cost(&ev.args)?),
-            _ => None,
-        };
+        let job = self.resolve(&ev)?;
+        let plan = caz_planner::plan(&job.plan);
+        let series = job
+            .series_len
+            .map(|k| SeriesCost::of(&*caz_planner::event(&job.plan), job.plan.db, k));
         Ok(PlanReport {
             route: plan.route,
             features: plan.features,
@@ -805,6 +500,186 @@ impl Session {
             series,
         })
     }
+}
+
+/// Split `name (tuple)` into the name and the tuple literal, if any.
+fn split_name_tuple(rest: &str) -> (&str, Option<&str>) {
+    match rest.find('(') {
+        Some(i) if rest[..i].trim() != "" => (rest[..i].trim(), Some(rest[i..].trim())),
+        _ => (rest.trim(), None),
+    }
+}
+
+/// Check a measure job's answer tuple against its query: a program
+/// takes a tuple of its output arity (none for arity 0), a first-order
+/// query one of its own arity, or none when it is Boolean.
+fn check_arity(name: &str, query: QueryRef<'_>, tuple: Option<&Tuple>) -> Result<(), String> {
+    let got = tuple.map_or(0, Tuple::arity);
+    match query {
+        QueryRef::Datalog(p) if got != p.output_arity => Err(format!(
+            "program {name} has output arity {}, tuple has {got}",
+            p.output_arity
+        )),
+        QueryRef::Fo(q) if tuple.is_none() && !q.is_boolean() => {
+            Err(format!("query {name} needs a tuple, e.g.  mu {name} (a, b)"))
+        }
+        QueryRef::Fo(q) if got != q.arity() => {
+            Err(format!("query {name} has arity {}, tuple has {got}", q.arity()))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// One resolved evaluation: what [`Session::resolve`] makes of an
+/// [`EvalRequest`], and what the cache key, the planner,
+/// `plan`/`explain` and execution all read. It borrows the query, `Σ`
+/// and `D` from the session.
+#[derive(Clone, Debug)]
+pub(crate) struct Job<'s> {
+    /// The planner's view: kind, query, `Σ`, `D` and answer tuples.
+    pub(crate) plan: caz_planner::Job<'s>,
+    /// For `series` jobs, the length `k` of `μ¹..μᵏ`.
+    pub(crate) series_len: Option<usize>,
+}
+
+impl Job<'_> {
+    /// An isomorphism-invariant cache key for this job, or `None` when
+    /// it is not cacheable. Cacheable are the evaluations whose output
+    /// never mentions session-local null *names*: `mu`, `cond`, and
+    /// `series` print pure rationals, so two sessions whose databases
+    /// (and answer tuples) differ only by a bijective renaming of nulls
+    /// must — and do — share one cache entry. `naive`, `certain`,
+    /// `best`, and `compare` print tuples containing session-specific
+    /// null names and stay uncached.
+    ///
+    /// The text is the kind tag, the definition, `Σ` (for `cond`) and
+    /// the canonical database, `\u{1}`-separated; persistent stores and
+    /// replicas keep it verbatim. The key carries the FNV-1a 128 digest
+    /// of the canonical form alongside the text; the sharded cache
+    /// routes on the digest's high bits, so renaming-equivalent requests
+    /// land in the same shard.
+    pub(crate) fn cache_key(&self) -> Option<CacheKey> {
+        let job = &self.plan;
+        let kind_tag = match (job.kind, self.series_len) {
+            (EvalKind::Mu, _) => "mu".to_string(),
+            (EvalKind::Cond, _) => "cond".to_string(),
+            (EvalKind::Series, Some(k)) => format!("series:{k}"),
+            _ => return None,
+        };
+        // Key on the *definition*, not the name: two sessions may bind
+        // the same name to different queries.
+        let def = match job.query {
+            QueryRef::Fo(q) => format!("fo:{q}"),
+            QueryRef::Datalog(p) => format!("dl:{p}"),
+        };
+        if job.db.relation(ANSWER_REL).is_some() {
+            return None; // user squatted on the reserved name; don't cache
+        }
+        // Embed the answer tuple into the database so its nulls are
+        // renamed consistently with the database's during minimization.
+        let mut ext = job.db.clone();
+        ext.insert(ANSWER_REL, job.tuple.clone().unwrap_or_else(Tuple::empty));
+        let canon = try_iso_canonical(&ext)?;
+        let sigma = if job.kind == EvalKind::Cond { job.sigma.to_string() } else { String::new() };
+        Some(CacheKey {
+            text: format!("{kind_tag}\u{1}{def}\u{1}{sigma}\u{1}{canon}"),
+            shard_hash: fnv1a_128(canon.as_bytes()),
+        })
+    }
+
+    /// Execute the job and render its reply. `planned` takes the
+    /// planner's route and, for `series`, the cheaper exact engine by
+    /// [`SeriesCost`]; without it the job runs on the forced
+    /// enumeration route, and a `series` enumerates. `note_route` fires
+    /// once with the route, before any evaluation work. A `series`
+    /// job's rows go through `sink`, which also runs them.
+    pub(crate) fn execute(
+        &self,
+        planned: bool,
+        note_route: &mut dyn FnMut(Route),
+        sink: &mut dyn Sink,
+    ) -> Result<String, String> {
+        let job = &self.plan;
+        let route = if planned { caz_planner::plan(job).route } else { Route::EnumerationFallback };
+        note_route(route);
+        if let Some(k_max) = self.series_len {
+            let event = caz_planner::event(job);
+            let engine = if planned {
+                SeriesCost::of(&*event, job.db, k_max).engine()
+            } else {
+                SeriesEngine::Enumeration
+            };
+            return sink.rows(engine, event, job.db, k_max);
+        }
+        Ok(match caz_planner::execute(job, route)? {
+            ExecOutcome::Measure(v) if job.kind == EvalKind::Cond => format!("μ(Q | Σ, D) = {v}"),
+            ExecOutcome::Measure(v) => format!("μ(Q, D) = {v}"),
+            ExecOutcome::Tuples(ts) => format_tuples(&ts),
+            // `d12` is `t1 ⊴ t2`, `d21` is `t2 ⊴ t1`.
+            ExecOutcome::Comparison { d12, d21 } => {
+                let (Some(t1), Some(t2)) = (&job.tuple, &job.tuple2) else {
+                    return Err("compare needs two tuples".into());
+                };
+                match (d12, d21) {
+                    (true, true) => "equivalent support".to_string(),
+                    (true, false) => format!("{t1} ⊲ {t2} ({t2} is strictly better)"),
+                    (false, true) => format!("{t2} ⊲ {t1} ({t1} is strictly better)"),
+                    (false, false) => "incomparable".to_string(),
+                }
+            }
+        })
+    }
+}
+
+/// Where a `series` job's rows go as they are computed. The aggregate
+/// reply carries every row either way; a server streams each row as a
+/// reply chunk, and may run the enumeration on an engine of its own.
+pub(crate) trait Sink {
+    /// Row `k`, rendered, as soon as `μᵏ` is known.
+    fn row(&mut self, _k: usize, _row: &str) {}
+
+    /// Compute `μ¹..μ^k_max` on `engine`, handing each row to
+    /// [`Sink::row`], and return the aggregate reply.
+    fn rows(
+        &mut self,
+        engine: SeriesEngine,
+        event: Box<dyn SuppEvent>,
+        db: &Database,
+        k_max: usize,
+    ) -> Result<String, String> {
+        Ok(series_rows(engine, &*event, db, k_max, &mut |k, row| self.row(k, row)))
+    }
+}
+
+/// Drops the rows: the aggregate reply is all the caller wants.
+impl Sink for () {}
+
+/// Hands each row to the closure.
+impl Sink for &mut dyn FnMut(usize, &str) {
+    fn row(&mut self, k: usize, row: &str) {
+        (**self)(k, row)
+    }
+}
+
+/// Compute `μ¹..μ^k_max` on `engine` in ascending `k`, passing each
+/// rendered row to `emit` and returning their concatenation.
+pub(crate) fn series_rows(
+    engine: SeriesEngine,
+    event: &dyn SuppEvent,
+    db: &Database,
+    k_max: usize,
+    emit: &mut dyn FnMut(usize, &str),
+) -> String {
+    let census = (engine == SeriesEngine::Census).then(|| SeriesCensus::new(event, db));
+    let mut out = String::new();
+    for k in 1..=k_max {
+        let value = match &census {
+            Some(census) => census.mu_k(k),
+            None => mu_k(event, db, k),
+        };
+        push_series_row(&mut out, emit, k, value);
+    }
+    out
 }
 
 /// Render row `k` of a series through the same [`Series`] Display as
@@ -821,24 +696,6 @@ pub(crate) fn push_series_row(
     emit(k, row);
     out.push_str(row);
     out.push('\n');
-}
-
-/// The `μ… = value` reply line, shared by the enumeration and routed
-/// paths so the two are byte-identical on equal values.
-fn mu_reply(conditional: bool, value: &impl std::fmt::Display) -> String {
-    let label = if conditional { "μ(Q | Σ, D)" } else { "μ(Q, D)" };
-    format!("{label} = {value}")
-}
-
-/// The `compare` verdict line, shared by the enumeration and routed
-/// paths. `d12` is `t1 ⊴ t2`, `d21` is `t2 ⊴ t1`.
-fn compare_verdict(t1: &Tuple, t2: &Tuple, d12: bool, d21: bool) -> String {
-    match (d12, d21) {
-        (true, true) => "equivalent support".to_string(),
-        (true, false) => format!("{t1} ⊲ {t2} ({t2} is strictly better)"),
-        (false, true) => format!("{t2} ⊲ {t1} ({t1} is strictly better)"),
-        (false, false) => "incomparable".to_string(),
-    }
 }
 
 /// A planner decision rendered for the wire: the chosen route, the
@@ -1112,49 +969,112 @@ mod tests {
         assert_eq!(n, 0);
     }
 
+    /// Records the engine each `series` job ran on.
+    struct Engines(Vec<SeriesEngine>);
+
+    impl Sink for Engines {
+        fn rows(
+            &mut self,
+            engine: SeriesEngine,
+            event: Box<dyn SuppEvent>,
+            db: &Database,
+            k_max: usize,
+        ) -> Result<String, String> {
+            self.0.push(engine);
+            Ok(series_rows(engine, &*event, db, k_max, &mut |_, _| {}))
+        }
+    }
+
     #[test]
     fn planned_series_takes_the_census_and_matches_enumeration() {
         let mut s = Session::new();
         // Five nulls and five named constants: rows k = 1..4 lie below c.
         run(&mut s, "fact R(c0, _x0). R(c1, _x1). R(c2, _x2). R(c3, _x3). R(c4, _x4).");
         run(&mut s, "query Q := exists v. R(c1, v) & R(c3, v)");
-        let cost = s.series_cost("Q 8").unwrap();
-        assert_eq!((cost.classes, cost.engine()), (10_427, SeriesEngine::Census));
-        let mut engines = Vec::new();
-        let mut rows = Vec::new();
-        let planned = s
-            .eval_series_planned("Q 8", &mut |e| engines.push(e), &mut |k, row| {
-                rows.push((k, row.to_string()))
-            })
-            .unwrap();
-        assert_eq!(engines, [SeriesEngine::Census]);
-        assert_eq!(rows.iter().map(|(k, _)| *k).collect::<Vec<_>>(), (1..=8).collect::<Vec<_>>());
-        assert_eq!(planned, s.eval_series_chunks("Q 8", &mut |_, _| {}).unwrap());
-        // A short series is cheaper to enumerate, and says so.
-        assert_eq!(s.series_cost("Q 2").unwrap().engine(), SeriesEngine::Enumeration);
-        // Malformed requests fail before any engine is noted.
-        assert!(s.eval_series_planned("Q 0", &mut |e| engines.push(e), &mut |_, _| {}).is_err());
-        assert_eq!(engines.len(), 1);
         let explain = run(&mut s, "explain series Q 8");
         assert!(explain.contains("\nengine census 10427 "), "{explain}");
+        // The shell plans like a server.
+        let shell = run(&mut s, "series Q 8");
+        let engine = |args: &str, planned: bool| {
+            let mut seen = Engines(Vec::new());
+            let req = EvalRequest { kind: EvalKind::Series, args: args.into() };
+            let reply = s.resolve(&req).unwrap().execute(planned, &mut |_| {}, &mut seen);
+            (seen.0, reply.unwrap())
+        };
+        assert_eq!(engine("Q 8", true), (vec![SeriesEngine::Census], shell.clone()));
+        assert_eq!(shell, s.eval_series_chunks("Q 8", &mut |_, _| {}).unwrap());
+        // The forced route enumerates, and so does a short series, which
+        // is cheaper to enumerate.
+        assert_eq!(engine("Q 8", false).0, [SeriesEngine::Enumeration]);
+        assert_eq!(engine("Q 2", true).0, [SeriesEngine::Enumeration]);
     }
 
     #[test]
     fn census_is_never_chosen_past_its_caps() {
+        let cost = |s: &Session| s.plan_for("series Q 24").unwrap().series.unwrap();
         let mut s = Session::new();
         let facts: Vec<String> = (0..11).map(|i| format!("N(_n{i}).")).collect();
         run(&mut s, &format!("fact {}", facts.join(" ")));
         run(&mut s, "query Q := exists u. N(u)");
         // 11 nulls, no named constants: Bell(11) classes would beat
         // Σ k¹¹ valuations for k ≤ 24, but the census cannot take 11.
-        let cost = s.series_cost("Q 24").unwrap();
-        assert!(cost.classes < cost.valuations && !cost.census_eligible());
-        assert_eq!(cost.engine(), SeriesEngine::Enumeration);
+        let c = cost(&s);
+        assert!(c.classes < c.valuations && !c.census_eligible());
+        assert_eq!(c.engine(), SeriesEngine::Enumeration);
 
         let mut s = Session::new();
         let consts: Vec<String> = (0..65).map(|i| format!("K(k{i}).")).collect();
         run(&mut s, &format!("fact N(_n). {}", consts.join(" ")));
         run(&mut s, "query Q := exists u. N(u)");
-        assert_eq!(s.series_cost("Q 24").unwrap().engine(), SeriesEngine::Enumeration);
+        assert_eq!(cost(&s).engine(), SeriesEngine::Enumeration);
+    }
+
+    #[test]
+    fn the_shell_plans_like_a_server() {
+        // Eleven nulls: past the support-polynomial engine's cap, so only
+        // the planner's Theorem 1 route answers without panicking.
+        let mut s = Session::new();
+        let facts: Vec<String> = (0..=10).map(|i| format!("N(_a{i}).")).collect();
+        run(&mut s, &format!("fact {}", facts.join(" ")));
+        run(&mut s, "query P := exists x. N(x)");
+        assert_eq!(run(&mut s, "mu P"), "μ(Q, D) = 1");
+        let line = format!("eval* {}", crate::proto::join_jobs(["mu P", "cond P"]));
+        assert_eq!(run(&mut s, &line), "[0] μ(Q, D) = 1\n[1] μ(Q | Σ, D) = 1");
+    }
+
+    #[test]
+    fn cache_key_text_is_pinned() {
+        // Persistent stores and replicas keep key text verbatim: these
+        // bytes must not change, or existing stores are orphaned.
+        let mut s = Session::new();
+        run(&mut s, "fact R(a, _x). R(_x, _y).");
+        run(&mut s, "query Q := exists u, v. R(u, v)");
+        run(&mut s, "query T(u) := exists v. R(u, v)");
+        run(&mut s, "constraint fd R: 1 -> 2");
+        let key = |kind, args: &str| {
+            s.cache_key(&EvalRequest { kind, args: args.into() }).expect("cacheable").text
+        };
+        // The canonical form of D, then of the embedded answer tuple.
+        let canon = "R/2:R(?0,?1);R(a,?0);|";
+        assert_eq!(
+            key(EvalKind::Mu, "T (_x)"),
+            format!("mu\u{1}fo:T(u) := ∃v (R(u, v))\u{1}\u{1}{canon}__caz_answer/1:__caz_answer(?0);|")
+        );
+        assert_eq!(
+            key(EvalKind::Cond, "Q"),
+            format!(
+                "cond\u{1}fo:Q() := ∃u,v (R(u, v))\u{1}fd R: 1 -> 2\n\u{1}{canon}__caz_answer/0:__caz_answer();|"
+            )
+        );
+        assert_eq!(
+            key(EvalKind::Series, "Q 3"),
+            format!("series:3\u{1}fo:Q() := ∃u,v (R(u, v))\u{1}\u{1}{canon}__caz_answer/0:__caz_answer();|")
+        );
+        // A request that does not resolve has no key at all.
+        let unresolvable = [(EvalKind::Mu, "T (a, b)"), (EvalKind::Series, "Q 0"), (EvalKind::Series, "Q 99")];
+        for (kind, args) in unresolvable {
+            let req = EvalRequest { kind, args: args.into() };
+            assert!(s.resolve(&req).is_err() && s.cache_key(&req).is_none(), "{args}");
+        }
     }
 }

@@ -18,6 +18,13 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+# Benchmark build stage: the repository benchmark (`benchmark/`, a
+# package outside the workspace) compiles against the session,
+# planner and core APIs. Build it and run its self-tests, so an API
+# break shows up here instead of only in a benchmark run.
+echo "==> benchmark self-tests (benchmark/Cargo.toml)"
+CARGO_TARGET_DIR=target/benchmark cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 # The evaluation server's reactor and concurrency tests exercise
 # timing-sensitive paths (streamed series chunks, 64-connection
 # multiplexing, backpressure); run them under --release as well so the

@@ -42,9 +42,9 @@ options for serve:
   --fsync <always|off>        fsync every WAL append batch (default
                               off; compaction and clean shutdown sync
                               regardless)
-  --no-planner                disable the complexity-aware planner:
-                              every evaluation runs the general
-                              enumeration engine (escape hatch and
+  --no-planner                skip the complexity-aware planner: every
+                              evaluation takes the forced enumeration
+                              route on the same path (escape hatch and
                               benchmark baseline)
   --max-inflight-per-conn <n> admission control: commands one connection
                               may have admitted (queued + in flight) at
