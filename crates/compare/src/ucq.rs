@@ -17,9 +17,17 @@
 //! such that `v′(ā) ∈ Q(v′(D′))` and `v′(b̄) ∉ Q^naïve(v′(D))` — note
 //! `v′(D)` may still contain nulls, whence the naïve evaluation. For a
 //! fixed query this is polynomial in the size of `D`.
+//!
+//! Two things keep the search cheap. The naïve test needs no valuation
+//! of its own: one bijection of `Null(D)` onto constants outside `A`,
+//! overridden by `v′`, is a total valuation `w` with
+//! `w(b̄) ∉ Q(w(D))` iff `v′(b̄) ∉ Q^naïve(v′(D))`. And the fresh tail
+//! `A_m` is enumerated in first-use order, since any permutation of
+//! `A_m` that fixes the named constants maps certificates to
+//! certificates.
 
 use caz_idb::{Cst, Database, NullId, Tuple, Valuation, Value};
-use caz_logic::{naive_contains, tuple_in_answer, Query, Ucq};
+use caz_logic::{tuple_in_answer, Query, Ucq};
 use std::collections::BTreeSet;
 
 /// A UCQ packaged for PTIME comparisons.
@@ -47,17 +55,20 @@ impl UcqComparator {
 
     /// `Sep(Q, D, ā, b̄)` via the small-certificate criterion.
     pub fn sep(&self, db: &Database, a: &Tuple, b: &Tuple) -> bool {
-        // The witness pool A = Const(D) ∪ C ∪ A_m.
-        let mut pool: Vec<Cst> = db.consts().into_iter().collect();
-        pool.extend(self.query.generic_consts());
+        // The named part of the witness pool A = Const(D) ∪ C ∪ A_m,
+        // with the tuples' constants added.
+        let mut named: BTreeSet<Cst> = db.consts();
+        named.extend(self.query.generic_consts());
         for t in [a, b] {
-            pool.extend(t.consts());
+            named.extend(t.consts());
         }
-        pool.sort_by_key(|c| c.name());
-        pool.dedup();
-        for i in 0..db.nulls().len() {
-            pool.push(Cst::fresh_in("ucq", i));
-        }
+        // A_m: one fresh constant per null of D, outside the named part.
+        let tail = Valuation::naive(db, &named).range();
+        // One bijection of Null(D) onto constants outside the whole
+        // pool. Overridden by a candidate v′ it is a total valuation w,
+        // and w(D) is v′(D) under a C-bijective valuation, so
+        // w(b̄) ∉ Q(w(D)) iff v′(b̄) ∉ Q^naïve(v′(D)) (Proposition 1).
+        let naive = Valuation::naive(db, &named.union(&tail).copied().collect());
 
         // All tuples of D as (relation, tuple) facts.
         let facts: Vec<(String, Tuple)> = db
@@ -79,108 +90,19 @@ impl UcqComparator {
             .copied()
             .filter(|v| matches!(v, Value::Null(_)))
             .collect();
-        let mut chosen: Vec<usize> = Vec::new();
-        self.search_subsets(db, &facts, &pool, &needed, a, b, 0, &mut chosen)
-    }
-
-    /// Enumerate sub-instances of at most `bound` facts (with pruning on
-    /// the ā-coverage requirement) and test the certificate.
-    #[allow(clippy::too_many_arguments)]
-    fn search_subsets(
-        &self,
-        db: &Database,
-        facts: &[(String, Tuple)],
-        pool: &[Cst],
-        needed: &BTreeSet<Value>,
-        a: &Tuple,
-        b: &Tuple,
-        start: usize,
-        chosen: &mut Vec<usize>,
-    ) -> bool {
-        // Test the current sub-instance (including the empty one when ā
-        // needs no coverage, e.g. Boolean queries).
-        if self.test_certificate(db, facts, pool, needed, a, b, chosen) {
-            return true;
-        }
-        if chosen.len() == self.bound {
-            return false;
-        }
-        for i in start..facts.len() {
-            chosen.push(i);
-            if self.search_subsets(db, facts, pool, needed, a, b, i + 1, chosen) {
-                chosen.pop();
-                return true;
-            }
-            chosen.pop();
-        }
-        false
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn test_certificate(
-        &self,
-        db: &Database,
-        facts: &[(String, Tuple)],
-        pool: &[Cst],
-        needed: &BTreeSet<Value>,
-        a: &Tuple,
-        b: &Tuple,
-        chosen: &[usize],
-    ) -> bool {
-        // D′ must cover the components of ā.
-        let mut sub = Database::new();
-        // Keep the schema so evaluation sees the right relations.
-        for r in db.relations() {
-            sub.relation_mut(&r.name().resolve(), r.arity());
-        }
-        let mut adom: BTreeSet<Value> = BTreeSet::new();
-        for &i in chosen {
-            let (name, t) = &facts[i];
-            adom.extend(t.values().iter().copied());
-            sub.insert(name, t.clone());
-        }
-        if !needed.iter().all(|v| adom.contains(v)) {
-            return false;
-        }
-        // Valuations v′ on the nulls of D′ with range in the pool.
-        let nulls: Vec<NullId> = sub.nulls().into_iter().collect();
-        let mut v = Valuation::new();
-        self.test_valuations(db, &sub, &nulls, pool, a, b, 0, &mut v)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn test_valuations(
-        &self,
-        db: &Database,
-        sub: &Database,
-        nulls: &[NullId],
-        pool: &[Cst],
-        a: &Tuple,
-        b: &Tuple,
-        i: usize,
-        v: &mut Valuation,
-    ) -> bool {
-        if i == nulls.len() {
-            let va = v.apply_tuple(a);
-            if !va.is_complete() {
-                return false; // ā has nulls outside D′ — not covered
-            }
-            let vsub = v.apply_db(sub);
-            if !tuple_in_answer(&self.query, &vsub, &va) {
-                return false;
-            }
-            let vdb = v.apply_db(db);
-            let vb = v.apply_tuple(b);
-            !naive_contains(&self.query, &vdb, &vb)
-        } else {
-            for &c in pool {
-                v.bind(nulls[i], c);
-                if self.test_valuations(db, sub, nulls, pool, a, b, i + 1, v) {
-                    return true;
-                }
-            }
-            false
-        }
+        let search = Search {
+            query: &self.query,
+            bound: self.bound,
+            db,
+            a,
+            b,
+            facts,
+            needed,
+            named: named.into_iter().collect(),
+            tail: tail.into_iter().collect(),
+            naive,
+        };
+        search.subsets(0, &mut Vec::new())
     }
 
     /// `ā ⊴ b̄` in polynomial time.
@@ -207,6 +129,113 @@ impl UcqComparator {
             }
         }
         best
+    }
+}
+
+/// One `Sep(Q, D, ā, b̄)` search: the inputs and what every candidate
+/// certificate shares.
+struct Search<'a> {
+    query: &'a Query,
+    bound: usize,
+    db: &'a Database,
+    a: &'a Tuple,
+    b: &'a Tuple,
+    facts: Vec<(String, Tuple)>,
+    /// The nulls of ā, which `D′` must cover.
+    needed: BTreeSet<Value>,
+    /// `Const(D) ∪ C` and the tuples' constants.
+    named: Vec<Cst>,
+    /// `A_m`, tried in first-use order.
+    tail: Vec<Cst>,
+    /// A bijection of `Null(D)` onto constants outside the pool.
+    naive: Valuation,
+}
+
+impl Search<'_> {
+    /// Enumerate sub-instances of at most `bound` facts (with pruning on
+    /// the ā-coverage requirement) and test the certificate.
+    fn subsets(&self, start: usize, chosen: &mut Vec<usize>) -> bool {
+        // Test the current sub-instance (including the empty one when ā
+        // needs no coverage, e.g. Boolean queries).
+        if self.certificate(chosen) {
+            return true;
+        }
+        if chosen.len() == self.bound {
+            return false;
+        }
+        for i in start..self.facts.len() {
+            chosen.push(i);
+            if self.subsets(i + 1, chosen) {
+                chosen.pop();
+                return true;
+            }
+            chosen.pop();
+        }
+        false
+    }
+
+    fn certificate(&self, chosen: &[usize]) -> bool {
+        // D′ must cover the components of ā.
+        let mut sub = Database::new();
+        // Keep the schema so evaluation sees the right relations.
+        for r in self.db.relations() {
+            sub.relation_mut(&r.name().resolve(), r.arity());
+        }
+        let mut adom: BTreeSet<Value> = BTreeSet::new();
+        for &i in chosen {
+            let (name, t) = &self.facts[i];
+            adom.extend(t.values().iter().copied());
+            sub.insert(name, t.clone());
+        }
+        if !self.needed.iter().all(|v| adom.contains(v)) {
+            return false;
+        }
+        // Valuations v′ on the nulls of D′ with range in the pool.
+        let nulls: Vec<NullId> = sub.nulls().into_iter().collect();
+        self.valuations(&sub, &nulls, 0, &mut Valuation::new())
+    }
+
+    /// Extend `v` to `nulls` in every way over `Const(D) ∪ C ∪ A_m`,
+    /// the fresh tail in first-use order: `A_m[j]` is tried only once
+    /// `A_m[j−1]` is used (`used` counts the tail's prefix in use).
+    /// Certificates are closed under permutations of `A_m` that fix
+    /// every named constant, so this loses none.
+    fn valuations(&self, sub: &Database, nulls: &[NullId], used: usize, v: &mut Valuation) -> bool {
+        let Some((&n, rest)) = nulls.split_first() else {
+            return self.separates(sub, v);
+        };
+        for &c in &self.named {
+            v.bind(n, c);
+            if self.valuations(sub, rest, used, v) {
+                return true;
+            }
+        }
+        for (j, &c) in self.tail.iter().enumerate().take(used + 1) {
+            v.bind(n, c);
+            if self.valuations(sub, rest, used.max(j + 1), v) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Is `v′` a certificate: `v′(ā) ∈ Q(v′(D′))` and
+    /// `v′(b̄) ∉ Q^naïve(v′(D))`?
+    fn separates(&self, sub: &Database, v: &Valuation) -> bool {
+        let va = v.apply_tuple(self.a);
+        if !va.is_complete() {
+            return false; // ā has nulls outside D′ — not covered
+        }
+        if !tuple_in_answer(self.query, &v.apply_db(sub), &va) {
+            return false;
+        }
+        let mut w = self.naive.clone();
+        for (n, c) in v.iter() {
+            w.bind(n, c);
+        }
+        // A null of b̄ outside D stays a null and is never an answer.
+        let wb = w.apply_tuple(self.b);
+        !wb.is_complete() || !tuple_in_answer(self.query, &w.apply_db(self.db), &wb)
     }
 }
 
@@ -289,6 +318,21 @@ mod tests {
         }
         assert!(cmp.sep(&p.db, &b, &a), "⊥y↦d puts (d, c) into v(D′)");
         assert!(!cmp.dominated(&p.db, &b, &a), "the tuples are incomparable");
+    }
+
+    #[test]
+    fn certificate_needing_two_fresh_constants() {
+        // No named constant at all: Sep((⊥x, ⊥y), (⊥y, ⊥x)) needs
+        // ⊥x ≠ ⊥y, so the only certificates take A_m[0] and A_m[1].
+        let p = parse_database("R(_x, _y).").unwrap();
+        let q = parse_query("Q(u, v) := R(u, v)").unwrap();
+        let cmp = UcqComparator::new(&q).unwrap();
+        let (x, y) = (Value::Null(p.nulls["x"]), Value::Null(p.nulls["y"]));
+        let a = Tuple::new(vec![x, y]);
+        let b = Tuple::new(vec![y, x]);
+        assert!(cmp.sep(&p.db, &a, &b));
+        assert_eq!(cmp.sep(&p.db, &a, &b), brute_sep(&q, &p.db, &a, &b));
+        assert!(!cmp.sep(&p.db, &a, &a));
     }
 
     #[test]

@@ -15,20 +15,12 @@ use caz_core::support::support_is_full;
 use caz_core::SuppEvent;
 use caz_idb::{Cst, Database, Tuple, Valuation};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static FAMILY: AtomicU64 = AtomicU64::new(0);
-
-fn fresh_bijective(db: &Database) -> Valuation {
-    let family = format!("dl{}·", FAMILY.fetch_add(1, Ordering::Relaxed));
-    Valuation::bijective(db.nulls(), &family)
-}
 
 /// `P^naïve(D)`: run the program with nulls as fresh distinct constants
 /// and map them back. By Theorem 1 (which needs only genericity) these
 /// are exactly the answers with `μ = 1`.
 pub fn naive_eval_datalog(p: &Program, db: &Database) -> BTreeSet<Tuple> {
-    let v = fresh_bijective(db);
+    let v = Valuation::naive(db, &p.generic_consts());
     let vdb = v.apply_db(db);
     let back = v.inverse_subst();
     output_facts(p, &vdb).into_iter().map(|t| t.map(&back)).collect()
@@ -36,7 +28,9 @@ pub fn naive_eval_datalog(p: &Program, db: &Database) -> BTreeSet<Tuple> {
 
 /// Is `t` in `P^naïve(D)`?
 pub fn naive_contains_datalog(p: &Program, db: &Database, t: &Tuple) -> bool {
-    let v = fresh_bijective(db);
+    let mut avoid = p.generic_consts();
+    avoid.extend(t.consts());
+    let v = Valuation::naive(db, &avoid);
     let vdb = v.apply_db(db);
     let vt = v.apply_tuple(t);
     vt.is_complete() && output_contains(p, &vdb, &vt)

@@ -41,6 +41,21 @@ impl Valuation {
         }
     }
 
+    /// The naïve valuation of `db`: a `C`-bijective valuation mapping
+    /// `Null(D)` injectively onto the one fixed fresh family `~nv<i>`,
+    /// skipping every member of `Const(D) ∪ avoid`. The skip keeps
+    /// nested evaluations disjoint — an instance that already holds
+    /// `~nv0` gets its nulls mapped past it — and the fixed family
+    /// means repeated naïve evaluations intern no new symbols. By
+    /// Proposition 1 the choice of bijective valuation never matters.
+    pub fn naive(db: &Database, avoid: &BTreeSet<Cst>) -> Valuation {
+        let taken = db.consts();
+        let fresh = (0..)
+            .map(|i| Cst::fresh_in("nv", i))
+            .filter(|c| !taken.contains(c) && !avoid.contains(c));
+        Valuation { map: db.nulls().into_iter().zip(fresh).collect() }
+    }
+
     /// Bind a null to a constant (overwrites).
     pub fn bind(&mut self, n: NullId, c: Cst) {
         self.map.insert(n, c);
@@ -189,6 +204,24 @@ mod tests {
         assert!(v.is_bijective_avoiding(&forbidden));
         let w = Valuation::from_pairs([(nulls[0], Cst::new("a")), (nulls[1], Cst::new("b"))]);
         assert!(!w.is_bijective_avoiding(&forbidden));
+    }
+
+    #[test]
+    fn naive_valuation_is_fixed_and_skips_taken_constants() {
+        let (n1, n2) = (NullId::fresh(), NullId::fresh());
+        let mut db = Database::new();
+        db.insert("R", Tuple::new(vec![Value::Null(n1), Value::Null(n2)]));
+        let v = Valuation::naive(&db, &BTreeSet::new());
+        assert_eq!(v, Valuation::naive(&db, &BTreeSet::new()), "one fixed family");
+        assert_eq!(v.range(), [Cst::fresh_in("nv", 0), Cst::fresh_in("nv", 1)].into());
+        // Nested: the naïve instance already holds ~nv0 and ~nv1, and
+        // the caller avoids ~nv2, so a fresh null lands on ~nv3.
+        let n3 = NullId::fresh();
+        let mut nested = v.apply_db(&db);
+        nested.insert("S", Tuple::new(vec![Value::Null(n3)]));
+        let w = Valuation::naive(&nested, &[Cst::fresh_in("nv", 2)].into());
+        assert_eq!(w.get(n3), Some(Cst::fresh_in("nv", 3)));
+        assert!(w.is_bijective_avoiding(&nested.consts()));
     }
 
     #[test]

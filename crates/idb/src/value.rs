@@ -48,6 +48,13 @@ impl Symbol {
     pub fn resolve(self) -> String {
         interner().lock().unwrap().names[self.0 as usize].clone()
     }
+
+    /// How many distinct symbols have been interned so far. Symbols are
+    /// never freed, so this is the interner's size for the life of the
+    /// process.
+    pub fn interned_count() -> usize {
+        interner().lock().unwrap().names.len()
+    }
 }
 
 impl fmt::Display for Symbol {

@@ -10,8 +10,7 @@
 
 use crate::ast::{Atom, Formula, Query, Term};
 use caz_idb::Symbol;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// True iff the formula uses only `Atom, =, ∧, ∃` (conjunctive).
 pub fn is_cq_shaped(f: &Formula) -> bool {
@@ -53,7 +52,7 @@ pub fn is_pos_forall_guarded(f: &Formula) -> bool {
     fn distinct_var_atom(a: &Atom) -> bool {
         let vars: Vec<Symbol> = a.args.iter().filter_map(Term::as_var).collect();
         vars.len() == a.args.len() && {
-            let set: std::collections::BTreeSet<_> = vars.iter().collect();
+            let set: BTreeSet<_> = vars.iter().collect();
             set.len() == vars.len()
         }
     }
@@ -110,37 +109,47 @@ pub struct Ucq {
     pub disjuncts: Vec<CqDisjunct>,
 }
 
-static RENAME: AtomicU64 = AtomicU64::new(0);
-
-/// Rename every bound variable to a globally fresh symbol so that binders
-/// are pairwise distinct and disjoint from free variables.
+/// Rename every bound variable to `{v}${n}`, numbering the query's
+/// binders from 0, so that binders are pairwise distinct and disjoint
+/// from the free variables. The names depend only on the formula, so
+/// normalizing the same query again interns no new symbols.
 fn alpha_rename(f: &Formula) -> Formula {
-    fn go(f: &Formula, map: &BTreeMap<Symbol, Symbol>) -> Formula {
+    fn go(
+        f: &Formula,
+        map: &BTreeMap<Symbol, Symbol>,
+        free: &BTreeSet<Symbol>,
+        next: &mut usize,
+    ) -> Formula {
         match f {
             Formula::Exists(vs, g) | Formula::Forall(vs, g) => {
                 let mut map = map.clone();
                 let fresh: Vec<Symbol> = vs
                     .iter()
                     .map(|v| {
-                        let n = RENAME.fetch_add(1, Ordering::Relaxed);
-                        let nv = Symbol::intern(&format!("{v}${n}"));
+                        let nv = loop {
+                            let nv = Symbol::intern(&format!("{v}${next}"));
+                            *next += 1;
+                            if !free.contains(&nv) {
+                                break nv;
+                            }
+                        };
                         map.insert(*v, nv);
                         nv
                     })
                     .collect();
-                let body = go(g, &map);
+                let body = go(g, &map, free, next);
                 match f {
                     Formula::Exists(_, _) => Formula::Exists(fresh, Box::new(body)),
                     _ => Formula::Forall(fresh, Box::new(body)),
                 }
             }
-            Formula::Not(g) => Formula::not(go(g, map)),
-            Formula::And(gs) => Formula::And(gs.iter().map(|g| go(g, map)).collect()),
-            Formula::Or(gs) => Formula::Or(gs.iter().map(|g| go(g, map)).collect()),
+            Formula::Not(g) => Formula::not(go(g, map, free, next)),
+            Formula::And(gs) => Formula::And(gs.iter().map(|g| go(g, map, free, next)).collect()),
+            Formula::Or(gs) => Formula::Or(gs.iter().map(|g| go(g, map, free, next)).collect()),
             leaf => leaf.rename_vars(map),
         }
     }
-    go(f, &BTreeMap::new())
+    go(f, &BTreeMap::new(), &f.free_vars(), &mut 0)
 }
 
 fn dnf(f: &Formula) -> Option<Vec<CqDisjunct>> {
@@ -209,7 +218,7 @@ impl Ucq {
         let mut disjuncts = dnf(&renamed)?;
         // Drop quantified variables that do not occur in the disjunct.
         for d in &mut disjuncts {
-            let used: std::collections::BTreeSet<Symbol> = d
+            let used: BTreeSet<Symbol> = d
                 .atoms
                 .iter()
                 .flat_map(|a| a.args.iter().filter_map(Term::as_var))
@@ -391,6 +400,21 @@ mod tests {
         let db = parse_database("R(a, b). S(c).").unwrap().db;
         let round = ucq.to_query();
         assert_eq!(eval_query(&round, &db).len(), 3); // a from R; a,b,c from S-disjunct
+    }
+
+    #[test]
+    fn renaming_is_per_query_and_avoids_free_names() {
+        // The free variable `y$0` is what the first binder would be
+        // named; the binder must skip it. Normalizing again yields the
+        // same symbols, so repeated normalization interns nothing.
+        let body = Formula::and([
+            Formula::atom("S", vec![var("y$0")]),
+            Formula::exists(["y"], Formula::atom("R", vec![var("y$0"), var("y")])),
+        ]);
+        let query = q("u", &["y$0"], body);
+        let ucq = Ucq::from_query(&query).unwrap();
+        assert_eq!(ucq.disjuncts[0].exist_vars, [Symbol::intern("y$1")]);
+        assert_eq!(Ucq::from_query(&query).unwrap(), ucq);
     }
 
     #[test]

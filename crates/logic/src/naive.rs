@@ -11,17 +11,6 @@ use crate::ast::Query;
 use crate::eval::Evaluator;
 use caz_idb::{Database, Tuple, Valuation};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Monotone counter so nested / repeated naïve evaluations never reuse a
-/// fresh-constant family (ranges of distinct bijective valuations could
-/// otherwise collide with constants introduced by an outer evaluation).
-static FAMILY: AtomicU64 = AtomicU64::new(0);
-
-fn fresh_bijective(db: &Database) -> Valuation {
-    let family = format!("nv{}·", FAMILY.fetch_add(1, Ordering::Relaxed));
-    Valuation::bijective(db.nulls(), &family)
-}
 
 /// `Q^naïve(D) = v⁻¹(Q(v(D)))` for a `C`-bijective valuation `v`.
 ///
@@ -39,9 +28,10 @@ fn fresh_bijective(db: &Database) -> Valuation {
 /// assert_eq!(ans, [Tuple::new(vec![Value::Null(p.nulls["b"])])].into());
 /// ```
 pub fn naive_eval(q: &Query, db: &Database) -> BTreeSet<Tuple> {
-    let v = fresh_bijective(db);
+    let consts = q.generic_consts();
+    let v = Valuation::naive(db, &consts);
     let vd = v.apply_db(db);
-    let ev = Evaluator::new(&vd, &q.generic_consts());
+    let ev = Evaluator::new(&vd, &consts);
     let back = v.inverse_subst();
     ev.answers(q).into_iter().map(|t| t.map(&back)).collect()
 }
@@ -49,14 +39,19 @@ pub fn naive_eval(q: &Query, db: &Database) -> BTreeSet<Tuple> {
 /// Naïve evaluation of a Boolean query.
 pub fn naive_eval_bool(q: &Query, db: &Database) -> bool {
     assert!(q.is_boolean(), "{} is not Boolean", q.name);
-    let v = fresh_bijective(db);
-    let vd = v.apply_db(db);
-    Evaluator::new(&vd, &q.generic_consts()).eval_sentence(&q.body)
+    let consts = q.generic_consts();
+    let vd = Valuation::naive(db, &consts).apply_db(db);
+    Evaluator::new(&vd, &consts).eval_sentence(&q.body)
 }
 
 /// Is `t` (a tuple over `adom(D)`, possibly with nulls) in `Q^naïve(D)`?
 pub fn naive_contains(q: &Query, db: &Database, t: &Tuple) -> bool {
-    let v = fresh_bijective(db);
+    let consts = q.generic_consts();
+    // The tuple's constants are avoided too, so no null of D can
+    // valuate onto one of them.
+    let mut avoid = consts.clone();
+    avoid.extend(t.consts());
+    let v = Valuation::naive(db, &avoid);
     let vd = v.apply_db(db);
     let vt = v.apply_tuple(t);
     if !vt.is_complete() {
@@ -64,7 +59,7 @@ pub fn naive_contains(q: &Query, db: &Database, t: &Tuple) -> bool {
         // never be an answer over adom(D).
         return false;
     }
-    Evaluator::new(&vd, &q.generic_consts()).satisfies(q, &vt)
+    Evaluator::new(&vd, &consts).satisfies(q, &vt)
 }
 
 #[cfg(test)]

@@ -11,7 +11,8 @@
 
 use crate::{Job, PlanKind, QueryRef};
 use caz_core::theorem5_applicability;
-use caz_logic::naive_eval_bool;
+use caz_idb::Valuation;
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A theorem-licensed evaluation strategy.
@@ -76,12 +77,18 @@ impl Route {
                 if job.kind != PlanKind::Cond {
                     return Err("Theorem 4 reduces conditional measures (cond jobs only)".into());
                 }
+                // Rendering Σ as a sentence only validates it against
+                // D's schema (unknown relations, column ranges). Whether
+                // Σ^naïve(D) holds is decided by the constraint engine on
+                // the naïve instance: FD, key, IND and FK checks agree
+                // with their sentences (an FK's implied key included) on
+                // every complete database.
                 let schema = job.db.schema();
-                let sq = job
-                    .sigma
+                job.sigma
                     .to_query(&schema)
                     .map_err(|e| format!("Σ cannot be rendered as a query: {e}"))?;
-                if naive_eval_bool(&sq, job.db) {
+                let naive = Valuation::naive(job.db, &BTreeSet::new()).apply_db(job.db);
+                if job.sigma.holds_in(&naive) {
                     Ok(())
                 } else {
                     Err("Σ^naïve(D) is false; Theorem 4 needs the constraints to hold \

@@ -305,6 +305,8 @@ impl Metrics {
             self.conn_inflight_rejected.load(Ordering::Relaxed),
         );
         line("queue_depth", self.queue_depth.load(Ordering::Relaxed));
+        // Process-wide and never freed: flat under a steady workload.
+        line("interned_symbols", caz_idb::Symbol::interned_count() as u64);
         line(
             "anytime_chunks_total",
             self.anytime_chunks.load(Ordering::Relaxed),
@@ -453,6 +455,9 @@ mod tests {
         assert_eq!(saw_hits, Some(1));
         assert!(snap.contains("requests_total 3"));
         assert!(snap.contains("cache_shards 2"), "{snap}");
+        // The interner gauge is process-wide, so only its presence is
+        // pinned here.
+        assert!(snap.lines().any(|l| l.starts_with("interned_symbols ")), "{snap}");
         // Admission-control keys are always present, zero when idle.
         for key in [
             "jobs_shed_total 0",

@@ -54,6 +54,25 @@ if ! cargo test -q -p caz-service --test planner_differential; then
     exit 1
 fi
 
+# Theorem 4 differential stage: the planner's Σ^naïve(D) check (the
+# constraint engine on the naïve instance of D) vs. naïve evaluation of
+# Σ's first-order rendering, over seeded FD/key/IND/FK sets and
+# databases with nulls: same verdicts, byte-identical reject texts.
+echo "==> theorem 4 differential (CAZ_TEST_SEED=${CAZ_TEST_SEED})"
+if ! cargo test -q -p caz-planner --test theorem4_differential; then
+    echo "theorem 4 differential FAILED — reproduce with: CAZ_TEST_SEED=${CAZ_TEST_SEED} cargo test -p caz-planner --test theorem4_differential" >&2
+    exit 1
+fi
+
+# Comparison property stage: Theorem 8's certificate search vs.
+# brute-force Sep (null-heavy draws included), the bitmap table vs.
+# pairwise Sep, and the best-answer and equivalence laws.
+echo "==> comparison properties (CAZ_TEST_SEED=${CAZ_TEST_SEED})"
+if ! cargo test -q -p caz-compare --test properties; then
+    echo "comparison properties FAILED — reproduce with: CAZ_TEST_SEED=${CAZ_TEST_SEED} cargo test -p caz-compare --test properties" >&2
+    exit 1
+fi
+
 # Census differential stage: the support-polynomial class census vs.
 # valuation enumeration, count for count at every k in 1..=K (k < c
 # included), over seeded databases and Boolean, negated, tuple and
