@@ -24,7 +24,10 @@ pub enum Constraint {
 }
 
 impl Constraint {
-    /// The constraint as a first-order sentence under the given schema.
+    /// The constraint as a first-order sentence under the given schema:
+    /// every relation it names must be in the schema, and every column
+    /// must fit its relation's arity (the check of
+    /// [`ConstraintSet::check_columns`]).
     pub fn to_formula(&self, schema: &Schema) -> Result<Formula, String> {
         let arity = |rel: caz_idb::Symbol| {
             schema
@@ -34,33 +37,45 @@ impl Constraint {
         match self {
             Constraint::Fd(fd) => {
                 let a = arity(fd.rel)?;
-                fd.check_arity(a)?;
+                self.check_columns(schema)?;
                 Ok(fd.to_formula(a))
             }
             Constraint::Ind(ind) => {
                 let fa = arity(ind.from_rel)?;
                 let ta = arity(ind.to_rel)?;
-                ind.check_arity(fa, ta)?;
+                self.check_columns(schema)?;
                 Ok(ind.to_formula(fa, ta))
             }
             Constraint::Key(key) => {
                 let a = arity(key.rel)?;
-                if key.col >= a {
-                    return Err(format!("key column {} exceeds arity {a}", key.col));
-                }
+                self.check_columns(schema)?;
                 Ok(key.to_formula(a))
             }
             Constraint::Fk(fk) => {
                 let fa = arity(fk.rel)?;
                 let ta = arity(fk.ref_rel)?;
-                if fk.col >= fa || fk.ref_col >= ta {
-                    return Err("foreign-key column out of range".to_string());
-                }
+                self.check_columns(schema)?;
                 Ok(Formula::And(vec![
                     fk.to_formula(fa, ta),
                     fk.implied_key().to_formula(ta),
                 ]))
             }
+        }
+    }
+
+    /// This constraint's part of [`ConstraintSet::check_columns`].
+    fn check_columns(&self, schema: &Schema) -> Result<(), String> {
+        let arity = |rel| schema.arity(rel).unwrap_or(usize::MAX);
+        match self {
+            Constraint::Fd(fd) => fd.check_arity(arity(fd.rel)),
+            Constraint::Ind(ind) => ind.check_arity(arity(ind.from_rel), arity(ind.to_rel)),
+            Constraint::Key(key) if key.col >= arity(key.rel) => {
+                Err(format!("key column {} exceeds arity {}", key.col, arity(key.rel)))
+            }
+            Constraint::Fk(fk) if fk.col >= arity(fk.rel) || fk.ref_col >= arity(fk.ref_rel) => {
+                Err("foreign-key column out of range".to_string())
+            }
+            Constraint::Key(_) | Constraint::Fk(_) => Ok(()),
         }
     }
 
@@ -146,6 +161,15 @@ impl ConstraintSet {
             }
         }
         Some(out)
+    }
+
+    /// Check every column each constraint names against its relation's
+    /// arity in `schema`, reporting the first failure in the error text
+    /// [`Constraint::to_formula`] gives. A relation the schema lacks
+    /// bounds no column: it has no tuples, so a constraint holds on it
+    /// trivially.
+    pub fn check_columns(&self, schema: &Schema) -> Result<(), String> {
+        self.items.iter().try_for_each(|c| c.check_columns(schema))
     }
 
     /// The whole set as one sentence `Σ`.

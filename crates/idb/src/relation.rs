@@ -98,10 +98,11 @@ impl Relation {
     }
 }
 
+/// One `R(…).` line per tuple, in [`display_order`](crate::tuple::display_order).
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = self.name.resolve();
-        for t in &self.tuples {
+        for t in crate::tuple::display_order(&self.tuples) {
             writeln!(f, "{name}{t}.")?;
         }
         Ok(())

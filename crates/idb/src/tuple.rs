@@ -89,10 +89,35 @@ impl fmt::Display for Tuple {
     }
 }
 
-/// Render a collection of tuples as `{(a, b), (c, d)}` for reports.
+/// The tuples in the order reports list them: component by component,
+/// constants by name, then nulls by id. `Tuple`'s own `Ord` compares
+/// constants by interning id — the order in which the process first saw
+/// them — so listing a set in that order would depend on what else the
+/// process had parsed before. Null ids are allocated in first-mention
+/// order, so their order is the input's own.
+pub(crate) fn display_order<'a>(tuples: impl IntoIterator<Item = &'a Tuple>) -> Vec<&'a Tuple> {
+    /// One component's place in the order.
+    #[derive(PartialEq, Eq, PartialOrd, Ord)]
+    enum Key {
+        Const(String),
+        Null(u32),
+    }
+    let mut sorted: Vec<&Tuple> = tuples.into_iter().collect();
+    sorted.sort_by_cached_key(|t| {
+        let key = |v: &Value| match v {
+            Value::Const(c) => Key::Const(c.name()),
+            Value::Null(n) => Key::Null(n.raw()),
+        };
+        t.iter().map(key).collect::<Vec<_>>()
+    });
+    sorted
+}
+
+/// Render a collection of tuples as `{(a, b), (c, d)}` for reports, in
+/// [`display_order`].
 pub fn format_tuples<'a>(tuples: impl IntoIterator<Item = &'a Tuple>) -> String {
     let mut out = String::from("{");
-    for (i, t) in tuples.into_iter().enumerate() {
+    for (i, t) in display_order(tuples).into_iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
@@ -124,6 +149,30 @@ mod tests {
         assert_eq!(t.nulls().len(), 1);
         assert_eq!(t.consts().len(), 2);
         assert_eq!(t[0], cst("a"));
+    }
+
+    #[test]
+    fn tuples_render_by_name_whatever_the_interning_order() {
+        // Interned `b` first, so by symbol id `b` sorts before `a`; and
+        // `_y` is mentioned before `_x`, so it has the smaller null id.
+        let b = cst("render_order_b");
+        let a = cst("render_order_a");
+        let (y, x) = (NullId::named("y"), NullId::named("x"));
+        let mut rel = crate::Relation::new("R", 2);
+        for t in [[b, a], [a, Value::Null(x)], [a, b], [Value::Null(y), a], [Value::Null(x), b]] {
+            rel.insert(Tuple::new(t.to_vec()));
+        }
+        let tuples: Vec<&Tuple> = rel.iter().collect();
+        assert_eq!(
+            format_tuples(tuples),
+            "{(render_order_a, render_order_b), (render_order_a, ⊥x), \
+             (render_order_b, render_order_a), (⊥y, render_order_a), (⊥x, render_order_b)}"
+        );
+        assert_eq!(
+            rel.to_string(),
+            "R(render_order_a, render_order_b).\nR(render_order_a, ⊥x).\n\
+             R(render_order_b, render_order_a).\nR(⊥y, render_order_a).\nR(⊥x, render_order_b).\n"
+        );
     }
 
     #[test]

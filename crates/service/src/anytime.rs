@@ -22,11 +22,10 @@
 //! * **Streaming**: while the exact enumeration runs, a Monte-Carlo
 //!   sampler ([`MuSampler`]) interleaves on the owning worker and emits
 //!   `ok* approx <value> ±<err> <samples>` chunks every
-//!   [`ServerConfig::anytime_interval_ms`](crate::server::ServerConfig),
-//!   so the time to first byte is bounded by one sampling batch instead
-//!   of `kᵐ` evaluations. Approx chunks are advisory: stripping them
-//!   leaves a frame sequence byte-identical to the sequential path, and
-//!   only the exact aggregate is ever cached.
+//!   [`ANYTIME_INTERVAL`], so the time to first byte is bounded by one
+//!   sampling batch instead of `kᵐ` evaluations. Approx chunks are
+//!   advisory: stripping them leaves a frame sequence byte-identical to
+//!   the sequential path, and only the exact aggregate is ever cached.
 //! * **Parallelism**: each `μᵏ` row's valuation space `Vᵏ(D)` is split
 //!   into contiguous index ranges executed as work-stealing pool
 //!   subtasks ([`WorkerPool::scatter`](crate::pool::WorkerPool)); the
@@ -40,7 +39,8 @@
 
 use crate::pool::{resume_group_panic, JobResult};
 use crate::proto;
-use crate::server::{Live, Shared};
+use crate::reactor::Stream;
+use crate::server::Shared;
 use crate::session::push_series_row;
 use caz_arith::Ratio;
 use caz_core::{mu_k, supp_k_count_slice, Estimate, MuSampler, SuppEvent};
@@ -61,6 +61,9 @@ const SLICE_LEN: u128 = 2048;
 /// Cap on subtasks per row, so huge spaces don't flood the deque.
 const MAX_SLICES: u128 = 64;
 
+/// Target cadence of the streamed `ok* approx …` chunks.
+pub(crate) const ANYTIME_INTERVAL: Duration = Duration::from_millis(25);
+
 /// Samples in the first estimator batch (emitted before any exact
 /// work begins) and in each follow-up batch between help slices.
 const APPROX_BATCH: u32 = 256;
@@ -74,22 +77,23 @@ fn approx_payload(est: &Estimate) -> String {
 /// Enumerate the rows `μ¹..μ^k_max` of one `series` job on a worker
 /// thread, streaming estimates while the exact rows compute.
 ///
-/// Rows go through `live.row` exactly as sequential enumeration emits
-/// them; the approx stream (`live.approx`, payload only: the driver
-/// frames it under the literal `approx` tag) and parallel enumeration
-/// are layered on top, with approx chunks every `interval`. Returns the
-/// exact aggregate, or `Err(`[`proto::CANCELLED`]`)` once `live.cancel`
-/// is observed; rows already emitted went to a connection that no
-/// longer exists, and nothing is cached.
+/// Rows go through [`Stream::row`] exactly as sequential enumeration
+/// emits them; the approx stream ([`Stream::approx`]) and parallel
+/// enumeration are layered on top, with approx chunks every
+/// [`ANYTIME_INTERVAL`]. Returns the exact aggregate, or
+/// `Err(`[`proto::CANCELLED`]`)` once `stream.cancel` is observed; rows
+/// already emitted went to a connection that no longer exists, and
+/// nothing is cached.
 pub(crate) fn enumerate(
     shared: &Shared,
     event: Box<dyn SuppEvent>,
     db: &Database,
     k_max: usize,
-    interval: Duration,
-    live: &mut Live<'_>,
+    stream: &Stream,
 ) -> JobResult {
-    let Live { row: emit_row, approx: emit_approx, cancel } = live;
+    let cancel = &stream.cancel;
+    let emit_row = &mut |k, row: &str| stream.row(k, row);
+    let emit_approx = &mut |payload: &str| stream.approx(payload);
     let event: Arc<dyn SuppEvent> = Arc::from(event);
     let db = Arc::new(db.clone());
     let m = db.nulls().len();
@@ -135,7 +139,6 @@ pub(crate) fn enumerate(
                     total,
                     cancel,
                     sampler.as_mut(),
-                    interval,
                     emit_approx,
                 )?;
                 Ratio::from_frac(hits as i128, total as i128)
@@ -158,7 +161,6 @@ fn row_hits(
     total: u128,
     cancel: &Arc<AtomicBool>,
     mut sampler: Option<&mut MuSampler<'_>>,
-    interval: Duration,
     emit_approx: &mut dyn FnMut(&str),
 ) -> Result<u64, String> {
     if total < SPLIT_MIN {
@@ -190,7 +192,7 @@ fn row_hits(
         .collect();
     let group = shared.pool.scatter(tasks);
     loop {
-        if group.help(interval) || cancel.load(Ordering::Relaxed) {
+        if group.help(ANYTIME_INTERVAL) || cancel.load(Ordering::Relaxed) {
             break;
         }
         if let Some(s) = sampler.as_deref_mut() {

@@ -179,13 +179,16 @@ pub struct Metrics {
     /// Recovery events at startup that discarded a corrupt suffix
     /// (torn WAL tail, flipped bytes, stale version header).
     pub store_recovered_truncated: AtomicU64,
-    /// End-to-end latency of *executed* evaluation jobs (key
-    /// computation + queue wait + compute). Cache hits are excluded —
-    /// they go to [`Metrics::cache_hit_latency`] — so this histogram
-    /// shows the true cost of a miss instead of a bimodal blur.
+    /// Latency of *executed* evaluation jobs, from classification until
+    /// the worker returns (queue wait + key computation + compute; the
+    /// completion hop back to the driver and framing are excluded).
+    /// Cache hits are excluded — they go to
+    /// [`Metrics::cache_hit_latency`] — so this histogram shows the true
+    /// cost of a miss instead of a bimodal blur.
     pub eval_latency: Histogram,
-    /// Latency of evaluation requests answered from the cache
-    /// (canonicalization + shard lookup, no pool round-trip).
+    /// Latency of evaluation requests answered from the cache, from
+    /// classification until the worker returns (queue wait +
+    /// canonicalization + shard lookup).
     pub cache_hit_latency: Histogram,
     /// Latency of one coalesced WAL append batch on the flusher thread
     /// (encode + write, plus fsync under `--fsync always`).

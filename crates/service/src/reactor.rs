@@ -9,15 +9,19 @@
 //! * readable sockets are drained into per-connection buffers and
 //!   split into command lines;
 //! * complete lines are classified ([`crate::server::classify`]) —
-//!   cheap state mutations are answered inline, every evaluation
-//!   becomes a [`DetachedJob`] on the shared
-//!   [`WorkerPool`](crate::pool::WorkerPool), where the worker
-//!   canonicalizes the cache key and resolves hits (canonicalization
-//!   is a whole-database refinement pass, too heavy for this thread);
-//! * a worker finishing a job pushes a [`Completion`] onto a shared
+//!   cheap state mutations are answered inline, and all pool work comes
+//!   back as one job [`Group`]: each member becomes a [`DetachedJob`] on
+//!   the shared [`WorkerPool`](crate::pool::WorkerPool), where the
+//!   worker canonicalizes the cache key, resolves hits
+//!   (canonicalization is a whole-database refinement pass, too heavy
+//!   for this thread) and accounts the member's outcome;
+//! * a worker finishing a member pushes a [`Completion`] onto a shared
 //!   queue and writes one byte to a wakeup pipe registered in the same
 //!   epoll set, so replies complete asynchronously without the reactor
-//!   ever blocking on a worker;
+//!   ever blocking on a worker. The connection's one [`Inflight`] group
+//!   frames each member's result ([`crate::server::frame`]) as it lands
+//!   — a streaming `series` member's rows and estimates arrive first, as
+//!   their own completions — and closes with the group's terminal line;
 //! * writes go through per-connection buffers; a socket that refuses
 //!   bytes (slow reader) gets `EPOLLOUT` interest until its buffer
 //!   drains, stalling only that connection.
@@ -33,11 +37,12 @@
 //! **Admission control** (see the *Overload replies* section of
 //! [`crate::proto`]): with a queue deadline configured
 //! ([`ServerConfig::queue_deadline_ms`](crate::ServerConfig)), a full
-//! pool queue *sheds* the job — `err busy` for a plain command or
-//! `series`, an index-tagged `err* <i> busy` chunk for an `eval*`
-//! member — instead of parking it, so queue wait stays bounded; jobs
-//! that are admitted but overstay the deadline in the queue are expired
-//! by the worker without running. Independently,
+//! pool queue *sheds* the member instead of parking it, so queue wait
+//! stays bounded; members that are admitted but overstay the deadline in
+//! the queue are expired by the worker without running. Both are framed
+//! as an `err busy` result: `err busy` for a plain command or `series`,
+//! an index-tagged `err* <i> busy` chunk for an `eval*` job.
+//! Independently,
 //! `max_inflight_per_conn` bounds how many commands one connection may
 //! have admitted at once: lines past the cap become in-order `err busy`
 //! replies ([`Pending::Shed`]) without ever being parsed, so one
@@ -74,9 +79,7 @@ use crate::http::{self, HttpError, RequestParser, Routed};
 use crate::pool::{DetachedJob, JobResult, Outcome, TrySubmitError};
 use crate::proto::{encode_frame, WireFrame, WireReply};
 use crate::server::{
-    classify, done_frame, eval_on_worker, multi_frame, new_hit_flag, plan_frames, plan_on_worker,
-    series_frames, settle_eval, settle_plan, single_frame, Control, HitFlag, Live, MultiJob,
-    Shared, Step,
+    classify, done_frame, frame, unless_expired, Control, Framing, Group, Shared, Step,
 };
 use crate::session::Session;
 use std::collections::{HashMap, VecDeque};
@@ -85,7 +88,6 @@ use std::net::TcpListener;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// The epoll token of the listening socket.
 const TOKEN_LISTENER: u64 = 0;
@@ -117,42 +119,20 @@ fn unframed_tail_len(rbuf: &[u8]) -> usize {
     }
 }
 
-/// What one finished piece of pool work means for its connection.
+/// What one piece of pool work tells its connection.
 enum Done {
     /// One streamed `series` row (`k` ascending), emitted by the worker
     /// while later rows are still being computed.
-    SeriesRow { k: usize, row: String },
+    Row { k: usize, row: String },
     /// One anytime estimate for an in-flight `series` job, framed under
     /// the literal `approx` tag (see [`crate::proto`]). Advisory: never
-    /// cached, only queued while the originating command is still the
-    /// connection's in-flight `series`.
-    SeriesApprox { payload: String },
-    /// A single `eval`/`mu`/`certain` job finished.
-    Single {
-        hit: HitFlag,
-        start: Instant,
-        result: JobResult,
-        outcome: Outcome,
-    },
-    /// One member job of an `eval*` group finished.
-    Sub {
-        index: usize,
-        hit: HitFlag,
-        start: Instant,
-        result: JobResult,
-        outcome: Outcome,
-    },
-    /// The `series` job returned its aggregate (all rows already
-    /// emitted on a miss; none emitted on a cache hit).
-    SeriesEnd {
-        hit: HitFlag,
-        start: Instant,
-        result: JobResult,
-        outcome: Outcome,
-    },
-    /// A `plan`/`explain` job returned its report text.
-    Plan {
-        explain: bool,
+    /// cached, and queued only while the connection still has the
+    /// group in flight.
+    Approx { payload: String },
+    /// A member of the connection's in-flight group finished; its
+    /// worker has already accounted it.
+    Finished {
+        member: usize,
         result: JobResult,
         outcome: Outcome,
     },
@@ -181,14 +161,47 @@ impl Notifier {
     }
 }
 
-/// What the reactor's serving loop still owes one connection.
-enum Inflight {
-    /// One evaluation job on the pool.
-    Single,
-    /// An `eval*` group: chunks outstanding before the terminal line.
-    Multi { remaining: usize, total: usize },
-    /// A streaming `series` job.
-    Series,
+/// The live connection a `series` member streams to, owned by its
+/// worker closure: each row goes out as a chunk as soon as it is
+/// computed, and enumeration may run as anytime scatter, with `approx`
+/// estimates in between, until the reactor fires `cancel` on
+/// disconnect.
+pub(crate) struct Stream {
+    notifier: Arc<Notifier>,
+    conn: u64,
+    pub(crate) cancel: Arc<AtomicBool>,
+}
+
+impl Stream {
+    /// Send row `k`, rendered.
+    pub(crate) fn row(&self, k: usize, row: &str) {
+        let done = Done::Row { k, row: row.to_string() };
+        self.notifier.push(Completion { conn: self.conn, done });
+    }
+
+    /// Send one anytime estimate: the payload only, framed under the
+    /// literal `approx` tag.
+    pub(crate) fn approx(&self, payload: &str) {
+        let done = Done::Approx { payload: payload.to_string() };
+        self.notifier.push(Completion { conn: self.conn, done });
+    }
+}
+
+/// The reply group a connection has in flight: how each member frames,
+/// and what is still owed before the group's final frame.
+struct Inflight {
+    /// Each member's framing, by member index.
+    framings: Vec<Framing>,
+    /// Members not yet framed.
+    remaining: usize,
+    /// `eval*` only: the job count for the terminal `done n` line.
+    done: Option<usize>,
+    /// `series` rows already streamed to the connection.
+    streamed: usize,
+    /// Cancellation token of a streaming `series` member: fired when the
+    /// connection dies, so its enumeration subtasks stop instead of
+    /// burning the pool for a reply nobody will read.
+    cancel: Option<Arc<AtomicBool>>,
 }
 
 /// How a connection frames its input and replies.
@@ -294,10 +307,6 @@ struct Conn {
     /// How much of `wbuf` the socket has taken.
     wpos: usize,
     inflight: Option<Inflight>,
-    /// Cancellation token of the in-flight anytime `series` job, if
-    /// any: fired when the connection dies so its enumeration subtasks
-    /// stop instead of burning the pool for a reply nobody will read.
-    cancel: Option<Arc<AtomicBool>>,
     /// `EPOLLOUT` interest is currently registered.
     want_write: bool,
     /// Close once `wbuf` drains (after `quit`/`shutdown`/oversize).
@@ -318,7 +327,6 @@ impl Conn {
             wbuf: Vec::new(),
             wpos: 0,
             inflight: None,
-            cancel: None,
             want_write: false,
             closing: false,
             read_eof: false,
@@ -327,15 +335,6 @@ impl Conn {
 
     fn flushed(&self) -> bool {
         self.wpos >= self.wbuf.len()
-    }
-
-    /// Mark the in-flight command fully answered: clear the slot and
-    /// release its backlog count (the other half was taken when its
-    /// line was admitted in `extract_lines`).
-    fn finish_command(&mut self) {
-        self.inflight = None;
-        self.cancel = None;
-        self.backlog = self.backlog.saturating_sub(1);
     }
 }
 
@@ -354,6 +353,12 @@ pub(crate) struct Reactor {
     /// slots. Pairs the owning connection so a dead connection's parked
     /// work is dropped instead of run.
     parked: VecDeque<(u64, DetachedJob)>,
+    /// The completion buffer not currently in the notifier's queue. The
+    /// two swap on every drain, so their capacity is reused instead of
+    /// a worker allocating a buffer that this thread frees on every
+    /// drain (cross-thread churn that grows the allocator's per-thread
+    /// arenas).
+    spare: Vec<Completion>,
     stopping: bool,
 }
 
@@ -376,6 +381,7 @@ impl Reactor {
             conns: HashMap::new(),
             next_token: FIRST_CONN_TOKEN,
             parked: VecDeque::new(),
+            spare: Vec::new(),
             stopping: false,
         })
     }
@@ -729,9 +735,9 @@ impl Reactor {
                     );
                 }
             }
-            // The command finished inline (inline reply, shed at
-            // submission, or invalid UTF-8): release its backlog slot.
-            // Commands that went in flight release it in `complete`.
+            // The command finished inline (inline reply, every member
+            // shed at submission, or invalid UTF-8): release its backlog
+            // slot. Groups that went in flight release it in `complete`.
             if let Some(conn) = self.conns.get_mut(&id) {
                 if conn.inflight.is_none() {
                     conn.backlog = conn.backlog.saturating_sub(1);
@@ -827,168 +833,57 @@ impl Reactor {
                 }
                 self.queue_frames(id, &frames);
             }
-            Step::Single { ev, start } => {
-                let Some(conn) = self.conns.get_mut(&id) else { return };
-                conn.inflight = Some(Inflight::Single);
-                let job_session = conn.session.clone();
-                let job_shared = Arc::clone(&self.shared);
-                let hit = new_hit_flag();
-                let job_hit = Arc::clone(&hit);
-                let notifier = Arc::clone(&self.notifier);
-                let admitted = self.admit(
-                    id,
-                    DetachedJob {
-                        work: Box::new(move || {
-                            eval_on_worker(&job_shared, &job_session, &ev, &job_hit, start, None)
-                        }),
-                        on_done: Box::new(move |result, outcome| {
-                            notifier.push(Completion {
-                                conn: id,
-                                done: Done::Single { hit, start, result, outcome },
-                            });
-                        }),
-                        deadline: self.shared.job_deadline(),
-                    },
-                );
-                if !admitted {
-                    self.shed_inflight(id);
-                }
-            }
-            Step::Multi { total, ready, jobs } => {
-                let Some(conn) = self.conns.get_mut(&id) else { return };
-                conn.inflight = Some(Inflight::Multi { remaining: jobs.len(), total });
-                let session_snapshot = conn.session.clone();
-                self.queue_frames(id, &ready);
-                let mut shed = Vec::new();
-                for MultiJob { index, ev, start } in jobs {
-                    let job_session = session_snapshot.clone();
-                    let job_shared = Arc::clone(&self.shared);
-                    let hit = new_hit_flag();
-                    let job_hit = Arc::clone(&hit);
-                    let notifier = Arc::clone(&self.notifier);
-                    let admitted = self.admit(
-                        id,
-                        DetachedJob {
-                            work: Box::new(move || {
-                                eval_on_worker(
-                                    &job_shared,
-                                    &job_session,
-                                    &ev,
-                                    &job_hit,
-                                    start,
-                                    None,
-                                )
-                            }),
-                            on_done: Box::new(move |result, outcome| {
-                                notifier.push(Completion {
-                                    conn: id,
-                                    done: Done::Sub { index, hit, start, result, outcome },
-                                });
-                            }),
-                            deadline: self.shared.job_deadline(),
-                        },
-                    );
-                    if !admitted {
-                        shed.push(WireFrame::ChunkErr {
-                            tag: index.to_string(),
-                            payload: crate::proto::BUSY.into(),
-                        });
-                    }
-                }
-                if !shed.is_empty() {
-                    // Account the shed members against the group before
-                    // any admitted sibling's completion lands: reactor
-                    // and workers only meet at the completion queue,
-                    // which is drained after dispatch returns.
-                    let Some(conn) = self.conns.get_mut(&id) else { return };
-                    if let Some(Inflight::Multi { remaining, total }) = &mut conn.inflight {
-                        *remaining -= shed.len();
-                        if *remaining == 0 {
-                            shed.push(done_frame(*total));
-                            conn.inflight = None;
-                        }
-                    }
-                    self.queue_frames(id, &shed);
-                }
-            }
-            Step::Plan { explain, target } => {
-                let Some(conn) = self.conns.get_mut(&id) else { return };
-                // Plan jobs reuse the single-job in-flight slot: one
-                // command at a time per connection, reply on completion.
-                conn.inflight = Some(Inflight::Single);
-                let job_session = conn.session.clone();
-                let notifier = Arc::clone(&self.notifier);
-                let admitted = self.admit(
-                    id,
-                    DetachedJob {
-                        work: Box::new(move || plan_on_worker(&job_session, &target, explain)),
-                        on_done: Box::new(move |result, outcome| {
-                            notifier.push(Completion {
-                                conn: id,
-                                done: Done::Plan { explain, result, outcome },
-                            });
-                        }),
-                        deadline: self.shared.job_deadline(),
-                    },
-                );
-                if !admitted {
-                    self.shed_inflight(id);
-                }
-            }
-            Step::Series { ev, start } => {
-                let Some(conn) = self.conns.get_mut(&id) else { return };
-                conn.inflight = Some(Inflight::Series);
-                let cancel = Arc::new(AtomicBool::new(false));
-                conn.cancel = Some(Arc::clone(&cancel));
-                let job_session = conn.session.clone();
-                let job_shared = Arc::clone(&self.shared);
-                let hit = new_hit_flag();
-                let job_hit = Arc::clone(&hit);
-                let row_notifier = Arc::clone(&self.notifier);
-                let approx_notifier = Arc::clone(&self.notifier);
-                let end_notifier = Arc::clone(&self.notifier);
-                let admitted = self.admit(
-                    id,
-                    DetachedJob {
-                        work: Box::new(move || {
-                            let live = Live {
-                                row: &mut |k, row| {
-                                    row_notifier.push(Completion {
-                                        conn: id,
-                                        done: Done::SeriesRow { k, row: row.to_string() },
-                                    });
-                                },
-                                approx: &mut |payload| {
-                                    approx_notifier.push(Completion {
-                                        conn: id,
-                                        done: Done::SeriesApprox { payload: payload.to_string() },
-                                    });
-                                },
-                                cancel: &cancel,
-                            };
-                            eval_on_worker(
-                                &job_shared,
-                                &job_session,
-                                &ev,
-                                &job_hit,
-                                start,
-                                Some(live),
-                            )
-                        }),
-                        on_done: Box::new(move |result, outcome| {
-                            end_notifier.push(Completion {
-                                conn: id,
-                                done: Done::SeriesEnd { hit, start, result, outcome },
-                            });
-                        }),
-                        deadline: self.shared.job_deadline(),
-                    },
-                );
-                if !admitted {
-                    // No row chunk was emitted (the job never ran), so
-                    // the group collapses to its terminal err line.
-                    self.shed_inflight(id);
-                }
+            Step::Jobs(group) => self.start_group(id, group),
+        }
+    }
+
+    /// Put a group in flight: queue its ready frames and submit every
+    /// member. A member the pool sheds is framed at once as `err busy`;
+    /// a group with no members closes inline.
+    fn start_group(&mut self, id: u64, group: Group) {
+        let Group { mut ready, members, done, start } = group;
+        let Some(conn) = self.conns.get_mut(&id) else { return };
+        if members.is_empty() {
+            ready.extend(done.map(done_frame));
+            self.queue_frames(id, &ready);
+            return;
+        }
+        // One snapshot per member, each owned by its job: the last
+        // member takes the snapshot itself.
+        let sessions = std::iter::repeat_n(conn.session.clone(), members.len());
+        let streams = members.iter().any(|m| m.framing == Framing::Series);
+        let cancel = streams.then(|| Arc::new(AtomicBool::new(false)));
+        conn.inflight = Some(Inflight {
+            framings: members.iter().map(|m| m.framing).collect(),
+            remaining: members.len(),
+            done,
+            streamed: 0,
+            cancel: cancel.clone(),
+        });
+        self.queue_frames(id, &ready);
+        for ((index, member), session) in members.into_iter().enumerate().zip(sessions) {
+            let stream = cancel.clone().filter(|_| member.framing == Framing::Series);
+            let stream = stream.map(|cancel| Stream {
+                notifier: Arc::clone(&self.notifier),
+                conn: id,
+                cancel,
+            });
+            let notifier = Arc::clone(&self.notifier);
+            let job = DetachedJob {
+                work: member.job(Arc::clone(&self.shared), session, start, stream),
+                on_done: Box::new(move |result, outcome| {
+                    notifier.push(Completion {
+                        conn: id,
+                        done: Done::Finished { member: index, result, outcome },
+                    });
+                }),
+                deadline: self.shared.job_deadline(),
+            };
+            if !self.admit(id, job) {
+                // Framed before any admitted sibling's completion lands:
+                // reactor and workers only meet at the completion queue,
+                // which is drained after dispatch returns.
+                self.finish_member(id, index, Err(crate::proto::BUSY.into()));
             }
         }
     }
@@ -998,8 +893,7 @@ impl Reactor {
     /// slots) — the only behavior without admission control, and always
     /// the behavior during the shutdown drain — or, with a queue
     /// deadline configured, sheds it: the job is dropped, counted in
-    /// `jobs_shed_total`, and the caller (which still holds the
-    /// connection's in-flight slot) queues the `err busy` reply.
+    /// `jobs_shed_total`, and the caller frames the member as `err busy`.
     /// Returns whether the job will eventually complete.
     fn admit(&mut self, id: u64, job: DetachedJob) -> bool {
         match self.shared.pool.try_submit_detached(job) {
@@ -1022,18 +916,6 @@ impl Reactor {
         }
     }
 
-    /// Resolve a just-dispatched single-slot command (`eval`, `plan`,
-    /// `series`) whose job was shed: free the in-flight slot and answer
-    /// `err busy`. The backlog slot is released by `pump`'s
-    /// finished-inline check once dispatch returns.
-    fn shed_inflight(&mut self, id: u64) {
-        if let Some(conn) = self.conns.get_mut(&id) {
-            conn.inflight = None;
-            conn.cancel = None;
-        }
-        self.queue_frames(id, &[busy_final()]);
-    }
-
     fn retry_parked(&mut self) {
         while let Some((id, job)) = self.parked.pop_front() {
             if !self.conns.contains_key(&id) {
@@ -1053,97 +935,65 @@ impl Reactor {
     }
 
     fn drain_completions(&mut self) {
-        let completions = std::mem::take(&mut *self.notifier.queue.lock().unwrap());
-        for completion in completions {
+        let mut batch = std::mem::take(&mut self.spare);
+        std::mem::swap(&mut batch, &mut *self.notifier.queue.lock().unwrap());
+        for completion in batch.drain(..) {
             self.complete(completion);
         }
+        self.spare = batch;
     }
 
-    /// Apply one finished piece of pool work: global effects (metrics,
-    /// cache) happen even if the connection is gone; frames are queued
-    /// only if it is still here.
+    /// Apply one piece of pool work: global effects (metrics) happen even
+    /// if the connection is gone; frames are queued only if it is still
+    /// here.
     fn complete(&mut self, completion: Completion) {
         let id = completion.conn;
         match completion.done {
-            Done::SeriesRow { k, row } => {
-                let streaming = matches!(
-                    self.conns.get(&id).and_then(|c| c.inflight.as_ref()),
-                    Some(Inflight::Series)
-                );
-                if streaming {
-                    self.queue_frames(
-                        id,
-                        &[WireFrame::Chunk { tag: k.to_string(), payload: row }],
-                    );
-                }
+            Done::Row { k, row } => {
+                let Some(group) = self.conns.get_mut(&id).and_then(|c| c.inflight.as_mut()) else {
+                    return;
+                };
+                group.streamed += 1;
+                self.queue_frames(id, &[WireFrame::Chunk { tag: k.to_string(), payload: row }]);
             }
-            Done::SeriesApprox { payload } => {
-                // Same suppression as rows: only while the originating
-                // `series` is still this connection's in-flight command.
+            Done::Approx { payload } => {
                 // Counted only when actually queued to a live client.
-                let streaming = matches!(
-                    self.conns.get(&id).and_then(|c| c.inflight.as_ref()),
-                    Some(Inflight::Series)
-                );
-                if streaming {
+                if self.conns.get(&id).is_some_and(|c| c.inflight.is_some()) {
                     self.shared.metrics.anytime_chunks.fetch_add(1, Ordering::Relaxed);
-                    self.queue_frames(
-                        id,
-                        &[WireFrame::Chunk { tag: "approx".into(), payload }],
-                    );
+                    let tag = "approx".to_string();
+                    self.queue_frames(id, &[WireFrame::Chunk { tag, payload }]);
                 }
             }
-            Done::Single { hit, start, result, outcome } => {
-                let result = settle_eval(&self.shared, &hit, start, result, outcome);
-                let Some(conn) = self.conns.get_mut(&id) else { return };
-                conn.finish_command();
-                self.queue_frames(id, &[single_frame(result)]);
-                self.pump(id);
-            }
-            Done::Sub { index, hit, start, result, outcome } => {
-                let result = settle_eval(&self.shared, &hit, start, result, outcome);
-                let Some(conn) = self.conns.get_mut(&id) else { return };
-                let mut frames = vec![multi_frame(index, result)];
-                if let Some(Inflight::Multi { remaining, total }) = &mut conn.inflight {
-                    *remaining -= 1;
-                    if *remaining == 0 {
-                        frames.push(done_frame(*total));
+            Done::Finished { member, result, outcome } => {
+                let result = unless_expired(&self.shared, result, outcome);
+                if self.finish_member(id, member, result) {
+                    // Release the backlog slot its line took in
+                    // `extract_lines`/`extract_requests`.
+                    if let Some(conn) = self.conns.get_mut(&id) {
+                        conn.backlog = conn.backlog.saturating_sub(1);
                     }
-                }
-                if matches!(conn.inflight, Some(Inflight::Multi { remaining: 0, .. })) {
-                    conn.finish_command();
-                }
-                let group_done = conn.inflight.is_none();
-                self.queue_frames(id, &frames);
-                if group_done {
                     self.pump(id);
                 }
             }
-            Done::Plan { explain, result, outcome } => {
-                let result = settle_plan(&self.shared, result, outcome);
-                let Some(conn) = self.conns.get_mut(&id) else { return };
-                conn.finish_command();
-                self.queue_frames(id, &plan_frames(explain, result));
-                self.pump(id);
-            }
-            Done::SeriesEnd { hit, start, result, outcome } => {
-                let was_hit = hit.load(Ordering::Acquire);
-                let result = settle_eval(&self.shared, &hit, start, result, outcome);
-                let Some(conn) = self.conns.get_mut(&id) else { return };
-                conn.finish_command();
-                let frames = match result {
-                    // A cache hit emitted no rows: replay the cached
-                    // aggregate as the full chunked group. On a miss
-                    // the rows already went out as chunks; close the
-                    // group.
-                    Ok(aggregate) if was_hit => series_frames(&aggregate),
-                    Ok(aggregate) => vec![done_frame(aggregate.lines().count())],
-                    Err(e) => vec![WireFrame::Final(WireReply::Err(e))],
-                };
-                self.queue_frames(id, &frames);
-                self.pump(id);
-            }
         }
+    }
+
+    /// Queue one finished member's frames into the connection's
+    /// in-flight group; after its last member, close the group with the
+    /// terminal `done n` line (if any) and free the in-flight slot.
+    /// Returns whether the group closed.
+    fn finish_member(&mut self, id: u64, member: usize, result: JobResult) -> bool {
+        let Some(conn) = self.conns.get_mut(&id) else { return false };
+        let Some(group) = conn.inflight.as_mut() else { return false };
+        let mut frames = frame(group.framings[member], result, group.streamed);
+        group.remaining -= 1;
+        let closed = group.remaining == 0;
+        if closed {
+            frames.extend(group.done.map(done_frame));
+            conn.inflight = None;
+        }
+        self.queue_frames(id, &frames);
+        closed
     }
 
     /// Append frames to the connection's write buffer — encoded per the
@@ -1296,9 +1146,9 @@ impl Reactor {
         if let Some(conn) = self.conns.remove(&id) {
             let _ = self.epoll.delete(conn.stream.as_raw_fd());
             // Nobody is left to read the reply: tell the in-flight
-            // anytime job to stop enumerating. The job still settles
-            // through its completion (counted, never cached).
-            if let Some(cancel) = &conn.cancel {
+            // anytime job to stop enumerating. The job still finishes
+            // on its worker (counted, never cached).
+            if let Some(cancel) = conn.inflight.as_ref().and_then(|g| g.cancel.as_ref()) {
                 cancel.store(true, Ordering::Relaxed);
             }
         }

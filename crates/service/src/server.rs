@@ -14,14 +14,27 @@
 //! wakes the reactor through a pipe registered in the same epoll set.
 //!
 //! This module holds everything the reactor and the offline batch
-//! driver share: [`classify`] turns one command line into either
-//! immediate reply frames or pool work; [`eval_on_worker`] runs on a
-//! pool thread and does the whole evaluation pipeline there, for every
-//! job kind — resolving the request, cache-key canonicalization (itself
-//! a color-refinement pass, so it must not run on the reactor thread),
-//! cache lookup, evaluation on a miss, and cache + persistent-store
-//! insertion; [`settle_eval`] applies the finished job's metrics
-//! symmetrically in both drivers.
+//! driver share, one path from a command line to its frames:
+//!
+//! * [`classify`] turns the line into either immediate reply frames or
+//!   a job [`Group`] — frames already answered, members (one pool job
+//!   each: a work item plus a [`Framing`]), and an optional terminal
+//!   `done n` count;
+//! * each member's worker closure ([`Member::job`]) runs
+//!   [`eval_on_worker`] — the whole evaluation pipeline for every job
+//!   kind: resolving the request, cache-key canonicalization (itself a
+//!   color-refinement pass, so it must not run on the reactor thread),
+//!   cache lookup, evaluation on a miss, and cache + persistent-store
+//!   insertion — or [`plan_on_worker`], and accounts its own outcome
+//!   there (executed or cached, route, latency, panics, errors), so
+//!   drivers count only what they alone see: shed and expired jobs;
+//! * [`frame`] turns each finished member into frames, the same way in
+//!   both drivers; shed and expired members are `err busy` results
+//!   framed like any other.
+//!
+//! The reactor submits members without blocking and frames them in
+//! completion order, streaming `series` rows as they come; [`run_batch`]
+//! submits them blocking and frames them in member order.
 //!
 //! With `--cache-path` set, [`Shared::new`] opens a [`caz_store::Store`]
 //! and warm-starts the cache from it before the first request is
@@ -51,7 +64,7 @@ use crate::flush::Flusher;
 use crate::metrics::Metrics;
 use crate::pool::{JobResult, Outcome, WorkerPool};
 use crate::proto::{decode_frame, encode_frame, WireFrame, WireReply};
-use crate::reactor::Reactor;
+use crate::reactor::{Reactor, Stream};
 use crate::replication::{MissPolicy, ReplicaHandle, ReplicationSink, Role};
 use crate::session::{
     parse_eval_job, series_rows, EvalKind, EvalRequest, Reply, Request, Session, Sink,
@@ -117,13 +130,11 @@ pub struct ServerConfig {
     /// census does not answer (see [`ServerConfig::planner`]) enumerate
     /// at all, so with the planner on this covers the residual region:
     /// large named-constant pools, or more nulls than the census
-    /// accepts. Disabled (`--no-anytime`), series rows enumerate
-    /// sequentially with no approx chunks — the differential baseline;
-    /// final frames are byte-identical either way.
+    /// accepts. Estimates go out every 25 ms. Disabled (`--no-anytime`),
+    /// series rows enumerate sequentially with no approx chunks — the
+    /// differential baseline; final frames are byte-identical either
+    /// way.
     pub anytime: bool,
-    /// Target cadence of `ok* approx …` chunks in milliseconds
-    /// (`--anytime-interval-ms`).
-    pub anytime_interval_ms: u64,
     /// Serve HTTP/1.1 (keep-alive, chunked responses) on the same port
     /// as the line protocol, sniffed per connection from the first
     /// bytes (see [`crate::http`]). `--no-http` disables the sniffer,
@@ -171,7 +182,6 @@ impl Default for ServerConfig {
             max_inflight_per_conn: 0,
             queue_deadline_ms: 0,
             anytime: true,
-            anytime_interval_ms: 25,
             http: true,
             max_wbuf_bytes: 4 << 20,
             role: Role::Single,
@@ -199,10 +209,9 @@ pub(crate) struct Shared {
     /// Queue deadline for pool jobs; `Some` also enables shed-on-full
     /// (see [`ServerConfig::queue_deadline_ms`]).
     pub(crate) queue_deadline: Option<std::time::Duration>,
-    /// Anytime serving for streamed `series` jobs: `Some(cadence)` of
-    /// the approx chunks, `None` when `--no-anytime` makes enumeration
+    /// Anytime serving for streamed `series` jobs; off, enumeration is
     /// sequential (see [`ServerConfig::anytime`]).
-    pub(crate) anytime: Option<std::time::Duration>,
+    pub(crate) anytime: bool,
     /// Sniff and serve HTTP/1.1 alongside the line protocol (see
     /// [`ServerConfig::http`]).
     pub(crate) http: bool,
@@ -275,9 +284,7 @@ impl Shared {
             max_inflight_per_conn: cfg.max_inflight_per_conn,
             queue_deadline: (cfg.queue_deadline_ms > 0)
                 .then(|| std::time::Duration::from_millis(cfg.queue_deadline_ms)),
-            anytime: cfg
-                .anytime
-                .then(|| std::time::Duration::from_millis(cfg.anytime_interval_ms.max(1))),
+            anytime: cfg.anytime,
             http: cfg.http,
             wbuf_cap: cfg.max_wbuf_bytes,
             role: cfg.role,
@@ -335,16 +342,8 @@ pub(crate) enum Control {
     ShutdownServer,
 }
 
-/// One parsed `eval*` member job bound for a worker.
-pub(crate) struct MultiJob {
-    /// 0-based index in the request line; tags the reply chunk.
-    pub(crate) index: usize,
-    pub(crate) ev: EvalRequest,
-    pub(crate) start: Instant,
-}
-
 /// The classification of one request line: either finished frames, or
-/// work for the pool. Cache-key canonicalization (a color-refinement
+/// a group of pool work. Cache-key canonicalization (a color-refinement
 /// pass over the whole database — linear-ish but far from free) happens
 /// on the worker, not here, so classification stays cheap enough for
 /// the reactor thread; consequently cache *hits* are also resolved on
@@ -352,25 +351,74 @@ pub(crate) struct MultiJob {
 pub(crate) enum Step {
     /// Reply frames ready to write, plus what to do with the connection.
     Done(Vec<WireFrame>, Control),
-    /// One evaluation job.
-    Single { ev: EvalRequest, start: Instant },
-    /// A vectorized `eval*` line: `ready` holds the per-job parse
-    /// errors (resolved without a worker), `jobs` everything else.
-    /// `total` counts every job for the terminal `done` line.
-    Multi {
-        total: usize,
-        ready: Vec<WireFrame>,
-        jobs: Vec<MultiJob>,
-    },
-    /// A `series` line: stream row chunks from a worker through
-    /// [`eval_on_worker`] (no rows when the worker finds the aggregate
-    /// in the cache — the driver replays them instead).
-    Series { ev: EvalRequest, start: Instant },
-    /// A `plan`/`explain` line: classification runs on a worker (the
-    /// Theorem-4 check naïvely evaluates Σ against the database — data-
-    /// dependent work that must not run on the reactor thread), but
-    /// nothing is evaluated, cached, or counted as an executed job.
-    Plan { explain: bool, target: String },
+    /// Pool work: an evaluation, `series`, `eval*` or `plan`/`explain`.
+    Jobs(Group),
+}
+
+/// The pool work of one command line. Both drivers answer it the same
+/// way: the `ready` frames, then each member's [`frame`] (in completion
+/// order on a live connection, in member order in batch), then `done n`
+/// when `done` is set. Either way the group ends in exactly one final
+/// frame, which HTTP response framing counts on.
+pub(crate) struct Group {
+    /// Frames answered at classification: `eval*` members that fail to
+    /// parse.
+    pub(crate) ready: Vec<WireFrame>,
+    /// One pool job each.
+    pub(crate) members: Vec<Member>,
+    /// `eval*` only: the job count for the terminal `done n` line.
+    pub(crate) done: Option<usize>,
+    /// When the line was classified: where every member's latency starts.
+    pub(crate) start: Instant,
+}
+
+/// One pool job of a [`Group`]: a work item and how its result is framed.
+pub(crate) struct Member {
+    pub(crate) work: Work,
+    pub(crate) framing: Framing,
+}
+
+/// What a member runs on its worker.
+pub(crate) enum Work {
+    /// An evaluation ([`eval_on_worker`]).
+    Eval(EvalRequest),
+    /// A `plan`/`explain` target ([`plan_on_worker`]).
+    Plan(String),
+}
+
+/// How a member's result becomes frames (see [`frame`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Framing {
+    /// One final `ok`/`err` line.
+    Final,
+    /// One `eval*` chunk, tagged with the job's index in the line.
+    Tagged(usize),
+    /// A `series`: one `k`-tagged chunk per row, then `done n`.
+    Series,
+    /// A `plan` summary line, or an `explain` report as one chunk per
+    /// line (`route`, `features`, `engine`, `reject`) plus `done n`.
+    Plan { explain: bool },
+}
+
+impl Member {
+    /// This member's worker closure, evaluating against `session`, a
+    /// snapshot taken when the line was classified. A `series` on a live
+    /// connection streams through `stream`.
+    pub(crate) fn job(
+        self,
+        shared: Arc<Shared>,
+        session: Session,
+        start: Instant,
+        stream: Option<Stream>,
+    ) -> Box<dyn FnOnce() -> JobResult + Send> {
+        Box::new(move || match &self.work {
+            Work::Eval(ev) => eval_on_worker(&shared, &session, ev, start, stream),
+            Work::Plan(target) => {
+                let explain = self.framing == Framing::Plan { explain: true };
+                plan_on_worker(&shared, &session, target, explain)
+            }
+        })
+    }
 }
 
 /// Terminal line of a chunked reply group covering `n` elements.
@@ -400,6 +448,10 @@ pub(crate) fn classify(session: &mut Session, shared: &Shared, line: &str) -> St
             return finish(WireReply::Err(e), Control::Continue);
         }
     };
+    let one = |work, framing| {
+        let members = vec![Member { work, framing }];
+        Step::Jobs(Group { ready: Vec::new(), members, done: None, start })
+    };
     match request {
         Request::Quit => finish(WireReply::Bye, Control::QuitConnection),
         Request::Stats => {
@@ -414,27 +466,25 @@ pub(crate) fn classify(session: &mut Session, shared: &Shared, line: &str) -> St
                 Control::Continue,
             )
         }
-        Request::Eval(ev) if ev.kind == EvalKind::Series => Step::Series { ev, start },
-        Request::Eval(ev) => Step::Single { ev, start },
-        Request::Plan { explain, target } => Step::Plan { explain, target },
+        Request::Eval(ev) if ev.kind == EvalKind::Series => one(Work::Eval(ev), Framing::Series),
+        Request::Eval(ev) => one(Work::Eval(ev), Framing::Final),
+        Request::Plan { explain, target } => one(Work::Plan(target), Framing::Plan { explain }),
         Request::EvalMulti(raw_jobs) => {
-            let total = raw_jobs.len();
             let mut ready = Vec::new();
-            let mut jobs = Vec::new();
+            let mut members = Vec::new();
             for (index, raw) in raw_jobs.iter().enumerate() {
                 match parse_eval_job(raw) {
                     Err(e) => {
                         shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
                         ready.push(WireFrame::ChunkErr { tag: index.to_string(), payload: e });
                     }
-                    Ok(ev) => jobs.push(MultiJob { index, ev, start }),
+                    Ok(ev) => {
+                        let framing = Framing::Tagged(index);
+                        members.push(Member { work: Work::Eval(ev), framing });
+                    }
                 }
             }
-            if jobs.is_empty() {
-                ready.push(done_frame(total));
-                return Step::Done(ready, Control::Continue);
-            }
-            Step::Multi { total, ready, jobs }
+            Step::Jobs(Group { ready, members, done: Some(raw_jobs.len()), start })
         }
         other => match session.apply(&other) {
             Ok(Reply::Text(t)) => finish(WireReply::Ok(t), Control::Continue),
@@ -447,37 +497,51 @@ pub(crate) fn classify(session: &mut Session, shared: &Shared, line: &str) -> St
     }
 }
 
-/// Render a (cached or aggregated) series text as its chunked reply
-/// group: one `k`-tagged chunk per row plus the terminal `done` line.
-pub(crate) fn series_frames(aggregate: &str) -> Vec<WireFrame> {
-    let mut frames: Vec<WireFrame> = aggregate
-        .lines()
-        .enumerate()
-        .map(|(i, row)| WireFrame::Chunk {
-            tag: (i + 1).to_string(),
-            payload: row.to_string(),
-        })
-        .collect();
-    frames.push(done_frame(frames.len()));
+/// Frame one finished member. A `series` frames the rows its stream has
+/// not delivered — every row on a cache hit or in batch, none after a
+/// streamed miss — then `done n`. An error is one final `err` line, or
+/// an `err*` chunk for an `eval*` job; shed and expired members arrive
+/// as [`BUSY`](crate::proto::BUSY) errors, so they frame the same way.
+pub(crate) fn frame(framing: Framing, result: JobResult, streamed: usize) -> Vec<WireFrame> {
+    let report = match (framing, result) {
+        (Framing::Tagged(i), Ok(payload)) => {
+            return vec![WireFrame::Chunk { tag: i.to_string(), payload }]
+        }
+        (Framing::Tagged(i), Err(payload)) => {
+            return vec![WireFrame::ChunkErr { tag: i.to_string(), payload }]
+        }
+        (_, Err(e)) => return vec![WireFrame::Final(WireReply::Err(e))],
+        (Framing::Final | Framing::Plan { explain: false }, Ok(text)) => {
+            return vec![WireFrame::Final(WireReply::Ok(text))]
+        }
+        (_, Ok(report)) => report,
+    };
+    // A chunked group: a `series` tags its rows by `k`, an `explain`
+    // report each line by its first word.
+    let chunk = |(i, line): (usize, &str)| {
+        let (tag, payload) = match framing {
+            Framing::Series => ((i + 1).to_string(), line),
+            _ => {
+                let (tag, payload) = line.split_once(' ').unwrap_or((line, ""));
+                (tag.to_string(), payload)
+            }
+        };
+        WireFrame::Chunk { tag, payload: payload.to_string() }
+    };
+    let mut frames: Vec<WireFrame> = report.lines().enumerate().skip(streamed).map(chunk).collect();
+    frames.push(done_frame(report.lines().count()));
     frames
 }
 
-/// Set by the worker when it answered from the cache, read by the
-/// driver when the completion lands: the two halves of one job share
-/// it, and it decides whether the job counts as executed or cached.
-pub(crate) type HitFlag = Arc<std::sync::atomic::AtomicBool>;
-
-/// A fresh, unset [`HitFlag`].
-pub(crate) fn new_hit_flag() -> HitFlag {
-    Arc::new(AtomicBool::new(false))
-}
-
-/// Record a cache hit resolved on a worker: flag the job as a hit and
-/// account it (`jobs_cached`, `cache_hit_latency`).
-fn record_hit(shared: &Shared, hit: &HitFlag, start: Instant) {
-    hit.store(true, Ordering::Release);
-    shared.metrics.jobs_cached.fetch_add(1, Ordering::Relaxed);
-    shared.metrics.cache_hit_latency.record(start.elapsed());
+/// A driver's reading of a member's pool result. A member whose queue
+/// deadline expired never ran, so no worker accounted it: count it here
+/// (`deadline_expired_total`, and nothing else) and answer `err busy`.
+pub(crate) fn unless_expired(shared: &Shared, result: JobResult, outcome: Outcome) -> JobResult {
+    if outcome == Outcome::Expired {
+        shared.metrics.deadline_expired.fetch_add(1, Ordering::Relaxed);
+        return Err(crate::proto::BUSY.into());
+    }
+    result
 }
 
 /// How long a proxied miss may spend connecting to / talking to the
@@ -522,29 +586,19 @@ fn proxy_to_leader(addr: &str, session: &Session, ev: &EvalRequest) -> Option<Jo
     }
 }
 
-/// A live connection streaming a `series` job: each row goes out as a
-/// chunk as soon as it is computed, and enumeration may run as anytime
-/// scatter, with `approx` estimates in between, until the reactor fires
-/// `cancel` on disconnect.
-pub(crate) struct Live<'a> {
-    pub(crate) row: &'a mut dyn FnMut(usize, &str),
-    pub(crate) approx: &'a mut dyn FnMut(&str),
-    pub(crate) cancel: &'a Arc<AtomicBool>,
-}
-
 /// A worker's [`Sink`]: rows go to the live connection, if any; the
 /// class census is counted in `series_census_total`; and enumeration
 /// runs as anytime scatter when anytime is on and the job streams, else
 /// sequentially.
-struct WorkerSink<'a, 'l> {
+struct WorkerSink<'a> {
     shared: &'a Shared,
-    live: Option<Live<'l>>,
+    stream: Option<Stream>,
 }
 
-impl Sink for WorkerSink<'_, '_> {
+impl Sink for WorkerSink<'_> {
     fn row(&mut self, k: usize, row: &str) {
-        if let Some(live) = self.live.as_mut() {
-            (live.row)(k, row)
+        if let Some(stream) = &self.stream {
+            stream.row(k, row)
         }
     }
 
@@ -557,81 +611,138 @@ impl Sink for WorkerSink<'_, '_> {
     ) -> Result<String, String> {
         if engine == SeriesEngine::Census {
             self.shared.metrics.series_census.fetch_add(1, Ordering::Relaxed);
-        } else if let (Some(interval), Some(live)) = (self.shared.anytime, self.live.as_mut()) {
-            return crate::anytime::enumerate(self.shared, event, db, k_max, interval, live);
+        } else if let Some(stream) = self.stream.as_ref().filter(|_| self.shared.anytime) {
+            return crate::anytime::enumerate(self.shared, event, db, k_max, stream);
         }
         Ok(series_rows(engine, &*event, db, k_max, &mut |k, row| self.row(k, row)))
     }
 }
 
+/// What a member counts as, decided on its worker.
+#[derive(Clone, Copy)]
+enum Counted {
+    /// Executed on this route: `jobs_executed`, the route's counter and
+    /// `eval_latency`.
+    Executed(Route),
+    /// Answered without executing here, from the cache or the leader:
+    /// `jobs_cached` and `cache_hit_latency`.
+    Cached,
+    /// A `plan`/`explain` report: `plan_requests` only. Planning a job
+    /// is not executing it, so the route counters keep summing to
+    /// `jobs_executed_total`.
+    Plan,
+}
+
+/// Accounts one member on its worker when dropped: after the result is
+/// known, or while a panic unwinds — the pool converts the panic to an
+/// error reply only after the closure's drops have run. So every member
+/// that runs is counted exactly once, before its completion can reach a
+/// driver, and the per-route counters sum to `jobs_executed_total` even
+/// for panicking jobs. Shed and expired members never run; their
+/// drivers count them.
+struct Account<'a> {
+    shared: &'a Shared,
+    start: Instant,
+    counted: Counted,
+    /// The result is an error a client sees: not
+    /// [`CANCELLED`](crate::proto::CANCELLED), which only a vanished
+    /// client's job returns.
+    failed: bool,
+}
+
+impl<'a> Account<'a> {
+    fn new(shared: &'a Shared, start: Instant, counted: Counted) -> Account<'a> {
+        Account { shared, start, counted, failed: false }
+    }
+
+    /// Record the result's error status and hand it back.
+    fn finish(mut self, result: JobResult) -> JobResult {
+        self.failed = result.as_deref().is_err_and(|e| e != crate::proto::CANCELLED);
+        result
+    }
+}
+
+impl Drop for Account<'_> {
+    fn drop(&mut self) {
+        let m = &self.shared.metrics;
+        let panicked = std::thread::panicking();
+        if panicked {
+            m.panics.fetch_add(1, Ordering::Relaxed);
+        }
+        if panicked || self.failed {
+            m.errors.fetch_add(1, Ordering::Relaxed);
+        }
+        match self.counted {
+            Counted::Executed(route) => {
+                m.note_route(route);
+                m.jobs_executed.fetch_add(1, Ordering::Relaxed);
+                m.eval_latency.record(self.start.elapsed());
+            }
+            Counted::Cached => {
+                m.jobs_cached.fetch_add(1, Ordering::Relaxed);
+                m.cache_hit_latency.record(self.start.elapsed());
+            }
+            Counted::Plan => {
+                m.plan_requests.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
 /// The one evaluation pipeline, run on a worker thread for every job
-/// kind: resolve → cache key → hit → proxy → route guard → execute →
-/// store. `live` is the connection a `series` job streams its rows to
-/// (none on a hit: the driver replays the cached aggregate instead).
+/// kind: resolve → cache key → hit → proxy → route → execute → store.
+/// `stream` is the live connection a `series` job streams its rows to.
 pub(crate) fn eval_on_worker(
     shared: &Shared,
     session: &Session,
     ev: &EvalRequest,
-    hit: &HitFlag,
     start: Instant,
-    live: Option<Live<'_>>,
+    stream: Option<Stream>,
 ) -> JobResult {
     // An unresolvable request still counts as one executed job on the
     // enumeration route, keeping the per-route counters summing to
     // `jobs_executed_total`.
-    let job = session
-        .resolve(ev)
-        .inspect_err(|_| shared.metrics.note_route(Route::EnumerationFallback))?;
+    let mut account = Account::new(shared, start, Counted::Executed(Route::EnumerationFallback));
+    let result = evaluate(shared, session, ev, stream, &mut account.counted);
+    account.finish(result)
+}
+
+/// The body of [`eval_on_worker`], noting in `counted` how the job was
+/// answered.
+fn evaluate(
+    shared: &Shared,
+    session: &Session,
+    ev: &EvalRequest,
+    stream: Option<Stream>,
+    counted: &mut Counted,
+) -> JobResult {
+    let job = session.resolve(ev)?;
     let key = job.cache_key();
     if let Some(text) = key.as_ref().and_then(|k| shared.cache.get(k)) {
-        record_hit(shared, hit, start);
+        *counted = Counted::Cached;
         return Ok(text);
     }
     // A proxying replica asks the leader first: the leader computes,
     // persists, and replicates the entry back, so one miss warms the
-    // whole cluster. Accounted like a cache hit (the job did not
-    // execute locally, keeping the per-route counters summing to
-    // `jobs_executed_total`), plus `replication_proxied_total`. A
-    // leader error reply still counts in `errors_total`, which the
-    // hit-flagged settle path would otherwise skip.
+    // whole cluster. Counted like a cache hit (the job did not execute
+    // locally), plus `replication_proxied_total`.
     let proxy = shared.role == Role::Replica && shared.on_miss == MissPolicy::Proxy;
     let leader = shared.leader_addr.as_deref().filter(|_| proxy && job.series_len.is_none());
     if let Some(result) = leader.and_then(|addr| proxy_to_leader(addr, session, ev)) {
         shared.metrics.replication_proxied.fetch_add(1, Ordering::Relaxed);
-        record_hit(shared, hit, start);
-        match result {
-            Ok(text) => {
-                // Warm the local cache: replication will bring the same
-                // immutable entry anyway.
-                if let Some(k) = key.as_ref() {
-                    shared.cache.insert(k, text.clone());
-                }
-                return Ok(text);
-            }
-            Err(e) => {
-                shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                return Err(e);
-            }
+        *counted = Counted::Cached;
+        // Warm the local cache: replication will bring the same
+        // immutable entry anyway.
+        if let (Ok(text), Some(k)) = (&result, key.as_ref()) {
+            shared.cache.insert(k, text.clone());
         }
+        return result;
     }
-    // Note the route exactly once per executed job, even when
-    // evaluation panics: the guard notes on drop, and unwinding runs
-    // drops before the pool converts the panic to an error reply (which
-    // [`settle_eval`] still counts as executed). This keeps the
-    // per-route counters summing to `jobs_executed_total`.
-    struct NoteOnDrop<'a> {
-        metrics: &'a Metrics,
-        route: Route,
-    }
-    impl Drop for NoteOnDrop<'_> {
-        fn drop(&mut self) {
-            self.metrics.note_route(self.route);
-        }
-    }
-    let mut note = NoteOnDrop { metrics: &shared.metrics, route: Route::EnumerationFallback };
-    let mut sink = WorkerSink { shared, live };
-    let result = job.execute(shared.planner, &mut |route| note.route = route, &mut sink);
-    drop(note);
+    // The route is noted before any evaluation work, so a panicking job
+    // is still counted on its route.
+    let mut sink = WorkerSink { shared, stream };
+    let mut note_route = |route| *counted = Counted::Executed(route);
+    let result = job.execute(shared.planner, &mut note_route, &mut sink);
     // Publish into the cache and, with persistence on, onto the
     // flusher's write-behind queue — here on the worker, not in the
     // completion handler, so a job whose connection vanished mid-flight
@@ -648,111 +759,14 @@ pub(crate) fn eval_on_worker(
 /// Run a `plan`/`explain` request on a worker thread: classification
 /// includes the data-dependent Theorem-4 naïve check, so it rides the
 /// pool like an evaluation — but nothing is evaluated or cached.
-pub(crate) fn plan_on_worker(session: &Session, target: &str, explain: bool) -> JobResult {
-    session.plan_for(target).map(|report| report.text(explain))
-}
-
-/// Driver-side accounting for a finished `plan`/`explain` job: counts
-/// `plan_requests_total` (plus error/panic counters) but **not**
-/// `jobs_executed` or any per-route counter — planning a job is not
-/// executing it, so the route counters keep summing to
-/// `jobs_executed_total`.
-pub(crate) fn settle_plan(shared: &Shared, result: JobResult, outcome: Outcome) -> JobResult {
-    if outcome == Outcome::Expired {
-        return settle_expired(shared);
-    }
-    shared.metrics.plan_requests.fetch_add(1, Ordering::Relaxed);
-    if outcome == Outcome::Panicked {
-        shared.metrics.panics.fetch_add(1, Ordering::Relaxed);
-    }
-    if result.is_err() {
-        shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-    }
-    result
-}
-
-/// Account one queue-deadline expiry and produce its `err busy` reply.
-/// Expired jobs never ran ([`Outcome::Expired`] is decided before the
-/// work closure), so nothing else — executed/cached counts, route
-/// counters, latency histograms, `errors_total` — moves; the
-/// `deadline_expired_total` counter alone reconciles these replies.
-pub(crate) fn settle_expired(shared: &Shared) -> JobResult {
-    shared.metrics.deadline_expired.fetch_add(1, Ordering::Relaxed);
-    Err(crate::proto::BUSY.into())
-}
-
-/// Frame a finished `plan`/`explain` job. `plan` answers one final ok
-/// line; `explain` answers a chunked reply group — one `tag payload`
-/// chunk per report line (`route`, `features`, `reject`) plus the
-/// terminal `done` line.
-pub(crate) fn plan_frames(explain: bool, result: JobResult) -> Vec<WireFrame> {
-    match result {
-        Err(e) => vec![WireFrame::Final(WireReply::Err(e))],
-        Ok(text) if !explain => vec![WireFrame::Final(WireReply::Ok(text))],
-        Ok(text) => {
-            let mut frames: Vec<WireFrame> = text
-                .lines()
-                .map(|line| {
-                    let (tag, payload) = line.split_once(' ').unwrap_or((line, ""));
-                    WireFrame::Chunk { tag: tag.to_string(), payload: payload.to_string() }
-                })
-                .collect();
-            frames.push(done_frame(frames.len()));
-            frames
-        }
-    }
-}
-
-/// Apply the driver-side effects of one finished evaluation job and
-/// hand the result back for framing. A job the worker flagged as a
-/// cache hit was already accounted there; everything else counts as
-/// executed (`jobs_executed`, `eval_latency`, panic and error
-/// counters). Shared by the reactor's completion path and the batch
-/// driver, so the accounting cannot drift between them.
-pub(crate) fn settle_eval(
+pub(crate) fn plan_on_worker(
     shared: &Shared,
-    hit: &HitFlag,
-    start: Instant,
-    result: JobResult,
-    outcome: Outcome,
+    session: &Session,
+    target: &str,
+    explain: bool,
 ) -> JobResult {
-    if outcome == Outcome::Expired {
-        return settle_expired(shared);
-    }
-    if hit.load(Ordering::Acquire) {
-        return result;
-    }
-    shared.metrics.jobs_executed.fetch_add(1, Ordering::Relaxed);
-    if outcome == Outcome::Panicked {
-        shared.metrics.panics.fetch_add(1, Ordering::Relaxed);
-    }
-    shared.metrics.eval_latency.record(start.elapsed());
-    // A job abandoned because its client disconnected mid-stream
-    // (anytime cancellation) still counts as executed — its route was
-    // already noted, keeping the per-route partition of
-    // `jobs_executed_total` exact — but it is not a server error: no
-    // live client ever sees the [`crate::proto::CANCELLED`] payload.
-    if result.as_deref().err().is_some_and(|e| e != crate::proto::CANCELLED) {
-        shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-    }
-    result
-}
-
-/// Frame a finished single evaluation as its terminal reply line.
-pub(crate) fn single_frame(result: JobResult) -> WireFrame {
-    WireFrame::Final(match result {
-        Ok(t) => WireReply::Ok(t),
-        Err(e) => WireReply::Err(e),
-    })
-}
-
-/// Frame one finished `eval*` job as its index-tagged chunk.
-pub(crate) fn multi_frame(index: usize, result: JobResult) -> WireFrame {
-    let tag = index.to_string();
-    match result {
-        Ok(payload) => WireFrame::Chunk { tag, payload },
-        Err(payload) => WireFrame::ChunkErr { tag, payload },
-    }
+    let account = Account::new(shared, Instant::now(), Counted::Plan);
+    account.finish(session.plan_for(target).map(|report| report.text(explain)))
 }
 
 /// A bound, not-yet-running evaluation server.
@@ -840,9 +854,11 @@ impl Server {
 /// --batch`). The same classification, pool, cache, and metrics
 /// machinery is used, so a repetitive batch benefits from the
 /// canonical cache exactly like network traffic, and a trailing
-/// `stats` command reports on the run. `eval*` lines fan out across
-/// the pool (chunks written in index order); `series` replies use the
-/// same chunked framing as the network server, computed as one job.
+/// `stats` command reports on the run. Pool work takes the reactor's
+/// path from [`Group`] to frames, blocking instead of streaming:
+/// `eval*` lines fan out across the pool (chunks written in index
+/// order), and `series` replies use the same chunked framing as the
+/// network server, computed as one job.
 ///
 /// Error handling: a line that is not valid UTF-8 yields one `err`
 /// reply and the batch continues; a real I/O error flushes every
@@ -887,83 +903,33 @@ pub fn run_batch<R: BufRead, W: Write>(
                 write_frames(output, &frames)?;
                 control
             }
-            Step::Single { ev, start } => {
-                let job_session = session.clone();
-                let job_shared = Arc::clone(&shared);
-                let hit = new_hit_flag();
-                let job_hit = Arc::clone(&hit);
-                let (result, outcome) = shared.pool.run(Box::new(move || {
-                    eval_on_worker(&job_shared, &job_session, &ev, &job_hit, start, None)
-                }));
-                let result = settle_eval(&shared, &hit, start, result, outcome);
-                write_frames(output, &[single_frame(result)])?;
-                Control::Continue
-            }
-            Step::Multi { total, ready, jobs } => {
+            Step::Jobs(Group { ready, members, done, start }) => {
                 write_frames(output, &ready)?;
-                // Fan out across the pool, then collect in index order:
-                // batch output is deterministic where network chunks
-                // arrive in completion order.
-                let submitted: Vec<_> = jobs
+                // Fan out across the pool, then frame in member order:
+                // batch output is deterministic where a live
+                // connection's `eval*` chunks arrive in completion
+                // order. Nothing streams, so a `series` frames every row.
+                let sessions = std::iter::repeat_n(session.clone(), members.len());
+                let submitted: Vec<_> = members
                     .into_iter()
-                    .map(|job| {
-                        let job_session = session.clone();
-                        let job_shared = Arc::clone(&shared);
-                        let ev = job.ev.clone();
-                        let job_start = job.start;
-                        let hit = new_hit_flag();
-                        let job_hit = Arc::clone(&hit);
-                        let rx = shared.pool.submit(Box::new(move || {
-                            eval_on_worker(
-                                &job_shared,
-                                &job_session,
-                                &ev,
-                                &job_hit,
-                                job_start,
-                                None,
-                            )
-                        }));
-                        (job, hit, rx)
+                    .zip(sessions)
+                    .map(|(member, session)| {
+                        let framing = member.framing;
+                        let job = member.job(Arc::clone(&shared), session, start, None);
+                        (framing, shared.pool.submit(job))
                     })
                     .collect();
-                for (job, hit, rx) in submitted {
+                for (framing, rx) in submitted {
                     let (result, outcome) = match rx {
                         Ok(rx) => rx.recv().unwrap_or_else(|_| {
                             (Err("worker dropped the job".into()), Outcome::Completed)
                         }),
                         Err(e) => (Err(e.into()), Outcome::Completed),
                     };
-                    let result = settle_eval(&shared, &hit, job.start, result, outcome);
-                    write_frames(output, &[multi_frame(job.index, result)])?;
+                    let result = unless_expired(&shared, result, outcome);
+                    write_frames(output, &frame(framing, result, 0))?;
                 }
-                write_frames(output, &[done_frame(total)])?;
-                Control::Continue
-            }
-            Step::Plan { explain, target } => {
-                let job_session = session.clone();
-                let (result, outcome) = shared
-                    .pool
-                    .run(Box::new(move || plan_on_worker(&job_session, &target, explain)));
-                let result = settle_plan(&shared, result, outcome);
-                write_frames(output, &plan_frames(explain, result))?;
-                Control::Continue
-            }
-            Step::Series { ev, start } => {
-                let job_session = session.clone();
-                let job_shared = Arc::clone(&shared);
-                let hit = new_hit_flag();
-                let job_hit = Arc::clone(&hit);
-                // Rows are not streamed in batch mode: the aggregate is
-                // rendered as chunked frames below either way.
-                let (result, outcome) = shared.pool.run(Box::new(move || {
-                    eval_on_worker(&job_shared, &job_session, &ev, &job_hit, start, None)
-                }));
-                let result = settle_eval(&shared, &hit, start, result, outcome);
-                let frames = match result {
-                    Ok(aggregate) => series_frames(&aggregate),
-                    Err(e) => vec![WireFrame::Final(WireReply::Err(e))],
-                };
-                write_frames(output, &frames)?;
+                write_frames(output, done.map(done_frame).as_slice())?;
                 Control::Continue
             }
         };
@@ -990,9 +956,12 @@ mod tests {
     }
 
     fn batch_bytes(cmds: &[u8]) -> Vec<WireFrame> {
+        batch_cfg(cmds, &ServerConfig { workers: 2, ..ServerConfig::default() })
+    }
+
+    fn batch_cfg(cmds: &[u8], cfg: &ServerConfig) -> Vec<WireFrame> {
         let mut out = Vec::new();
-        let cfg = ServerConfig { workers: 2, ..ServerConfig::default() };
-        run_batch(cmds, &mut out, &cfg).unwrap();
+        run_batch(cmds, &mut out, cfg).unwrap();
         String::from_utf8(out)
             .unwrap()
             .lines()
@@ -1146,6 +1115,40 @@ mod tests {
             matches!(chunk("3"), WireFrame::ChunkErr { payload, .. } if payload.contains("read-only"))
         );
         assert_eq!(replies[6], done_frame(4));
+    }
+
+    #[test]
+    fn out_of_range_constraint_columns_are_errors_not_panics() {
+        // Binary R and S: each constraint names a column one of them
+        // lacks, which every `cond` engine would index past.
+        let constraints = [
+            "fd R: 1 -> 5",
+            "key R[3]",
+            "ind R[3] <= S[1]",
+            "ind R[1] <= S[4]",
+            "fk R[3] -> S[1]",
+            "fk R[1] -> S[4]",
+        ];
+        for planner in [true, false] {
+            let cfg = ServerConfig { workers: 2, planner, ..ServerConfig::default() };
+            for constraint in constraints {
+                let cmds = format!(
+                    "fact R(a, _x). R(_x, b). S(a, _y). S(b, c).\n\
+                     query Q := exists u, v. R(u, v)\n\
+                     constraint {constraint}\n\
+                     cond Q\n\
+                     stats\n"
+                );
+                let replies = batch_cfg(cmds.as_bytes(), &cfg);
+                let context = format!("{constraint} (planner {planner}): {replies:?}");
+                assert!(
+                    matches!(&replies[3], WireFrame::Final(WireReply::Err(e))
+                        if e.contains("column") && !e.contains("panicked")),
+                    "{context}"
+                );
+                assert!(ok_text(&replies[4]).contains("\npanics_total 0\n"), "{context}");
+            }
+        }
     }
 
     #[test]

@@ -398,7 +398,8 @@ impl Session {
     /// Resolve an evaluation request into a [`Job`]. This is the one
     /// parser of evaluation arguments — the name, the tuple literals and
     /// the series length — and it owns every canonical error text:
-    /// malformed arguments, an unknown name, an arity mismatch. It only
+    /// malformed arguments, an unknown name, an arity mismatch, and for
+    /// `cond` a constraint column outside its relation in `D`. It only
     /// borrows from the session: nothing is evaluated and no query is
     /// cloned, so resolving a cache hit stays cheap.
     pub(crate) fn resolve(&self, req: &EvalRequest) -> Result<Job<'_>, String> {
@@ -436,6 +437,11 @@ impl Session {
                 (query, tuple)
             }
         };
+        // Only `cond` reads Σ, and every engine indexes D's tuples by
+        // Σ's columns: check them once, here.
+        if req.kind == EvalKind::Cond {
+            self.sigma.check_columns(&self.db.schema())?;
+        }
         let plan = caz_planner::Job {
             kind: req.kind,
             query,

@@ -158,12 +158,13 @@ fn keep_alive_client_runs_eval_series_and_stats() {
 #[test]
 fn series_streams_anytime_estimate_chunks_over_http() {
     // Planner off makes the series an honest enumeration (~hundreds of
-    // ms in debug); a 5ms estimate cadence guarantees approx chunks.
+    // ms in debug). Its final row of 10⁵ valuations is expensive, so the
+    // eager estimate batch goes out before any exact work: at least one
+    // approx chunk is guaranteed at the default cadence.
     let (addr, handle, join) = spawn_cfg(ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         planner: false,
-        anytime_interval_ms: 5,
         ..ServerConfig::default()
     });
     let mut c = HttpClient::connect(addr);

@@ -54,6 +54,18 @@ if ! cargo test -q -p caz-service --test planner_differential; then
     exit 1
 fi
 
+# Batch ≡ line stage: seeded command scripts answered by a fresh
+# `caz serve --batch` process and over a connection to one long-lived
+# `caz serve` must agree reply group by reply group (eval* chunks
+# compared by tag, approx estimates dropped), with no panics on either
+# side. Separate processes matter: a reply that leaks the process's
+# constant-interning order differs between them.
+echo "==> batch ≡ line differential (CAZ_TEST_SEED=${CAZ_TEST_SEED})"
+if ! cargo test -q --test batch_line; then
+    echo "batch ≡ line differential FAILED — reproduce with: CAZ_TEST_SEED=${CAZ_TEST_SEED} cargo test --test batch_line" >&2
+    exit 1
+fi
+
 # Theorem 4 differential stage: the planner's Σ^naïve(D) check (the
 # constraint engine on the naïve instance of D) vs. naïve evaluation of
 # Σ's first-order rendering, over seeded FD/key/IND/FK sets and

@@ -59,13 +59,10 @@ options for serve:
                               'ok* approx' estimate chunks (baseline and
                               escape hatch; final rows are byte-identical
                               either way)
-  --anytime-interval-ms <n>   cadence of the streamed approx estimates
-                              for expensive 'series' jobs (default 25)
-  --http / --no-http          serve HTTP/1.1 (keep-alive + chunked
-                              responses) on the same port as the line
-                              protocol, sniffed per connection from the
-                              first bytes (default on; --no-http
-                              restores a line-protocol-only listener)
+  --no-http                   serve only the line protocol: by default
+                              HTTP/1.1 (keep-alive + chunked responses)
+                              is served on the same port, sniffed per
+                              connection from the first bytes
   --max-wbuf-bytes <n>        disconnect a connection whose unsent
                               reply bytes exceed <n> — a slow reader
                               on a streamed series no longer buffers
@@ -187,21 +184,12 @@ fn serve(args: &[String]) -> ExitCode {
                 cfg.anytime = false;
                 Ok(())
             }
-            "--http" => {
-                cfg.http = true;
-                Ok(())
-            }
             "--no-http" => {
                 cfg.http = false;
                 Ok(())
             }
             "--max-wbuf-bytes" => {
                 parse_num_or_zero(value("--max-wbuf-bytes"), &mut cfg.max_wbuf_bytes)
-            }
-            "--anytime-interval-ms" => {
-                let mut ms = cfg.anytime_interval_ms as usize;
-                parse_num(value("--anytime-interval-ms"), &mut ms)
-                    .map(|()| cfg.anytime_interval_ms = ms as u64)
             }
             "--role" => value("--role").and_then(|v| Role::parse(&v).map(|r| cfg.role = r)),
             "--replication-addr" => {

@@ -1,7 +1,6 @@
-//! The plain `caz` shell evaluates through the planner, like a server.
-//! Piped commands over eleven nulls — past the support-polynomial
-//! engine's cap — get Theorem 1's answer from one naïve evaluation
-//! instead of a crash.
+//! The piped `caz` shell: it evaluates through the planner, like a
+//! server, and a request no engine can run is an `error:` line, not a
+//! crash.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -27,4 +26,22 @@ fn piped_shell_takes_the_planner_route_past_the_engine_cap() {
     let (status, lines) = shell(&script);
     assert!(status.success(), "caz exited with {status}: {lines:?}");
     assert_eq!(lines, ["11 fact(s) added", "query P defined", "μ(Q, D) = 1"]);
+}
+
+#[test]
+fn piped_shell_reports_out_of_range_constraint_columns() {
+    let script = "fact R(a, _x). S(a, b).\nquery Q := exists u, v. R(u, v)\n\
+                  constraint fd R: 1 -> 5\ncond Q\nmu Q\n";
+    let (status, lines) = shell(script);
+    assert!(status.success(), "caz exited with {status}: {lines:?}");
+    assert_eq!(
+        lines,
+        [
+            "2 fact(s) added",
+            "query Q defined",
+            "1 constraint(s) added",
+            "error: FD on R references column 4 but the relation has arity 2",
+            "μ(Q, D) = 1",
+        ]
+    );
 }
