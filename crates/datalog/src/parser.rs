@@ -21,6 +21,10 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
     ParseError { line, col: 1, message: message.into() }
 }
 
+fn constant(name: &str, line: usize) -> Result<Term, ParseError> {
+    Cst::try_new(name).map(Term::Const).map_err(|e| err(line, e))
+}
+
 fn parse_term(tok: &str, line: usize) -> Result<Term, ParseError> {
     let tok = tok.trim();
     if tok.is_empty() {
@@ -30,10 +34,10 @@ fn parse_term(tok: &str, line: usize) -> Result<Term, ParseError> {
         let inner = inner
             .strip_suffix('\'')
             .ok_or_else(|| err(line, format!("unterminated quote in {tok:?}")))?;
-        return Ok(Term::Const(Cst::new(inner)));
+        return constant(inner, line);
     }
     if tok.chars().next().unwrap().is_ascii_digit() || tok.starts_with('-') {
-        return Ok(Term::Const(Cst::new(tok)));
+        return constant(tok, line);
     }
     if !tok.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
         return Err(err(line, format!("bad term {tok:?}")));
@@ -193,6 +197,14 @@ mod tests {
         assert!(parse_program("p(x) :- e(y).").is_err(), "range restriction");
         assert!(parse_program("output nothing").is_err());
         assert!(parse_program("p(x) :- e(x'broken).").is_err());
+    }
+
+    #[test]
+    fn reserved_constants_are_parse_errors() {
+        for src in ["p(x) :- e(x, '~a').", "p(x) :- e(x), f('~nv0', x)."] {
+            let e = parse_program(src).unwrap_err();
+            assert!(e.message.contains("reserved prefix"), "{src}: {e}");
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub use codd::{is_codd, null_occurrences, to_codd, CoddResult};
 pub use database::Database;
 pub use enumeration::{ConstEnum, ValuationIter};
 pub use generator::{random_complete_database, random_database, DbGenConfig};
-pub use parser::{parse_database, ParseError, ParsedDb};
+pub use parser::{parse_args, parse_database, Arg, ParseError, ParsedDb};
 pub use relation::Relation;
 pub use schema::Schema;
 pub use tuple::{format_tuples, Tuple};

@@ -17,7 +17,7 @@
 
 use crate::database::Database;
 use crate::tuple::Tuple;
-use crate::value::{Cst, NullId, Value, RESERVED_PREFIX};
+use crate::value::{Cst, NullId, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -47,6 +47,17 @@ pub struct ParsedDb {
     pub db: Database,
     /// Map from null names (without the leading `_`) to their ids.
     pub nulls: BTreeMap<String, NullId>,
+}
+
+/// One argument of a fact, or of an answer tuple. A constant is an
+/// identifier or an integer, so it never reads like a null or a
+/// reserved fresh constant.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Arg {
+    /// An identifier or integer constant.
+    Const(Cst),
+    /// A null by its name without the `_`; `""` is the anonymous `_`.
+    Null(String),
 }
 
 struct Scanner<'a> {
@@ -131,6 +142,36 @@ impl<'a> Scanner<'a> {
         Ok(std::str::from_utf8(&self.src[start..self.pos]).unwrap().to_string())
     }
 
+    /// A parenthesized, possibly empty argument list.
+    fn args(&mut self) -> Result<Vec<Arg>, ParseError> {
+        self.expect(b'(')?;
+        let mut args = Vec::new();
+        self.skip_trivia();
+        if self.peek() == Some(b')') {
+            self.bump();
+            return Ok(args);
+        }
+        loop {
+            self.skip_trivia();
+            let text = self.ident()?;
+            args.push(match text.strip_prefix('_') {
+                Some(name) => Arg::Null(name.to_string()),
+                None => Arg::Const(Cst::try_new(&text).map_err(|e| self.error(e))?),
+            });
+            self.skip_trivia();
+            match self.peek() {
+                Some(b',') => {
+                    self.bump();
+                }
+                Some(b')') => {
+                    self.bump();
+                    return Ok(args);
+                }
+                _ => return Err(self.error("expected ',' or ')'")),
+            }
+        }
+    }
+
     fn expect(&mut self, b: u8) -> Result<(), ParseError> {
         self.skip_trivia();
         if self.peek() == Some(b) {
@@ -156,29 +197,17 @@ pub fn parse_database(src: &str) -> Result<ParsedDb, ParseError> {
         if rel.starts_with('_') || rel.chars().next().is_some_and(|c| c.is_ascii_digit()) {
             return Err(s.error(format!("invalid relation name {rel:?}")));
         }
-        s.expect(b'(')?;
-        let mut values: Vec<Value> = Vec::new();
-        s.skip_trivia();
-        if s.peek() == Some(b')') {
-            s.bump();
-        } else {
-            loop {
-                s.skip_trivia();
-                let arg = s.ident()?;
-                values.push(parse_arg(&arg, &mut nulls, &s)?);
-                s.skip_trivia();
-                match s.peek() {
-                    Some(b',') => {
-                        s.bump();
-                    }
-                    Some(b')') => {
-                        s.bump();
-                        break;
-                    }
-                    _ => return Err(s.error("expected ',' or ')'")),
+        let values: Vec<Value> = s
+            .args()?
+            .into_iter()
+            .map(|arg| match arg {
+                Arg::Const(c) => Value::Const(c),
+                Arg::Null(name) if name.is_empty() => Value::Null(NullId::fresh()),
+                Arg::Null(name) => {
+                    Value::Null(*nulls.entry(name).or_insert_with_key(|name| NullId::named(name)))
                 }
-            }
-        }
+            })
+            .collect();
         // Optional statement terminator.
         s.skip_trivia();
         if s.peek() == Some(b'.') {
@@ -198,24 +227,18 @@ pub fn parse_database(src: &str) -> Result<ParsedDb, ParseError> {
     Ok(ParsedDb { db, nulls })
 }
 
-fn parse_arg(
-    arg: &str,
-    nulls: &mut BTreeMap<String, NullId>,
-    s: &Scanner<'_>,
-) -> Result<Value, ParseError> {
-    if arg == "_" {
-        return Ok(Value::Null(NullId::fresh()));
+/// Parse an argument list `(arg, …, arg)` on its own, with exactly a
+/// fact's argument grammar: an answer tuple like `(a, _x)`. Nulls stay
+/// names; the caller resolves them.
+pub fn parse_args(src: &str) -> Result<Vec<Arg>, ParseError> {
+    let mut s = Scanner::new(src);
+    s.skip_trivia();
+    let args = s.args()?;
+    s.skip_trivia();
+    match s.peek() {
+        None => Ok(args),
+        Some(_) => Err(s.error("trailing input after ')'")),
     }
-    if let Some(name) = arg.strip_prefix('_') {
-        let id = *nulls
-            .entry(name.to_string())
-            .or_insert_with(|| NullId::named(name));
-        return Ok(Value::Null(id));
-    }
-    if arg.starts_with(RESERVED_PREFIX) {
-        return Err(s.error(format!("constant {arg:?} uses the reserved prefix")));
-    }
-    Ok(Value::Const(Cst::new(arg)))
 }
 
 #[cfg(test)]
@@ -280,6 +303,25 @@ mod tests {
         assert!(parse_database("R(a").is_err());
         assert!(parse_database("(a)").is_err());
         assert!(parse_database("R(a) R(a,b)").is_err(), "arity conflict");
+    }
+
+    #[test]
+    fn answer_tuples_take_the_fact_argument_grammar() {
+        let args = parse_args(" (a, _x, -2, _) ").unwrap();
+        let want = [
+            Arg::Const(Cst::new("a")),
+            Arg::Null("x".into()),
+            Arg::Const(Cst::int(-2)),
+            Arg::Null(String::new()),
+        ];
+        assert_eq!(args, want);
+        assert_eq!(parse_args("()").unwrap(), []);
+        // Nothing but an identifier, an integer or a `_null` is a value:
+        // a null's canonical name, a reserved fresh constant, an empty
+        // component and trailing text are all refused.
+        for bad in ["(?0)", "(~a)", "('a')", "(a,,b)", "(a,)", "(a) b", "a, b", "(1x)"] {
+            assert!(parse_args(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

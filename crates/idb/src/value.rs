@@ -69,13 +69,21 @@ pub struct Cst(Symbol);
 
 impl Cst {
     /// A constant with the given name. Panics on names using the reserved
-    /// fresh-constant prefix [`RESERVED_PREFIX`].
+    /// fresh-constant prefix [`RESERVED_PREFIX`]; parsers of client text
+    /// use [`Cst::try_new`].
     pub fn new(name: &str) -> Cst {
-        assert!(
-            !name.starts_with(RESERVED_PREFIX),
-            "constant name {name:?} uses the reserved prefix {RESERVED_PREFIX:?}"
-        );
-        Cst(Symbol::intern(name))
+        Cst::try_new(name).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// A constant with the given name, or an error naming the reserved
+    /// fresh-constant prefix [`RESERVED_PREFIX`] if `name` starts with it.
+    pub fn try_new(name: &str) -> Result<Cst, String> {
+        if name.starts_with(RESERVED_PREFIX) {
+            return Err(format!(
+                "constant name {name:?} uses the reserved prefix {RESERVED_PREFIX:?}"
+            ));
+        }
+        Ok(Cst(Symbol::intern(name)))
     }
 
     /// An integer constant (its canonical decimal name).
@@ -249,6 +257,13 @@ mod tests {
     #[should_panic(expected = "reserved prefix")]
     fn reserved_prefix_rejected() {
         let _ = Cst::new("~nope");
+    }
+
+    #[test]
+    fn try_new_refuses_the_reserved_prefix() {
+        assert_eq!(Cst::try_new("a"), Ok(Cst::new("a")));
+        let e = Cst::try_new("~nope").unwrap_err();
+        assert!(e.contains("reserved prefix"), "{e}");
     }
 
     #[test]

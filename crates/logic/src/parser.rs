@@ -356,19 +356,18 @@ impl Parser {
     }
 
     fn term(&mut self) -> Result<Term, ParseError> {
-        match self.lx.bump() {
+        let name = match self.lx.bump() {
             Tok::Ident(name) => {
                 let sym = Symbol::intern(&name);
                 if self.scope.contains(&sym) {
-                    Ok(Term::Var(sym))
-                } else {
-                    Ok(Term::Const(Cst::new(&name)))
+                    return Ok(Term::Var(sym));
                 }
+                name
             }
-            Tok::Quoted(name) => Ok(Term::Const(Cst::new(&name))),
-            Tok::Number(n) => Ok(Term::Const(Cst::new(&n))),
-            _ => Err(self.lx.error("expected a term")),
-        }
+            Tok::Quoted(name) | Tok::Number(name) => name,
+            _ => return Err(self.lx.error("expected a term")),
+        };
+        Cst::try_new(&name).map(Term::Const).map_err(|e| self.lx.error(e))
     }
 }
 
@@ -496,6 +495,16 @@ mod tests {
         assert_eq!(q.generic_consts(), [Cst::new("y")].into());
         assert!(parse_query("P(x) := R(x) extra").is_err(), "trailing input");
         assert!(parse_query("P(x) := exists . R(x)").is_err());
+    }
+
+    #[test]
+    fn reserved_constants_are_parse_errors() {
+        // Fresh constants are machine-made: a query naming one is
+        // refused instead of reaching `Cst::new`'s assert.
+        for src in ["W := R('~a', b)", "W(x) := R(x, '~0')"] {
+            let e = parse_query(src).unwrap_err();
+            assert!(e.message.contains("reserved prefix"), "{src}: {e}");
+        }
     }
 
     #[test]

@@ -14,14 +14,14 @@ use caz_core::{mu_k, Series, SeriesCensus, SeriesCost, SeriesEngine, SuppEvent};
 use caz_datalog::parse_program;
 use crate::cache::CacheKey;
 use caz_idb::{
-    fnv1a_128, format_tuples, parse_database, try_iso_canonical, Cst, Database, NullId, Tuple,
-    Value,
+    fnv1a_128, format_tuples, parse_args, parse_database, try_iso_canonical, Arg, Database,
+    NullId, Tuple, Value,
 };
 use caz_logic::{parse_query, Query};
 use caz_planner::{ExecOutcome, Features, QueryRef, Rejection, Route};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The read-only evaluation commands (`naive`, `certain`, `best`, `mu`,
 /// `cond`, `series`, `compare`), named by their command words. These
@@ -38,18 +38,17 @@ const ANSWER_REL: &str = "__caz_answer";
 /// Interpreter state: the loaded database, named queries, constraints,
 /// and Datalog programs.
 ///
-/// A server clones the session into every evaluation job, so the parts
-/// that grow with every definition (queries, programs, the setup log)
-/// are shared copy-on-write: a clone costs three reference counts, and
-/// a later definition copies them only while a job still holds the old
-/// snapshot.
+/// A server clones the session into every evaluation job, so all of it
+/// is shared copy-on-write: a clone costs five reference counts and
+/// copies no state. `fact` builds a new `D` (and so a fresh
+/// canonical-form memo); a definition or constraint copies its map or
+/// `Σ` only while a job still holds the old snapshot.
 #[derive(Default, Clone)]
 pub struct Session {
-    db: Database,
-    nulls: BTreeMap<String, NullId>,
+    instance: Arc<Instance>,
     queries: Arc<BTreeMap<String, Query>>,
     programs: Arc<BTreeMap<String, caz_datalog::Program>>,
-    sigma: ConstraintSet,
+    sigma: Arc<ConstraintSet>,
     /// The raw state-mutating lines applied so far, in order, exactly
     /// as a fresh session would need to replay them to reach this
     /// state. A replica proxying a cache miss to the leader replays
@@ -57,6 +56,51 @@ pub struct Session {
     /// [`crate::replication::MissPolicy::Proxy`]). `clear` resets it
     /// along with everything else.
     setup: Arc<Vec<String>>,
+}
+
+/// The database `D` with the session's names for its nulls and `D`'s
+/// memoized canonical form. Never mutated once built, so the memo can
+/// only ever describe this `D`.
+#[derive(Default)]
+struct Instance {
+    db: Database,
+    nulls: BTreeMap<String, NullId>,
+    canon: CanonMemo,
+}
+
+/// The canonical form of `D ∪ {__caz_answer(ā)}` for the answer tuple ā
+/// of the latest keyed request against one `D`: its text and FNV-1a 128
+/// digest, or `None` when the refinement search exhausted its budget
+/// (stored too, so that search runs once). A request whose `D` and ā are
+/// unchanged since the session's previous keyed request canonicalizes
+/// nothing.
+#[derive(Default, Debug)]
+struct CanonMemo(Mutex<Option<(Tuple, Option<Canon>)>>);
+
+/// A canonical form's text and digest.
+type Canon = (Arc<str>, u128);
+
+impl CanonMemo {
+    /// The canonical form of `db` with `answer` embedded, computed at
+    /// most once per `answer` in a row. Computed outside the lock, so a
+    /// long search never blocks another job's lookup. Every write stores
+    /// a whole entry, so a poisoned lock still guards a valid one.
+    fn get(&self, db: &Database, answer: &Tuple) -> Option<Canon> {
+        let lock = || self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((memo, canon)) = &*lock() {
+            if memo == answer {
+                return canon.clone();
+            }
+        }
+        let mut ext = db.clone();
+        ext.insert(ANSWER_REL, answer.clone());
+        let canon = try_iso_canonical(&ext).map(|text| {
+            let digest = fnv1a_128(text.as_bytes());
+            (Arc::from(text), digest)
+        });
+        *lock() = Some((answer.clone(), canon.clone()));
+        canon
+    }
 }
 
 /// Outcome of one command.
@@ -239,7 +283,7 @@ impl Session {
                 *self = Session::new();
                 Ok(Reply::Text("session cleared".into()))
             }
-            Request::ShowDb => Ok(Reply::Text(format!("{}", self.db))),
+            Request::ShowDb => Ok(Reply::Text(format!("{}", self.instance.db))),
             Request::ShowSigma => Ok(Reply::Text(format!("{}", self.sigma))),
             Request::Stats => Err("stats is only available in serve/batch mode".into()),
             Request::AddFacts(src) => self.apply_logged("fact", src, Session::add_facts),
@@ -316,9 +360,10 @@ impl Session {
             return Err(format!("relation name {ANSWER_REL} is reserved"));
         }
         // Remap the parse's fresh nulls onto the session's.
+        let mut nulls = self.instance.nulls.clone();
         let mut remap: BTreeMap<NullId, NullId> = BTreeMap::new();
         for (name, id) in &parsed.nulls {
-            let target = *self.nulls.entry(name.clone()).or_insert(*id);
+            let target = *nulls.entry(name.clone()).or_insert(*id);
             remap.insert(*id, target);
         }
         let remapped = parsed.db.map(|v| match v {
@@ -326,7 +371,10 @@ impl Session {
             c => c,
         });
         let added = remapped.len();
-        self.db = self.db.union(&remapped);
+        // A new `D` is a new instance with an empty memo; snapshots keep
+        // the old one.
+        let db = self.instance.db.union(&remapped);
+        self.instance = Arc::new(Instance { db, nulls, canon: CanonMemo::default() });
         Ok(Reply::Text(format!("{added} fact(s) added")))
     }
 
@@ -347,8 +395,9 @@ impl Session {
 
     fn add_constraint(&mut self, src: &str) -> Result<Reply, String> {
         let set = parse_constraints(src).map_err(|e| e.to_string())?;
+        let sigma = Arc::make_mut(&mut self.sigma);
         for c in set.iter() {
-            self.sigma.push(c.clone());
+            sigma.push(c.clone());
         }
         Ok(Reply::Text(format!("{} constraint(s) added", set.len())))
     }
@@ -369,30 +418,25 @@ impl Session {
         }
     }
 
-    /// Parse a tuple literal like `(a, _x)` against the session nulls.
+    /// Parse a tuple literal like `(a, _x)` with `fact`'s argument
+    /// grammar, resolving nulls against the session's names. Every
+    /// constant is then an identifier or an integer, which no null's
+    /// canonical name (`?i`) or fresh constant (`~…`) can be — so the
+    /// canonical text a cache key embeds stays injective.
     fn tuple(&self, src: &str) -> Result<Tuple, String> {
         let src = src.trim();
-        let inner = src
-            .strip_prefix('(')
-            .and_then(|s| s.strip_suffix(')'))
-            .ok_or_else(|| format!("expected a tuple like (a, _x), got {src:?}"))?;
-        let mut values = Vec::new();
-        for part in inner.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            if let Some(null_name) = part.strip_prefix('_') {
-                let id = self
-                    .nulls
-                    .get(null_name)
-                    .ok_or_else(|| format!("unknown null _{null_name}"))?;
-                values.push(Value::Null(*id));
-            } else {
-                values.push(Value::Const(Cst::new(part)));
-            }
+        if !(src.starts_with('(') && src.ends_with(')')) {
+            return Err(format!("expected a tuple like (a, _x), got {src:?}"));
         }
-        Ok(Tuple::new(values))
+        let args = parse_args(src).map_err(|e| format!("tuple {src}: {e}"))?;
+        let values = args.into_iter().map(|arg| match arg {
+            Arg::Const(c) => Ok(Value::Const(c)),
+            Arg::Null(name) => match self.instance.nulls.get(&name) {
+                Some(id) => Ok(Value::Null(*id)),
+                None => Err(format!("unknown null _{name}")),
+            },
+        });
+        values.collect::<Result<_, _>>().map(Tuple::new)
     }
 
     /// Resolve an evaluation request into a [`Job`]. This is the one
@@ -439,18 +483,12 @@ impl Session {
         };
         // Only `cond` reads Σ, and every engine indexes D's tuples by
         // Σ's columns: check them once, here.
+        let db = &self.instance.db;
         if req.kind == EvalKind::Cond {
-            self.sigma.check_columns(&self.db.schema())?;
+            self.sigma.check_columns(&db.schema())?;
         }
-        let plan = caz_planner::Job {
-            kind: req.kind,
-            query,
-            sigma: &self.sigma,
-            db: &self.db,
-            tuple,
-            tuple2,
-        };
-        Ok(Job { plan, series_len })
+        let plan = caz_planner::Job { kind: req.kind, query, sigma: &self.sigma, db, tuple, tuple2 };
+        Ok(Job { plan, series_len, canon: &self.instance.canon })
     }
 
     /// Evaluate through the planner: resolve the request, take the
@@ -538,14 +576,16 @@ fn check_arity(name: &str, query: QueryRef<'_>, tuple: Option<&Tuple>) -> Result
 
 /// One resolved evaluation: what [`Session::resolve`] makes of an
 /// [`EvalRequest`], and what the cache key, the planner,
-/// `plan`/`explain` and execution all read. It borrows the query, `Σ`
-/// and `D` from the session.
+/// `plan`/`explain` and execution all read. It borrows the query, `Σ`,
+/// `D` and `D`'s canonical-form memo from the session.
 #[derive(Clone, Debug)]
 pub(crate) struct Job<'s> {
     /// The planner's view: kind, query, `Σ`, `D` and answer tuples.
     pub(crate) plan: caz_planner::Job<'s>,
     /// For `series` jobs, the length `k` of `μ¹..μᵏ`.
     pub(crate) series_len: Option<usize>,
+    /// `D`'s canonical form for the latest answer tuple keyed.
+    canon: &'s CanonMemo,
 }
 
 impl Job<'_> {
@@ -563,7 +603,8 @@ impl Job<'_> {
     /// replicas keep it verbatim. The key carries the FNV-1a 128 digest
     /// of the canonical form alongside the text; the sharded cache
     /// routes on the digest's high bits, so renaming-equivalent requests
-    /// land in the same shard.
+    /// land in the same shard. Both come from the session's memo when
+    /// `D` and ā are those of its previous keyed request.
     pub(crate) fn cache_key(&self) -> Option<CacheKey> {
         let job = &self.plan;
         let kind_tag = match (job.kind, self.series_len) {
@@ -583,14 +624,10 @@ impl Job<'_> {
         }
         // Embed the answer tuple into the database so its nulls are
         // renamed consistently with the database's during minimization.
-        let mut ext = job.db.clone();
-        ext.insert(ANSWER_REL, job.tuple.clone().unwrap_or_else(Tuple::empty));
-        let canon = try_iso_canonical(&ext)?;
+        let empty = Tuple::empty();
+        let (canon, shard_hash) = self.canon.get(job.db, job.tuple.as_ref().unwrap_or(&empty))?;
         let sigma = if job.kind == EvalKind::Cond { job.sigma.to_string() } else { String::new() };
-        Some(CacheKey {
-            text: format!("{kind_tag}\u{1}{def}\u{1}{sigma}\u{1}{canon}"),
-            shard_hash: fnv1a_128(canon.as_bytes()),
-        })
+        Some(CacheKey { text: format!("{kind_tag}\u{1}{def}\u{1}{sigma}\u{1}{canon}"), shard_hash })
     }
 
     /// Execute the job and render its reply. `planned` takes the
@@ -802,7 +839,7 @@ mod tests {
         let mut s = Session::new();
         run(&mut s, "fact R(a, _x).");
         run(&mut s, "fact S(_x).");
-        assert_eq!(s.db.nulls().len(), 1, "_x must stay the same null");
+        assert_eq!(s.instance.db.nulls().len(), 1, "_x must stay the same null");
         run(&mut s, "query Meet := exists u. R('a', u) & S(u)");
         assert_eq!(run(&mut s, "mu Meet"), "μ(Q, D) = 1");
     }

@@ -44,6 +44,15 @@ if ! cargo test -q -p caz-idb --test differential; then
     exit 1
 fi
 
+# Property stage: caz-idb's text format, valuation spaces, canonical
+# forms under null renaming (the property every cache key rests on)
+# and union laws, on the in-repo PRNG.
+echo "==> idb properties (CAZ_TEST_SEED=${CAZ_TEST_SEED})"
+if ! cargo test -q -p caz-idb --test properties; then
+    echo "idb properties FAILED — reproduce with: CAZ_TEST_SEED=${CAZ_TEST_SEED} cargo test -p caz-idb --test properties" >&2
+    exit 1
+fi
+
 # Planner differential stage: every evaluation answered through the
 # complexity-aware planner must be byte-identical to the forced
 # enumeration answer, across 1,000+ seeded sessions (same
@@ -51,6 +60,16 @@ fi
 echo "==> planner differential suite (CAZ_TEST_SEED=${CAZ_TEST_SEED})"
 if ! cargo test -q -p caz-service --test planner_differential; then
     echo "planner differential FAILED — reproduce with: CAZ_TEST_SEED=${CAZ_TEST_SEED} cargo test -p caz-service --test planner_differential" >&2
+    exit 1
+fi
+
+# Memo differential stage: after every line of seeded scripts that
+# interleave fact/constraint/query/datalog/clear with mu/cond/series
+# requests, each key from the session's memoized canonical form must
+# equal the key of a fresh session replaying its setup lines.
+echo "==> canonical-form memo differential (CAZ_TEST_SEED=${CAZ_TEST_SEED})"
+if ! cargo test -q -p caz-service --test memo_differential; then
+    echo "memo differential FAILED — reproduce with: CAZ_TEST_SEED=${CAZ_TEST_SEED} cargo test -p caz-service --test memo_differential" >&2
     exit 1
 fi
 

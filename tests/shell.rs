@@ -45,3 +45,22 @@ fn piped_shell_reports_out_of_range_constraint_columns() {
         ]
     );
 }
+
+#[test]
+fn piped_shell_refuses_reserved_and_null_like_constants() {
+    let script = "fact R(_x, _x).\nquery T(u) := R(u, u)\nquery W := R('~a', b)\n\
+                  mu T (~a)\nmu T (?0)\nmu T (_x)\n";
+    let (status, lines) = shell(script);
+    assert!(status.success(), "caz exited with {status}: {lines:?}");
+    assert_eq!(
+        lines,
+        [
+            "1 fact(s) added",
+            "query T defined",
+            "error: parse error at 1:12: constant name \"~a\" uses the reserved prefix '~'",
+            "error: tuple (~a): parse error at 1:2: expected an identifier or number",
+            "error: tuple (?0): parse error at 1:2: expected an identifier or number",
+            "μ(Q, D) = 1",
+        ]
+    );
+}
