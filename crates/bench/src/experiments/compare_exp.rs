@@ -1,13 +1,13 @@
 //! Experiments E11–E15: comparing answers (Section 5).
 
-use crate::workloads::{best_example, ucq_workload};
+use crate::workloads::{best_example, ucq_uncertain_workload, ucq_workload};
 use caz_compare::{
     adom_candidates, best_answers, best_mu_answers, coloring_comparison_instance, dominated,
     sep, strictly_better, Graph, UcqComparator,
 };
 use caz_core::{almost_certainly_false, almost_certainly_true, certain_answers};
-use caz_idb::{cst, format_tuples, parse_database, Tuple};
-use caz_logic::parse_query;
+use caz_idb::{cst, format_tuples, parse_database, Database, Tuple};
+use caz_logic::{parse_query, Query};
 use std::fmt::Write;
 use std::time::{Duration, Instant};
 
@@ -60,38 +60,54 @@ pub fn e12_compare_ucq() -> String {
 
 /// Parameterized body of E12: `sizes` are order counts, and the generic
 /// engine only runs when the database has at most `generic_cutoff`
-/// nulls (its cost is exponential in that number).
+/// nulls (its cost is exponential in that number). Each size runs two
+/// families: [`ucq_workload`], whose compared tuples are both certain
+/// answers (`certain yes`), and [`ucq_uncertain_workload`], whose are
+/// not (`certain no`); in both, `Sep(ā, b̄)` is false, so the search
+/// tries every match.
 pub fn e12_compare_ucq_with(sizes: &[usize], generic_cutoff: usize) -> String {
     let mut out = String::new();
     writeln!(out, "E12 Theorem 8: UCQ comparisons, fast path vs generic engine").unwrap();
-    writeln!(out, "{:>7} {:>7} {:>14} {:>14} {:>8}", "orders", "nulls", "UCQ path", "generic", "agree").unwrap();
-    for &n in sizes {
-        let (db, q, a, b) = ucq_workload(n);
-        let cmp = UcqComparator::new(&q).expect("workload is a UCQ");
-        let t0 = Instant::now();
-        let fast = cmp.sep(&db, &a, &b);
-        let t_fast = t0.elapsed();
-        // The generic engine is exponential in nulls; skip it when it
-        // would dominate the report.
-        let (slow, t_slow) = if db.nulls().len() <= generic_cutoff {
-            let t1 = Instant::now();
-            let s = sep(&q, &db, &a, &b);
-            (Some(s), t1.elapsed())
-        } else {
-            (None, Duration::ZERO)
-        };
-        let agree = slow.map_or("-".to_string(), |s| (s == fast).to_string());
-        if let Some(s) = slow {
-            assert_eq!(s, fast, "Theorem 8 certificate disagrees at n={n}");
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    writeln!(out, "cores {cores}").unwrap();
+    writeln!(
+        out,
+        "{:>8} {:>7} {:>7} {:>14} {:>14} {:>8}",
+        "certain", "orders", "nulls", "UCQ path", "generic", "agree"
+    )
+    .unwrap();
+    type Workload = fn(usize) -> (Database, Query, Tuple, Tuple);
+    let families: [(&str, Workload); 2] =
+        [("yes", ucq_workload), ("no", ucq_uncertain_workload)];
+    for (certain, workload) in families {
+        for &n in sizes {
+            let (db, q, a, b) = workload(n);
+            let cmp = UcqComparator::new(&q).expect("workload is a UCQ");
+            let t0 = Instant::now();
+            let fast = cmp.sep(&db, &a, &b);
+            let t_fast = t0.elapsed();
+            // The generic engine is exponential in nulls; skip it when it
+            // would dominate the report.
+            let (slow, t_slow) = if db.nulls().len() <= generic_cutoff {
+                let t1 = Instant::now();
+                let s = sep(&q, &db, &a, &b);
+                (Some(s), t1.elapsed())
+            } else {
+                (None, Duration::ZERO)
+            };
+            let agree = slow.map_or("-".to_string(), |s| (s == fast).to_string());
+            if let Some(s) = slow {
+                assert_eq!(s, fast, "Theorem 8 certificate disagrees at n={n}");
+            }
+            writeln!(
+                out,
+                "{certain:>8} {n:>7} {:>7} {:>14?} {:>14} {agree:>8}",
+                db.nulls().len(),
+                t_fast,
+                slow.map_or("skipped".to_string(), |_| format!("{t_slow:?}")),
+            )
+            .unwrap();
         }
-        writeln!(
-            out,
-            "{n:>7} {:>7} {:>14?} {:>14} {agree:>8}",
-            db.nulls().len(),
-            t_fast,
-            slow.map_or("skipped".to_string(), |_| format!("{t_slow:?}")),
-        )
-        .unwrap();
     }
     writeln!(out, "who wins: the certificate algorithm — polynomial in |D| for fixed Q.").unwrap();
     out

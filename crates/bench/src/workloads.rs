@@ -143,6 +143,21 @@ pub fn ucq_workload(n: usize) -> (Database, Query, Tuple, Tuple) {
     )
 }
 
+/// [`ucq_workload`]'s query and tuples over a family where neither
+/// tuple is a certain answer: one featured item `k` and `n` unknown
+/// items, each ordered once by alice and once by bob. alice is hot under
+/// exactly the valuations that make bob hot, so `Sep` is false in both
+/// directions and the certificate search tries every match.
+pub fn ucq_uncertain_workload(n: usize) -> (Database, Query, Tuple, Tuple) {
+    let mut src = String::from("Featured(k).");
+    for i in 0..n {
+        src.push_str(&format!(" Orders(o{i}, alice, _i{i}). Orders(p{i}, bob, _i{i})."));
+    }
+    let db = parse_database(&src).unwrap().db;
+    let q = parse_query("Hot(who) := exists o, it. Orders(o, who, it) & Featured(it)").unwrap();
+    (db, q, Tuple::new(vec![cst("alice")]), Tuple::new(vec![cst("bob")]))
+}
+
 /// A family of databases with `m` nulls for measuring the polynomial
 /// engine's cost in the number of nulls (the #P wall of Prop 5/6).
 pub fn null_scaling_db(m: usize) -> Database {
@@ -191,6 +206,8 @@ mod tests {
         assert!(db.len() > 6);
         assert_eq!(a.arity(), 1);
         assert_eq!(b.arity(), 1);
+        let (db, ..) = ucq_uncertain_workload(4);
+        assert_eq!((db.len(), db.nulls().len()), (9, 4));
     }
 
     #[test]

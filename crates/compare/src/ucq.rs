@@ -2,37 +2,58 @@
 //! (Theorem 8).
 //!
 //! Naïve evaluation does not help with `⊴` even for UCQs (the §5.1
-//! example). Instead, Theorem 8 gives a small-certificate criterion:
-//! `Sep(Q, D, ā, b̄)` holds iff there are
+//! example). But `Sep(Q, D, ā, b̄)` — some valuation `v` with
+//! `v(ā) ∈ Q(v(D))` and `v(b̄) ∉ Q(v(D))` — has small certificates: a
+//! match of one disjunct into `D` pins a separating valuation down to
+//! the one its most general unifier determines.
 //!
-//! * a sub-instance `D′ ⊆ D` with at most `p + k` tuples whose active
-//!   domain contains every *null* of `ā` (`p` = max atoms per
-//!   disjunct, `k` = arity) — nulls need witness facts so the
-//!   valuation is defined on them, while constants of `ā` are already
-//!   in the witness pool and need none (a null of `D′` may valuate to
-//!   a constant of `ā` that appears nowhere in `D`), and
-//! * a valuation `v′` on the nulls of `D′` with range in
-//!   `A = Const(D) ∪ C ∪ A_m`,
+//! **The search.** For each disjunct `φ` of the normal form
+//! ([`Ucq::from_query`]), assign each atom of `φ` to a fact of `D` with
+//! the same relation, and unify in one union-find over `φ`'s variables
+//! and `Null(D)`: each atom argument with its fact's value, each head
+//! variable with the matching component of `ā`, and `φ`'s equalities.
+//! A class carries at most one constant; a clash discards the
+//! assignment. Answers are drawn from the active domain (§2), so a
+//! constant `c` of `ā` outside `Const(D)` must be some null's value:
+//! unless a null's class already holds `c`, the search branches over
+//! binding one null of `D` to it (anchoring). The unifier then
+//! determines one total valuation `w`: a null takes its class's
+//! constant, and each class without one takes its own fresh constant
+//! from [`Valuation::naive`]'s family, outside
+//! `Const(D) ∪ C ∪ consts(ā, b̄)`. The match is a certificate iff
+//! `w(ā) ∈ Q(w(D))` and `w(b̄) ∉ Q(w(D))`, both decided on the original
+//! query. The matched facts plus one fact per anchored null are at most
+//! `p + k` facts (`p` = max atoms per disjunct, `k` = arity): Theorem
+//! 8's certificate bound.
 //!
-//! such that `v′(ā) ∈ Q(v′(D′))` and `v′(b̄) ∉ Q^naïve(v′(D))` — note
-//! `v′(D)` may still contain nulls, whence the naïve evaluation. For a
-//! fixed query this is polynomial in the size of `D`.
+//! **Why this is exact.** Soundness: `w` is a total valuation. For
+//! completeness, let `v` separate, and take a witness of
+//! `v(ā) ∈ Q(v(D))`: a disjunct, an assignment `h` of its variables,
+//! for each atom a fact `f` with `v(f) = h(atom)`, and for each
+//! constant of `ā` outside `Const(D)` a null that `v` maps to it. `h`
+//! and `v` satisfy every equation the search puts in for that
+//! assignment and its anchors, so nothing clashes and every class has
+//! one value under them. Hence `v = g ∘ w` on `Null(D)` for the map `g`
+//! that fixes every named constant and sends each class's fresh
+//! constant to that value. The same match, with the anchors, puts
+//! `w(ā)` into `Q(w(D))`. UCQs are preserved under maps that fix `C`,
+//! so `w(b̄) ∈ Q(w(D))` would give `v(b̄) ∈ Q(v(D))`: `w` separates.
 //!
-//! Two things keep the search cheap. The naïve test needs no valuation
-//! of its own: one bijection of `Null(D)` onto constants outside `A`,
-//! overridden by `v′`, is a total valuation `w` with
-//! `w(b̄) ∉ Q(w(D))` iff `v′(b̄) ∉ Q^naïve(v′(D))`. And the fresh tail
-//! `A_m` is enumerated in first-use order, since any permutation of
-//! `A_m` that fixes the named constants maps certificates to
-//! certificates.
+//! **Cost.** For a fixed query, `Σ_φ |D|^|φ| · |Null(D)|^(anchored
+//! positions)` unifications, each followed by one `apply_db` and at
+//! most two evaluations; no valuation is enumerated.
 
 use caz_idb::{Cst, Database, NullId, Tuple, Valuation, Value};
-use caz_logic::{tuple_in_answer, Query, Ucq};
+use caz_logic::{CqDisjunct, Evaluator, Query, Term, Ucq};
 use std::collections::BTreeSet;
 
 /// A UCQ packaged for PTIME comparisons.
 pub struct UcqComparator {
     query: Query,
+    /// `C`: the query's constants.
+    consts: BTreeSet<Cst>,
+    /// The normal form's disjuncts.
+    disjuncts: Vec<CqDisjunct>,
     /// `p + k`: the certificate size bound.
     bound: usize,
 }
@@ -44,7 +65,9 @@ impl UcqComparator {
         let ucq = Ucq::from_query(q)?;
         Some(UcqComparator {
             query: q.clone(),
+            consts: q.generic_consts(),
             bound: ucq.max_atoms() + q.arity(),
+            disjuncts: ucq.disjuncts,
         })
     }
 
@@ -53,56 +76,30 @@ impl UcqComparator {
         self.bound
     }
 
-    /// `Sep(Q, D, ā, b̄)` via the small-certificate criterion.
+    /// `Sep(Q, D, ā, b̄)`, searched over each disjunct's matches into
+    /// `D` (see the module documentation).
     pub fn sep(&self, db: &Database, a: &Tuple, b: &Tuple) -> bool {
-        // The named part of the witness pool A = Const(D) ∪ C ∪ A_m,
-        // with the tuples' constants added.
-        let mut named: BTreeSet<Cst> = db.consts();
-        named.extend(self.query.generic_consts());
-        for t in [a, b] {
-            named.extend(t.consts());
-        }
-        // A_m: one fresh constant per null of D, outside the named part.
-        let tail = Valuation::naive(db, &named).range();
-        // One bijection of Null(D) onto constants outside the whole
-        // pool. Overridden by a candidate v′ it is a total valuation w,
-        // and w(D) is v′(D) under a C-bijective valuation, so
-        // w(b̄) ∉ Q(w(D)) iff v′(b̄) ∉ Q^naïve(v′(D)) (Proposition 1).
-        let naive = Valuation::naive(db, &named.union(&tail).copied().collect());
-
-        // All tuples of D as (relation, tuple) facts.
-        let facts: Vec<(String, Tuple)> = db
-            .relations()
-            .flat_map(|r| {
-                let name = r.name().resolve();
-                r.iter().map(move |t| (name.clone(), t.clone()))
-            })
-            .collect();
-
-        // Only the nulls of ā need covering facts: v′ is defined on
-        // nulls(D′), so every null of ā must be one of them. Requiring
-        // coverage of ā's *constants* too would wrongly reject
-        // witnesses where a null of D′ valuates to a constant of ā
-        // that never appears in D.
-        let needed: BTreeSet<Value> = a
-            .values()
-            .iter()
-            .copied()
-            .filter(|v| matches!(v, Value::Null(_)))
-            .collect();
-        let search = Search {
-            query: &self.query,
-            bound: self.bound,
-            db,
-            a,
-            b,
-            facts,
-            needed,
-            named: named.into_iter().collect(),
-            tail: tail.into_iter().collect(),
-            naive,
+        let mut named = db.consts();
+        // The constants of ā that only a null can put into adom.
+        let anchors: Vec<Cst> = a.consts().into_iter().filter(|c| !named.contains(c)).collect();
+        named.extend(&self.consts);
+        named.extend(a.consts());
+        named.extend(b.consts());
+        // One fresh constant per null of D, outside every named one.
+        let (nulls, fresh): (Vec<NullId>, Vec<Cst>) = Valuation::naive(db, &named).iter().unzip();
+        let search = Unification { cmp: self, db, a, b, nulls, fresh, anchors };
+        // A null of ā outside D is never valued: ā is in no support.
+        let Some(head) = a.values().iter().map(|&v| search.side(v)).collect::<Option<Vec<_>>>()
+        else {
+            return false;
         };
-        search.subsets(0, &mut Vec::new())
+        let m = search.nulls.len();
+        self.disjuncts.iter().any(|d| {
+            let mut u = Unifier::new(m + self.query.arity() + d.exist_vars.len());
+            let head = (m..).map(Side::Node).zip(head.iter().copied());
+            let eqs = d.eqs.iter().map(|&(x, y)| (search.term(d, x), search.term(d, y)));
+            head.chain(eqs).all(|(x, y)| u.unify(x, y)) && search.atoms(d, 0, &u)
+        })
     }
 
     /// `ā ⊴ b̄` in polynomial time.
@@ -132,110 +129,147 @@ impl UcqComparator {
     }
 }
 
-/// One `Sep(Q, D, ā, b̄)` search: the inputs and what every candidate
-/// certificate shares.
-struct Search<'a> {
-    query: &'a Query,
-    bound: usize,
+/// A node of the union-find or a constant.
+#[derive(Clone, Copy)]
+enum Side {
+    Node(usize),
+    Const(Cst),
+}
+
+/// A union-find whose classes carry at most one constant each.
+#[derive(Clone)]
+struct Unifier {
+    parent: Vec<usize>,
+    /// Each class's constant, kept at its root.
+    value: Vec<Option<Cst>>,
+}
+
+impl Unifier {
+    fn new(nodes: usize) -> Unifier {
+        Unifier { parent: (0..nodes).collect(), value: vec![None; nodes] }
+    }
+
+    fn find(&self, mut i: usize) -> usize {
+        while self.parent[i] != i {
+            i = self.parent[i];
+        }
+        i
+    }
+
+    /// Equate two sides; `false` on a constant clash.
+    fn unify(&mut self, x: Side, y: Side) -> bool {
+        match (x, y) {
+            (Side::Const(c), Side::Const(d)) => c == d,
+            (Side::Node(i), Side::Const(c)) | (Side::Const(c), Side::Node(i)) => {
+                let r = self.find(i);
+                *self.value[r].get_or_insert(c) == c
+            }
+            (Side::Node(i), Side::Node(j)) => {
+                let (r, s) = (self.find(i), self.find(j));
+                match (self.value[r], self.value[s]) {
+                    _ if r == s => true,
+                    (Some(c), Some(d)) if c != d => false,
+                    (c, d) => {
+                        self.parent[r] = s;
+                        self.value[s] = d.or(c);
+                        true
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One `Sep(Q, D, ā, b̄)` decision. The union-find's nodes are the
+/// nulls of `D`, then the head variables in head order, then the
+/// current disjunct's existential variables.
+struct Unification<'a> {
+    cmp: &'a UcqComparator,
     db: &'a Database,
     a: &'a Tuple,
     b: &'a Tuple,
-    facts: Vec<(String, Tuple)>,
-    /// The nulls of ā, which `D′` must cover.
-    needed: BTreeSet<Value>,
-    /// `Const(D) ∪ C` and the tuples' constants.
-    named: Vec<Cst>,
-    /// `A_m`, tried in first-use order.
-    tail: Vec<Cst>,
-    /// A bijection of `Null(D)` onto constants outside the pool.
-    naive: Valuation,
+    /// `Null(D)`, sorted.
+    nulls: Vec<NullId>,
+    /// One fresh constant per null: a class without a constant takes
+    /// the one of its first null.
+    fresh: Vec<Cst>,
+    /// The constants of ā outside `Const(D)`.
+    anchors: Vec<Cst>,
 }
 
-impl Search<'_> {
-    /// Enumerate sub-instances of at most `bound` facts (with pruning on
-    /// the ā-coverage requirement) and test the certificate.
-    fn subsets(&self, start: usize, chosen: &mut Vec<usize>) -> bool {
-        // Test the current sub-instance (including the empty one when ā
-        // needs no coverage, e.g. Boolean queries).
-        if self.certificate(chosen) {
-            return true;
+impl Unification<'_> {
+    /// A database value as a side; `None` for a null outside `D`.
+    fn side(&self, v: Value) -> Option<Side> {
+        match v {
+            Value::Const(c) => Some(Side::Const(c)),
+            Value::Null(n) => self.nulls.binary_search(&n).ok().map(Side::Node),
         }
-        if chosen.len() == self.bound {
-            return false;
-        }
-        for i in start..self.facts.len() {
-            chosen.push(i);
-            if self.subsets(i + 1, chosen) {
-                chosen.pop();
-                return true;
+    }
+
+    fn term(&self, d: &CqDisjunct, t: Term) -> Side {
+        match t {
+            Term::Const(c) => Side::Const(c),
+            Term::Var(v) => {
+                let mut vars = self.cmp.query.head.iter().chain(&d.exist_vars);
+                let i = vars.position(|&u| u == v).expect("the normal form binds every variable");
+                Side::Node(self.nulls.len() + i)
             }
-            chosen.pop();
         }
-        false
     }
 
-    fn certificate(&self, chosen: &[usize]) -> bool {
-        // D′ must cover the components of ā.
-        let mut sub = Database::new();
-        // Keep the schema so evaluation sees the right relations.
-        for r in self.db.relations() {
-            sub.relation_mut(&r.name().resolve(), r.arity());
-        }
-        let mut adom: BTreeSet<Value> = BTreeSet::new();
-        for &i in chosen {
-            let (name, t) = &self.facts[i];
-            adom.extend(t.values().iter().copied());
-            sub.insert(name, t.clone());
-        }
-        if !self.needed.iter().all(|v| adom.contains(v)) {
-            return false;
-        }
-        // Valuations v′ on the nulls of D′ with range in the pool.
-        let nulls: Vec<NullId> = sub.nulls().into_iter().collect();
-        self.valuations(&sub, &nulls, 0, &mut Valuation::new())
-    }
-
-    /// Extend `v` to `nulls` in every way over `Const(D) ∪ C ∪ A_m`,
-    /// the fresh tail in first-use order: `A_m[j]` is tried only once
-    /// `A_m[j−1]` is used (`used` counts the tail's prefix in use).
-    /// Certificates are closed under permutations of `A_m` that fix
-    /// every named constant, so this loses none.
-    fn valuations(&self, sub: &Database, nulls: &[NullId], used: usize, v: &mut Valuation) -> bool {
-        let Some((&n, rest)) = nulls.split_first() else {
-            return self.separates(sub, v);
+    /// Assign atoms `i..` of `d` to facts of `D`, unifying as they go.
+    fn atoms(&self, d: &CqDisjunct, i: usize, u: &Unifier) -> bool {
+        let Some(atom) = d.atoms.get(i) else {
+            return self.anchor(0, u);
         };
-        for &c in &self.named {
-            v.bind(n, c);
-            if self.valuations(sub, rest, used, v) {
-                return true;
-            }
-        }
-        for (j, &c) in self.tail.iter().enumerate().take(used + 1) {
-            v.bind(n, c);
-            if self.valuations(sub, rest, used.max(j + 1), v) {
+        let Some(facts) = self.db.relation_sym(atom.rel) else {
+            return false;
+        };
+        for t in facts.iter() {
+            let mut next = u.clone();
+            let matched = atom.args.iter().zip(t.values()).all(|(&x, &v)| {
+                let y = self.side(v).expect("a value of D");
+                next.unify(self.term(d, x), y)
+            });
+            if matched && self.atoms(d, i + 1, &next) {
                 return true;
             }
         }
         false
     }
 
-    /// Is `v′` a certificate: `v′(ā) ∈ Q(v′(D′))` and
-    /// `v′(b̄) ∉ Q^naïve(v′(D))`?
-    fn separates(&self, sub: &Database, v: &Valuation) -> bool {
-        let va = v.apply_tuple(self.a);
-        if !va.is_complete() {
-            return false; // ā has nulls outside D′ — not covered
+    /// Put the anchors `j..` into the active domain: each one some
+    /// null's class already holds, or else bound to one null of `D`.
+    fn anchor(&self, j: usize, u: &Unifier) -> bool {
+        let Some(&c) = self.anchors.get(j) else {
+            return self.separates(u);
+        };
+        if (0..self.nulls.len()).any(|n| u.value[u.find(n)] == Some(c)) {
+            return self.anchor(j + 1, u);
         }
-        if !tuple_in_answer(self.query, &v.apply_db(sub), &va) {
-            return false;
-        }
-        let mut w = self.naive.clone();
-        for (n, c) in v.iter() {
-            w.bind(n, c);
-        }
+        (0..self.nulls.len()).any(|n| {
+            let mut next = u.clone();
+            next.unify(Side::Node(n), Side::Const(c)) && self.anchor(j + 1, &next)
+        })
+    }
+
+    /// Is the unifier's valuation `w` a certificate: `w(ā) ∈ Q(w(D))`
+    /// and `w(b̄) ∉ Q(w(D))`?
+    fn separates(&self, u: &Unifier) -> bool {
+        let mut class_fresh = vec![None; u.parent.len()];
+        let values: Vec<Cst> = (0..self.nulls.len())
+            .map(|n| {
+                let r = u.find(n);
+                u.value[r].unwrap_or_else(|| *class_fresh[r].get_or_insert(self.fresh[n]))
+            })
+            .collect();
+        let w = Valuation::from_pairs(self.nulls.iter().copied().zip(values));
+        let wd = w.apply_db(self.db);
+        let eval = Evaluator::new(&wd, &self.cmp.consts);
+        let q = &self.cmp.query;
         // A null of b̄ outside D stays a null and is never an answer.
         let wb = w.apply_tuple(self.b);
-        !wb.is_complete() || !tuple_in_answer(self.query, &w.apply_db(self.db), &wb)
+        (!wb.is_complete() || !eval.satisfies(q, &wb)) && eval.satisfies(q, &w.apply_tuple(self.a))
     }
 }
 
@@ -298,12 +332,12 @@ mod tests {
 
     #[test]
     fn separation_with_out_of_domain_constants() {
-        // Caught by the planner differential suite: ā = (d, ⊥w) where
-        // the constant d appears nowhere in D. Sep((d,⊥w), (a,⊥z))
-        // holds via ⊥y↦d, ⊥w↦c, ⊥z↦b — the witness needs a null of D′
-        // to valuate *to* d — but the old coverage check demanded d in
-        // adom(D′), rejected every sub-instance, and wrongly reported
-        // domination.
+        // Caught by the planner differential suite: Sep((d, ⊥w), (a, ⊥z))
+        // with a constant d that appears nowhere in D. Matching R(u, v)
+        // to R(⊥y, c) binds ⊥y ↦ d and ⊥w ↦ c, which puts (d, c) into
+        // the answer and leaves (a, w(⊥z)) out — a null of D must
+        // valuate *to* d. An earlier search demanded d in the
+        // certificate's active domain and wrongly reported domination.
         let p = parse_database("R(_y, c). R(_w, _z). R(a, a). S(b). S(_y).").unwrap();
         let q = parse_query("Q(u, v) := R(u, v)").unwrap();
         let cmp = UcqComparator::new(&q).unwrap();
@@ -316,14 +350,32 @@ mod tests {
                 "Sep({x}, {y})"
             );
         }
-        assert!(cmp.sep(&p.db, &b, &a), "⊥y↦d puts (d, c) into v(D′)");
+        assert!(cmp.sep(&p.db, &b, &a), "⊥y↦d puts (d, c) into w(D)");
         assert!(!cmp.dominated(&p.db, &b, &a), "the tuples are incomparable");
+    }
+
+    #[test]
+    fn answers_outside_the_domain_need_an_anchored_null() {
+        // Q(u) := ∃v R(v) answers every constant of v(D), and nothing
+        // else: ⊥x ↦ d puts d, and not e, into the answer. No match
+        // mentions d, so only binding ⊥x to it finds the certificate;
+        // without that step the two tuples look support-equivalent.
+        let p = parse_database("R(_x).").unwrap();
+        let q = parse_query("Q(u) := exists v. R(v)").unwrap();
+        let cmp = UcqComparator::new(&q).unwrap();
+        let (d, e) = (Tuple::new(vec![cst("d")]), Tuple::new(vec![cst("e")]));
+        for (x, y) in [(&d, &e), (&e, &d)] {
+            assert!(cmp.sep(&p.db, x, y), "Sep({x}, {y})");
+            assert!(brute_sep(&q, &p.db, x, y), "Sep({x}, {y})");
+        }
+        assert!(!cmp.dominated(&p.db, &d, &e) && !cmp.dominated(&p.db, &e, &d));
     }
 
     #[test]
     fn certificate_needing_two_fresh_constants() {
         // No named constant at all: Sep((⊥x, ⊥y), (⊥y, ⊥x)) needs
-        // ⊥x ≠ ⊥y, so the only certificates take A_m[0] and A_m[1].
+        // ⊥x ≠ ⊥y, so the certificate's valuation gives each null's
+        // class its own fresh constant.
         let p = parse_database("R(_x, _y).").unwrap();
         let q = parse_query("Q(u, v) := R(u, v)").unwrap();
         let cmp = UcqComparator::new(&q).unwrap();

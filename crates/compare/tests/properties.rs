@@ -6,15 +6,15 @@
 //! seed and case): each property draws its own stream of databases over
 //! `R/2`, `S/1` and random queries. The UCQ oracle also draws databases
 //! with 3–4 nulls and few or no constants, with binary UCQs, so
-//! certificates need several fresh constants and the search's
-//! first-use pruning is exercised.
+//! certificates need several fresh constants, and answer tuples outside
+//! the active domain, so certificates need anchored nulls.
 //! Reproduce with `CAZ_TEST_SEED=<seed> cargo test -p caz-compare --test properties`.
 
 use caz_compare::{
     adom_candidates, best_among, dominated, sep, strictly_better, support_table, Graph,
     UcqComparator,
 };
-use caz_idb::{random_database, Database, DbGenConfig, Schema};
+use caz_idb::{random_database, Cst, Database, DbGenConfig, NullId, Schema, Tuple, Value};
 use caz_logic::{random_query, random_ucq, Query, QueryGenConfig};
 use caz_testutil::rngs::StdRng;
 use caz_testutil::{RngExt, SeedableRng};
@@ -107,8 +107,8 @@ fn ucq_engine_agrees() {
 /// The same oracle on null-heavy draws: 3–4 nulls, few or no
 /// constants and binary UCQs, compared on random candidate pairs.
 /// Separating tuples such as `(⊥x, ⊥y)` from `(⊥y, ⊥x)` needs nulls
-/// valued apart, and with no named constant to spare, certificates
-/// reach past the first fresh constant of `A_m`.
+/// valued apart, and with no named constant to spare, the certificate's
+/// valuation gives several classes fresh constants of their own.
 #[test]
 fn ucq_engine_agrees_with_many_nulls() {
     let (seed, mut rng) = (seed(), stream(5));
@@ -127,6 +127,65 @@ fn ucq_engine_agrees_with_many_nulls() {
         let pick = |rng: &mut StdRng| all[rng.random_range(0..all.len())].clone();
         for _ in 0..4 {
             let (a, b) = (pick(&mut rng), pick(&mut rng));
+            for (x, y) in [(&a, &b), (&b, &a)] {
+                assert_eq!(
+                    cmp.sep(&db, x, y),
+                    sep(&q, &db, x, y),
+                    "CAZ_TEST_SEED={seed} case {case}: Sep({x}, {y}) of {q} over {db}"
+                );
+            }
+        }
+    }
+}
+
+/// The oracle where answers leave the active domain: Boolean, unary
+/// and binary UCQs with query constants (one of them outside every
+/// database) and equalities, over 1–3 nulls, compared on tuples that
+/// may hold a query constant, a constant outside `Const(D)` or a null
+/// outside `D`. A constant of ā outside `Const(D)` is an answer only
+/// under a valuation that sends some null to it, so the certificate
+/// search must anchor a null there. 128 cases of 8 pairs, each in both
+/// directions: 2,048 ordered pairs per seed.
+#[test]
+fn ucq_engine_agrees_outside_the_active_domain() {
+    let (seed, mut rng) = (seed(), stream(6));
+    let (outside, stranger) = (Cst::new("k0"), NullId::fresh());
+    for case in 0..128 {
+        let cfg = DbGenConfig {
+            relations: vec![("R".into(), 2), ("S".into(), 1)],
+            tuples_per_relation: rng.random_range(1..=3usize),
+            num_constants: rng.random_range(1..=2usize),
+            num_nulls: rng.random_range(1..=3usize),
+            null_prob: 0.5,
+        };
+        let db = random_database(&mut rng, &cfg);
+        let qcfg = QueryGenConfig {
+            schema: Schema::from_pairs([("R", 2), ("S", 1)]),
+            arity: rng.random_range(0..=2usize),
+            max_depth: 2,
+            allow_negation: false,
+            allow_forall: false,
+            constants: vec![Cst::new("d0"), outside],
+        };
+        let q = random_ucq(&mut rng, &qcfg);
+        let cmp = UcqComparator::new(&q).expect("UCQ generator");
+        let pool: Vec<Value> = db.adom().into_iter().collect();
+        let extra = [Value::Const(outside), Value::Const(Cst::new("e0")), Value::Null(stranger)];
+        let draw = |rng: &mut StdRng| {
+            Tuple::new(
+                (0..q.arity())
+                    .map(|_| {
+                        if rng.random_bool(0.3) {
+                            extra[rng.random_range(0..extra.len())]
+                        } else {
+                            pool[rng.random_range(0..pool.len())]
+                        }
+                    })
+                    .collect(),
+            )
+        };
+        for _ in 0..8 {
+            let (a, b) = (draw(&mut rng), draw(&mut rng));
             for (x, y) in [(&a, &b), (&b, &a)] {
                 assert_eq!(
                     cmp.sep(&db, x, y),

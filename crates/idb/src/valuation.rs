@@ -8,10 +8,11 @@ use std::fmt;
 
 /// A (possibly partial) valuation `v : Null → Const`.
 ///
-/// The paper's valuations are total on `Null(D)`; partial valuations are
-/// used by the UCQ comparison algorithm (Theorem 8), where `v′` is defined
-/// only on the nulls of a sub-instance `D′ ⊆ D` and `v′(D)` may therefore
-/// still contain nulls.
+/// The paper's valuations are total on `Null(D)`. A partial valuation
+/// leaves its unbound nulls in place: [`Valuation::apply_db`] then
+/// yields an instance that may still hold nulls, and
+/// [`Valuation::apply_tuple`] a tuple that may (an answer tuple naming a
+/// null outside `D`, say).
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct Valuation {
     map: BTreeMap<NullId, Cst>,

@@ -1,0 +1,193 @@
+//! Property tests for the query substrate: genericity, the UCQ normal
+//! form, naïve evaluation, three-valued evaluation and the join fast
+//! path.
+//!
+//! Seeded (`CAZ_TEST_SEED`, default 3707; every assertion names the
+//! seed and case): each property draws its own stream of random
+//! databases over `R/2` and `S/1` and random queries. Theorem 8's
+//! certificate search in caz-compare rests on two of them: it unifies
+//! against the disjuncts of [`Ucq::from_query`], and it decides each
+//! candidate with the join evaluator.
+//! Reproduce with `CAZ_TEST_SEED=<seed> cargo test -p caz-logic --test properties`.
+
+use caz_idb::{random_complete_database, random_database, Cst, DbGenConfig, NullId, Schema, Value};
+use caz_logic::three_valued::{eval3_bool, NullMode, Truth};
+use caz_logic::{
+    eval_bool, eval_query, naive_eval, naive_eval_bool, random_query, random_ucq, Evaluator,
+    QueryGenConfig, Ucq,
+};
+use caz_testutil::rngs::StdRng;
+use caz_testutil::{RngExt, SeedableRng};
+use std::collections::{BTreeMap, BTreeSet};
+
+const CASES: usize = 32;
+
+fn seed() -> u64 {
+    std::env::var("CAZ_TEST_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(3707)
+}
+
+/// The stream for one property: the suite seed mixed with a salt, so
+/// properties draw independent cases.
+fn stream(salt: u64) -> StdRng {
+    StdRng::seed_from_u64(seed() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+fn db_cfg(nulls: usize) -> DbGenConfig {
+    DbGenConfig {
+        relations: vec![("R".into(), 2), ("S".into(), 1)],
+        tuples_per_relation: 4,
+        num_constants: 3,
+        num_nulls: nulls,
+        null_prob: 0.4,
+    }
+}
+
+fn q_cfg(arity: usize) -> QueryGenConfig {
+    QueryGenConfig {
+        schema: Schema::from_pairs([("R", 2), ("S", 1)]),
+        arity,
+        max_depth: 2,
+        allow_negation: true,
+        allow_forall: true,
+        constants: vec![Cst::new("d0")],
+    }
+}
+
+/// Definition 1 (genericity): evaluation commutes with permutations of
+/// `Const` fixing the query constants.
+#[test]
+fn evaluation_is_generic() {
+    let (seed, mut rng) = (seed(), stream(1));
+    // Swap d1 ↔ d2; the query may only mention d0.
+    let (d1, d2) = (Cst::new("d1"), Cst::new("d2"));
+    let pi = |v: Value| match v {
+        Value::Const(c) if c == d1 => Value::Const(d2),
+        Value::Const(c) if c == d2 => Value::Const(d1),
+        other => other,
+    };
+    for case in 0..CASES {
+        let db = random_complete_database(&mut rng, &db_cfg(0));
+        let q = random_query(&mut rng, &q_cfg(1));
+        let lhs = eval_query(&q, &db.map(pi));
+        let rhs: BTreeSet<_> = eval_query(&q, &db).into_iter().map(|t| t.map(pi)).collect();
+        assert_eq!(lhs, rhs, "CAZ_TEST_SEED={seed} case {case}: {q} over {db}");
+    }
+}
+
+/// UCQ normalization preserves semantics on complete databases, for
+/// Boolean, unary and binary queries.
+#[test]
+fn ucq_normal_form_preserves_semantics() {
+    let (seed, mut rng) = (seed(), stream(2));
+    for case in 0..CASES {
+        let db = random_complete_database(&mut rng, &db_cfg(0));
+        let arity = rng.random_range(0..=2usize);
+        let q = random_ucq(&mut rng, &q_cfg(arity));
+        let round = Ucq::from_query(&q).expect("generator yields UCQs").to_query();
+        assert_eq!(
+            eval_query(&q, &db),
+            eval_query(&round, &db),
+            "CAZ_TEST_SEED={seed} case {case}: {q} vs its normal form {round} over {db}"
+        );
+    }
+}
+
+/// Naïve evaluation is deterministic across calls and commutes with
+/// renaming the nulls.
+#[test]
+fn naive_eval_stable_under_null_renaming() {
+    let (seed, mut rng) = (seed(), stream(3));
+    for case in 0..CASES {
+        let db = random_database(&mut rng, &db_cfg(3));
+        let q = random_query(&mut rng, &q_cfg(0));
+        let fresh: BTreeMap<_, _> = db.nulls().into_iter().map(|n| (n, NullId::fresh())).collect();
+        let renamed = db.map(|v| match v {
+            Value::Null(n) => Value::Null(fresh[&n]),
+            c => c,
+        });
+        assert_eq!(
+            naive_eval_bool(&q, &db),
+            naive_eval_bool(&q, &renamed),
+            "CAZ_TEST_SEED={seed} case {case}: {q} over {db}"
+        );
+    }
+}
+
+/// On complete databases, naïve evaluation is evaluation, and
+/// three-valued evaluation is two-valued and classical.
+#[test]
+fn complete_db_collapses_all_semantics() {
+    let (seed, mut rng) = (seed(), stream(4));
+    for case in 0..CASES {
+        let db = random_complete_database(&mut rng, &db_cfg(0));
+        let q = random_query(&mut rng, &q_cfg(0));
+        let at = format!("CAZ_TEST_SEED={seed} case {case}: {q} over {db}");
+        let classical = eval_bool(&q, &db);
+        assert_eq!(naive_eval_bool(&q, &db), classical, "{at}");
+        for mode in [NullMode::Sql, NullMode::Marked] {
+            let tv = eval3_bool(&q, &db, mode);
+            assert_ne!(tv, Truth::Unknown, "{at}: {mode:?} gave unknown");
+            assert_eq!(tv == Truth::True, classical, "{at}: {mode:?}");
+        }
+        let unary = random_query(&mut rng, &q_cfg(1));
+        assert_eq!(
+            naive_eval(&unary, &db),
+            eval_query(&unary, &db),
+            "CAZ_TEST_SEED={seed} case {case}: {unary} over {db}"
+        );
+    }
+}
+
+/// Marked mode knows strictly more equalities than SQL mode, so on
+/// negation-free queries it can only raise the three-valued truth.
+#[test]
+fn marked_mode_refines_sql_mode() {
+    let (seed, mut rng) = (seed(), stream(5));
+    let cfg = QueryGenConfig { allow_negation: false, allow_forall: false, ..q_cfg(0) };
+    for case in 0..CASES {
+        let db = random_database(&mut rng, &db_cfg(2));
+        let q = random_query(&mut rng, &cfg);
+        let sql = eval3_bool(&q, &db, NullMode::Sql);
+        let marked = eval3_bool(&q, &db, NullMode::Marked);
+        assert!(
+            marked >= sql,
+            "CAZ_TEST_SEED={seed} case {case}: {q} over {db}: marked {marked:?} < sql {sql:?}"
+        );
+    }
+}
+
+/// The constant `p` of Theorem 8's certificate bound `p + k` bounds
+/// every disjunct's atoms.
+#[test]
+fn ucq_atom_bound() {
+    let (seed, mut rng) = (seed(), stream(6));
+    for case in 0..CASES {
+        let q = random_ucq(&mut rng, &q_cfg(1));
+        let ucq = Ucq::from_query(&q).expect("generator yields UCQs");
+        let p = ucq.max_atoms();
+        assert!(
+            ucq.disjuncts.iter().all(|d| d.atoms.len() <= p),
+            "CAZ_TEST_SEED={seed} case {case}: {q}"
+        );
+    }
+}
+
+/// The join fast path and plain domain iteration agree on arbitrary
+/// queries and databases (the fast path only engages on conjunctive
+/// existential subformulas, so mixed formulas exercise both).
+#[test]
+fn join_fast_path_is_semantics_preserving() {
+    let (seed, mut rng) = (seed(), stream(7));
+    for case in 0..48 {
+        let db = random_complete_database(&mut rng, &db_cfg(0));
+        let q = random_query(&mut rng, &q_cfg(1));
+        let consts = q.generic_consts();
+        let fast = Evaluator::new(&db, &consts);
+        let slow = Evaluator::new(&db, &consts).without_joins();
+        assert_eq!(
+            fast.answers(&q),
+            slow.answers(&q),
+            "CAZ_TEST_SEED={seed} case {case}: {q} over {db}"
+        );
+    }
+}

@@ -53,6 +53,15 @@ if ! cargo test -q -p caz-idb --test properties; then
     exit 1
 fi
 
+# Property stage: caz-logic's genericity, UCQ normal form (Theorem 8's
+# search unifies against its disjuncts), naïve and three-valued
+# evaluation, and the join fast path vs. plain domain iteration.
+echo "==> logic properties (CAZ_TEST_SEED=${CAZ_TEST_SEED})"
+if ! cargo test -q -p caz-logic --test properties; then
+    echo "logic properties FAILED — reproduce with: CAZ_TEST_SEED=${CAZ_TEST_SEED} cargo test -p caz-logic --test properties" >&2
+    exit 1
+fi
+
 # Planner differential stage: every evaluation answered through the
 # complexity-aware planner must be byte-identical to the forced
 # enumeration answer, across 1,000+ seeded sessions (same
@@ -96,8 +105,9 @@ if ! cargo test -q -p caz-planner --test theorem4_differential; then
 fi
 
 # Comparison property stage: Theorem 8's certificate search vs.
-# brute-force Sep (null-heavy draws included), the bitmap table vs.
-# pairwise Sep, and the best-answer and equivalence laws.
+# brute-force Sep (null-heavy draws, and answer tuples outside the
+# active domain, included), the bitmap table vs. pairwise Sep, and the
+# best-answer and equivalence laws.
 echo "==> comparison properties (CAZ_TEST_SEED=${CAZ_TEST_SEED})"
 if ! cargo test -q -p caz-compare --test properties; then
     echo "comparison properties FAILED — reproduce with: CAZ_TEST_SEED=${CAZ_TEST_SEED} cargo test -p caz-compare --test properties" >&2

@@ -102,20 +102,20 @@ fn facts(rng: &mut StdRng, consts: &[&str]) -> String {
 
 /// One evaluation command over `def`, a `series` only if `series`.
 /// Its name may be undefined, and its tuple may name an unknown null:
-/// errors must match too. `best` and `compare` rank candidate answers
-/// pairwise, so they stay on queries of arity one or less, where there
-/// are few candidates.
+/// errors must match too. `best` and `compare` take every first-order
+/// definition up to the binary `B`; on a UCQ, Theorem 8's search ranks
+/// a pair of candidates with a few unifications.
 fn eval(rng: &mut StdRng, consts: &[&str], def: Def, series: bool) -> String {
     let Def { name, arity, datalog, .. } = def;
     let answer = if arity == 0 { String::new() } else { format!(" {}", tuple(rng, consts, arity)) };
     match rng.random_range(0..8) {
         0 => format!("naive {name}"),
         1 => format!("certain {name}"),
-        2 if !datalog && arity <= 1 => format!("best {name}"),
+        2 if !datalog => format!("best {name}"),
         3 => format!("mu {name}{answer}"),
         4 => format!("cond {name}{answer}"),
         5 if series => format!("series {name}{answer} {}", rng.random_range(1..4)),
-        6 if arity == 1 && !datalog => {
+        6 if arity >= 1 && !datalog => {
             format!("compare {name}{answer} {}", tuple(rng, consts, arity))
         }
         _ => format!("certain {name}"),
