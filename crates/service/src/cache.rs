@@ -77,6 +77,11 @@ impl ResultCache {
 
     /// Look up `key`, refreshing its recency on a hit.
     pub fn get(&self, key: &str) -> Option<String> {
+        self.lookup(key, true)
+    }
+
+    /// [`ResultCache::get`], counting a miss only if `count_miss`.
+    fn lookup(&self, key: &str, count_miss: bool) -> Option<String> {
         let mut lru = self.inner.lock().unwrap();
         lru.tick += 1;
         let tick = lru.tick;
@@ -92,7 +97,9 @@ impl ResultCache {
             }
             None => {
                 drop(lru);
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                if count_miss {
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                }
                 None
             }
         }
@@ -225,6 +232,13 @@ impl ShardedCache {
     /// Look up `key` in its shard, refreshing recency on a hit.
     pub fn get(&self, key: &CacheKey) -> Option<String> {
         self.shards[self.shard_index(key.shard_hash)].get(&key.text)
+    }
+
+    /// [`ShardedCache::get`] for a caller that answers a miss with a
+    /// counted `get` of the same key elsewhere: a hit counts, a miss
+    /// does not, so each request counts one lookup.
+    pub fn probe(&self, key: &CacheKey) -> Option<String> {
+        self.shards[self.shard_index(key.shard_hash)].lookup(&key.text, false)
     }
 
     /// Insert (or refresh) `key` in its shard, evicting LRU entries

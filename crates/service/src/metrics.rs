@@ -188,7 +188,9 @@ pub struct Metrics {
     pub eval_latency: Histogram,
     /// Latency of evaluation requests answered from the cache, from
     /// classification until the worker returns (queue wait +
-    /// canonicalization + shard lookup).
+    /// canonicalization + shard lookup) — or, for a hit whose key the
+    /// session's memo held, answered while classifying, until the
+    /// lookup returns.
     pub cache_hit_latency: Histogram,
     /// Latency of one coalesced WAL append batch on the flusher thread
     /// (encode + write, plus fsync under `--fsync always`).

@@ -90,6 +90,14 @@
 //!   `err* <i> busy` chunk; its admitted siblings still run and the
 //!   terminal `ok done <n>` still arrives, so group framing is intact.
 //!
+//! A cache hit whose key the session's canonical-form memo already
+//! holds (a repeat of the session's latest keyed `mu`/`cond`/`series`
+//! tuple against an unchanged database) is answered while the line is
+//! classified, without entering the pool queue, so a full queue never
+//! sheds it and the queue deadline never expires it. Only the
+//! per-connection cap, which declines lines before they are parsed,
+//! still applies.
+//!
 //! `busy` is deliberately a well-formed `err` payload: clients that
 //! don't know about admission control see an ordinary error; clients
 //! that do can retry with backoff. Shed and expired work never executes

@@ -9,12 +9,14 @@
 //! * readable sockets are drained into per-connection buffers and
 //!   split into command lines;
 //! * complete lines are classified ([`crate::server::classify`]) —
-//!   cheap state mutations are answered inline, and all pool work comes
-//!   back as one job [`Group`]: each member becomes a [`DetachedJob`] on
-//!   the shared [`WorkerPool`](crate::pool::WorkerPool), where the
-//!   worker canonicalizes the cache key, resolves hits
-//!   (canonicalization is a whole-database refinement pass, too heavy
-//!   for this thread) and accounts the member's outcome;
+//!   cheap state mutations are answered inline, and so is a cache hit
+//!   whose key the session's canonical-form memo already holds (a memo
+//!   read, a key and one lookup); all other pool work comes back as one
+//!   job [`Group`]: each member becomes a [`DetachedJob`] on the shared
+//!   [`WorkerPool`](crate::pool::WorkerPool), where the worker
+//!   canonicalizes the cache key (a whole-database refinement pass, too
+//!   heavy for this thread), resolves the hit or miss and accounts the
+//!   member's outcome;
 //! * a worker finishing a member pushes a [`Completion`] onto a shared
 //!   queue and writes one byte to a wakeup pipe registered in the same
 //!   epoll set, so replies complete asynchronously without the reactor
@@ -98,8 +100,10 @@ const FIRST_CONN_TOKEN: u64 = 2;
 /// Reject request lines longer than this (buffered bytes without a
 /// newline): a line-oriented protocol peer sending a megabyte without
 /// a line break is broken or hostile, and the reactor must bound
-/// per-connection memory.
-const MAX_LINE_BYTES: usize = 1 << 20;
+/// per-connection memory. It also bounds the canonical form a cache
+/// hit answered on this thread may key on, so such a hit costs no more
+/// than parsing one maximal line.
+pub(crate) const MAX_LINE_BYTES: usize = 1 << 20;
 /// Compact the drained `wpos` prefix of a write buffer once it reaches
 /// this size (skipping tiny memmoves on fast readers).
 const WBUF_COMPACT_MIN: usize = 4096;

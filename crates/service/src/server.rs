@@ -19,7 +19,10 @@
 //! * [`classify`] turns the line into either immediate reply frames or
 //!   a job [`Group`] — frames already answered, members (one pool job
 //!   each: a work item plus a [`Framing`]), and an optional terminal
-//!   `done n` count;
+//!   `done n` count. A single evaluation whose key the session's
+//!   canonical-form memo already holds is a cache lookup and nothing
+//!   more, so a hit on it is answered right there, on the calling
+//!   thread, and accounted as a cached job;
 //! * each member's worker closure ([`Member::job`]) runs
 //!   [`eval_on_worker`] — the whole evaluation pipeline for every job
 //!   kind: resolving the request, cache-key canonicalization (itself a
@@ -64,7 +67,7 @@ use crate::flush::Flusher;
 use crate::metrics::Metrics;
 use crate::pool::{JobResult, Outcome, WorkerPool};
 use crate::proto::{decode_frame, encode_frame, WireFrame, WireReply};
-use crate::reactor::{Reactor, Stream};
+use crate::reactor::{Reactor, Stream, MAX_LINE_BYTES};
 use crate::replication::{MissPolicy, ReplicaHandle, ReplicationSink, Role};
 use crate::session::{
     parse_eval_job, series_rows, EvalKind, EvalRequest, Reply, Request, Session, Sink,
@@ -75,6 +78,7 @@ use caz_planner::Route;
 use caz_store::{FsyncPolicy, Store};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -346,8 +350,10 @@ pub(crate) enum Control {
 /// a group of pool work. Cache-key canonicalization (a color-refinement
 /// pass over the whole database — linear-ish but far from free) happens
 /// on the worker, not here, so classification stays cheap enough for
-/// the reactor thread; consequently cache *hits* are also resolved on
-/// the worker ([`eval_on_worker`]).
+/// the reactor thread. A cache hit is answered here only when the key
+/// costs no canonicalization, because the session's memo already holds
+/// the canonical form; every other hit is resolved on the worker
+/// ([`eval_on_worker`]).
 pub(crate) enum Step {
     /// Reply frames ready to write, plus what to do with the connection.
     Done(Vec<WireFrame>, Control),
@@ -427,9 +433,11 @@ pub(crate) fn done_frame(n: usize) -> WireFrame {
 }
 
 /// Classify one protocol line against a session + shared server state:
-/// run cheap state mutations inline and hand every evaluation back as
-/// pool work (the worker resolves cache hits and misses). Used
-/// identically by the evented reactor and the batch driver.
+/// run cheap state mutations inline, answer a single evaluation from the
+/// cache when its key is memoized ([`memoized_hit`]), and hand every
+/// other evaluation back as pool work (the worker resolves its cache hit
+/// or miss). Used identically by the evented reactor and the batch
+/// driver.
 pub(crate) fn classify(session: &mut Session, shared: &Shared, line: &str) -> Step {
     shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
     let start = Instant::now();
@@ -466,8 +474,19 @@ pub(crate) fn classify(session: &mut Session, shared: &Shared, line: &str) -> St
                 Control::Continue,
             )
         }
-        Request::Eval(ev) if ev.kind == EvalKind::Series => one(Work::Eval(ev), Framing::Series),
-        Request::Eval(ev) => one(Work::Eval(ev), Framing::Final),
+        Request::Eval(ev) => {
+            let framing = match ev.kind {
+                EvalKind::Series => Framing::Series,
+                _ => Framing::Final,
+            };
+            match memoized_hit(session, shared, &ev) {
+                Some(text) => {
+                    let result = Account::new(shared, start, Counted::Cached).finish(Ok(text));
+                    Step::Done(frame(framing, result, 0), Control::Continue)
+                }
+                None => one(Work::Eval(ev), framing),
+            }
+        }
         Request::Plan { explain, target } => one(Work::Plan(target), Framing::Plan { explain }),
         Request::EvalMulti(raw_jobs) => {
             let mut ready = Vec::new();
@@ -495,6 +514,21 @@ pub(crate) fn classify(session: &mut Session, shared: &Shared, line: &str) -> St
             }
         },
     }
+}
+
+/// The cached reply to `ev`, when finding it costs no canonicalization:
+/// the session's memo already holds `D`'s canonical form for `ev`'s
+/// answer tuple, that form is no longer than the longest line the
+/// reactor parses, and the cache holds the key. `None` sends `ev` to
+/// the pool as usual. This runs on the classifying thread, where a
+/// panic would end the process rather than one job, so a panicking
+/// probe falls through too and lets the worker isolate and count it.
+fn memoized_hit(session: &Session, shared: &Shared, ev: &EvalRequest) -> Option<String> {
+    let probe = AssertUnwindSafe(|| {
+        let key = session.memoized_cache_key(ev, MAX_LINE_BYTES)?;
+        shared.cache.probe(&key)
+    });
+    std::panic::catch_unwind(probe).ok().flatten()
 }
 
 /// Frame one finished member. A `series` frames the rows its stream has
@@ -618,7 +652,8 @@ impl Sink for WorkerSink<'_> {
     }
 }
 
-/// What a member counts as, decided on its worker.
+/// What a member counts as, decided on its worker (or, for a memoized
+/// hit, while classifying).
 #[derive(Clone, Copy)]
 enum Counted {
     /// Executed on this route: `jobs_executed`, the route's counter and
@@ -639,7 +674,8 @@ enum Counted {
 /// that runs is counted exactly once, before its completion can reach a
 /// driver, and the per-route counters sum to `jobs_executed_total` even
 /// for panicking jobs. Shed and expired members never run; their
-/// drivers count them.
+/// drivers count them. A memoized hit answered in [`classify`] is
+/// accounted the same way, as a cached job, once its lookup hits.
 struct Account<'a> {
     shared: &'a Shared,
     start: Instant,

@@ -81,16 +81,34 @@ struct CanonMemo(Mutex<Option<(Tuple, Option<Canon>)>>);
 type Canon = (Arc<str>, u128);
 
 impl CanonMemo {
+    /// Every write stores a whole entry, so a poisoned lock still guards
+    /// a valid one.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Option<(Tuple, Option<Canon>)>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// True until the first keyed request against this `D`.
+    fn is_empty(&self) -> bool {
+        self.lock().is_none()
+    }
+
+    /// What the memo holds for `answer`, never computing anything:
+    /// `Some(form)` when `answer` is the memoized tuple (`form` is `None`
+    /// when the search exhausted its budget), `None` when the memo is
+    /// empty or holds another tuple.
+    fn peek(&self, answer: &Tuple) -> Option<Option<Canon>> {
+        match &*self.lock() {
+            Some((memo, canon)) if memo == answer => Some(canon.clone()),
+            _ => None,
+        }
+    }
+
     /// The canonical form of `db` with `answer` embedded, computed at
     /// most once per `answer` in a row. Computed outside the lock, so a
-    /// long search never blocks another job's lookup. Every write stores
-    /// a whole entry, so a poisoned lock still guards a valid one.
+    /// long search never blocks another job's lookup.
     fn get(&self, db: &Database, answer: &Tuple) -> Option<Canon> {
-        let lock = || self.0.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some((memo, canon)) = &*lock() {
-            if memo == answer {
-                return canon.clone();
-            }
+        if let Some(canon) = self.peek(answer) {
+            return canon;
         }
         let mut ext = db.clone();
         ext.insert(ANSWER_REL, answer.clone());
@@ -98,7 +116,7 @@ impl CanonMemo {
             let digest = fnv1a_128(text.as_bytes());
             (Arc::from(text), digest)
         });
-        *lock() = Some((answer.clone(), canon.clone()));
+        *self.lock() = Some((answer.clone(), canon.clone()));
         canon
     }
 }
@@ -352,12 +370,43 @@ impl Session {
         self.resolve(req).ok()?.cache_key()
     }
 
+    /// [`Session::cache_key`] read from the canonical-form memo alone:
+    /// `Some` only when the memo already holds `D`'s canonical form for
+    /// `req`'s answer tuple, and that form is at most `max_canon_bytes`
+    /// long. Nothing is canonicalized, and an empty memo skips even
+    /// resolving `req`, so the probe is cheap enough for a server's
+    /// reactor thread. Whenever it is `Some`, it equals `cache_key(req)`.
+    pub fn memoized_cache_key(
+        &self,
+        req: &EvalRequest,
+        max_canon_bytes: usize,
+    ) -> Option<CacheKey> {
+        if self.instance.canon.is_empty() {
+            return None;
+        }
+        self.resolve(req).ok()?.memoized_key(max_canon_bytes)
+    }
+
     fn add_facts(&mut self, src: &str) -> Result<Reply, String> {
         // Re-parse against the session's null names so `_x` stays the
         // same null across `fact` commands.
         let parsed = parse_database(src).map_err(|e| e.to_string())?;
         if parsed.db.relation(ANSWER_REL).is_some() {
             return Err(format!("relation name {ANSWER_REL} is reserved"));
+        }
+        // The parser checks arities within the line; check them against
+        // `D` too, before the union asserts they agree.
+        for rel in parsed.db.relations() {
+            if let Some(existing) = self.instance.db.relation_sym(rel.name()) {
+                if existing.arity() != rel.arity() {
+                    return Err(format!(
+                        "relation {} used with arity {}, previously {}",
+                        rel.name(),
+                        rel.arity(),
+                        existing.arity()
+                    ));
+                }
+            }
         }
         // Remap the parse's fresh nulls onto the session's.
         let mut nulls = self.instance.nulls.clone();
@@ -606,6 +655,20 @@ impl Job<'_> {
     /// land in the same shard. Both come from the session's memo when
     /// `D` and ā are those of its previous keyed request.
     pub(crate) fn cache_key(&self) -> Option<CacheKey> {
+        self.key(|answer| self.canon.get(self.plan.db, answer))
+    }
+
+    /// [`Job::cache_key`] from the memo alone: `None` unless the memo
+    /// holds the canonical form for this job's answer tuple and it is at
+    /// most `max_canon_bytes` long. Never canonicalizes.
+    pub(crate) fn memoized_key(&self, max_canon_bytes: usize) -> Option<CacheKey> {
+        let form = |answer: &Tuple| self.canon.peek(answer).flatten();
+        self.key(|answer| form(answer).filter(|(text, _)| text.len() <= max_canon_bytes))
+    }
+
+    /// The one key builder: `canon` supplies the canonical form of `D`
+    /// with the answer tuple embedded.
+    fn key(&self, canon: impl FnOnce(&Tuple) -> Option<Canon>) -> Option<CacheKey> {
         let job = &self.plan;
         let kind_tag = match (job.kind, self.series_len) {
             (EvalKind::Mu, _) => "mu".to_string(),
@@ -613,19 +676,19 @@ impl Job<'_> {
             (EvalKind::Series, Some(k)) => format!("series:{k}"),
             _ => return None,
         };
-        // Key on the *definition*, not the name: two sessions may bind
-        // the same name to different queries.
-        let def = match job.query {
-            QueryRef::Fo(q) => format!("fo:{q}"),
-            QueryRef::Datalog(p) => format!("dl:{p}"),
-        };
         if job.db.relation(ANSWER_REL).is_some() {
             return None; // user squatted on the reserved name; don't cache
         }
         // Embed the answer tuple into the database so its nulls are
         // renamed consistently with the database's during minimization.
         let empty = Tuple::empty();
-        let (canon, shard_hash) = self.canon.get(job.db, job.tuple.as_ref().unwrap_or(&empty))?;
+        let (canon, shard_hash) = canon(job.tuple.as_ref().unwrap_or(&empty))?;
+        // Key on the *definition*, not the name: two sessions may bind
+        // the same name to different queries.
+        let def = match job.query {
+            QueryRef::Fo(q) => format!("fo:{q}"),
+            QueryRef::Datalog(p) => format!("dl:{p}"),
+        };
         let sigma = if job.kind == EvalKind::Cond { job.sigma.to_string() } else { String::new() };
         Some(CacheKey { text: format!("{kind_tag}\u{1}{def}\u{1}{sigma}\u{1}{canon}"), shard_hash })
     }

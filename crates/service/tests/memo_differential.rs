@@ -8,7 +8,11 @@
 //! and nulls, several per database state. After every line, each
 //! request's `cache_key` on the long-lived session must equal its key on
 //! a fresh session that replays `setup_lines()` and so canonicalizes
-//! from scratch. A few lines are client text no key may hold: a
+//! from scratch. The memo-only key a server answers hits inline from
+//! (`memoized_cache_key`) must be absent or equal that key too: present
+//! when the previous line's last request was keyed and the line was
+//! neither `fact` nor `clear`, absent right after either. A few lines
+//! are client text no key may hold: a
 //! definition naming a reserved fresh constant must be refused, and a
 //! tuple naming one, or a null's canonical name `?0`, must get no key.
 //!
@@ -164,12 +168,13 @@ fn replay(lines: &[String]) -> Session {
 fn memoized_keys_equal_keys_from_scratch() {
     let seed = seed();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut keyed = 0usize;
+    let (mut keyed, mut inline) = (0usize, 0usize);
     for script in 0..SCRIPTS {
         let mut session = Session::new();
         let mut lines: Vec<String> = DEFINITIONS.iter().map(|alts| alts[0].to_string()).collect();
         lines.extend((0..LINES).map(|_| mutation(&mut rng)));
-        let mut previous: Option<String> = None;
+        // The previous burst's last request, and whether it was keyed.
+        let mut previous: Option<(String, bool)> = None;
         for (n, line) in lines.iter().enumerate() {
             let applied = session.execute(line);
             let refused = REFUSED_DEFINITIONS.contains(&line.as_str());
@@ -179,16 +184,20 @@ fn memoized_keys_equal_keys_from_scratch() {
                     session.execute(alternatives[0]).unwrap();
                 }
             }
+            let reset = line == "clear" || line.starts_with("fact ");
             let fresh = replay(session.setup_lines());
             // The previous line's last request first, so a memo the line
             // should have reset is read before anything replaces it.
             let burst: Vec<String> = previous
                 .iter()
-                .cloned()
+                .map(|(req, _)| req.clone())
                 .chain((0..rng.random_range(2..=6)).map(|_| request(&mut rng)))
                 .collect();
-            for req in &burst {
+            let mut last_keyed = false;
+            for (i, req) in burst.iter().enumerate() {
                 let ev = eval_request(req);
+                // The memo-only key first: keying fills the memo.
+                let memo_only = session.memoized_cache_key(&ev, usize::MAX);
                 let (memoized, scratch) = (session.cache_key(&ev), fresh.cache_key(&ev));
                 let at = format!(
                     "CAZ_TEST_SEED={seed} script {script} line {n} ({line:?}), request {req:?}; \
@@ -199,14 +208,33 @@ fn memoized_keys_equal_keys_from_scratch() {
                 if REFUSED_VALUES.iter().any(|v| req.contains(v)) {
                     assert_eq!(memoized, None, "{at}");
                 }
+                assert!(
+                    memo_only.is_none() || memo_only == scratch,
+                    "memo-only key: {at}"
+                );
+                let reopened = i == 0 && previous.as_ref().is_some_and(|(_, keyed)| *keyed);
+                if i == 0 && reset {
+                    assert_eq!(memo_only, None, "memo-only key after a reset: {at}");
+                } else if reopened {
+                    assert!(
+                        memo_only.is_some(),
+                        "memo-only key of a memoized request: {at}"
+                    );
+                }
                 keyed += usize::from(memoized.is_some());
+                inline += usize::from(memo_only.is_some());
+                last_keyed = memoized.is_some();
             }
-            previous = burst.last().cloned();
+            previous = burst.last().map(|req| (req.clone(), last_keyed));
         }
     }
     // The scripts must mostly resolve, or the differential is vacuous.
     assert!(
         keyed > SCRIPTS * LINES,
         "CAZ_TEST_SEED={seed}: only {keyed} keyed requests"
+    );
+    assert!(
+        inline > SCRIPTS * LINES / 2,
+        "CAZ_TEST_SEED={seed}: only {inline} memo-only keys"
     );
 }

@@ -2,8 +2,9 @@
 //! replies are byte-exact (`err busy` / `err* <i> busy`), shed and
 //! expired jobs leave no trace in the cache or route counters, the
 //! stats counters reconcile with what clients observed, a full pool
-//! queue never makes unrelated connections unresponsive, and
-//! `shutdown` finishes every accepted job before `bye`.
+//! queue never makes unrelated connections unresponsive nor declines a
+//! memoized cache hit, and `shutdown` finishes every accepted job
+//! before `bye`.
 //!
 //! The slow jobs here run the general enumeration engine (planner
 //! disabled) over a five-null database: ~100ms per μ in release,
@@ -11,6 +12,7 @@
 //! stays saturated across the few milliseconds of client activity the
 //! tests need, in both profiles.
 
+use caz_service::http::{format_request, read_response};
 use caz_service::proto::{join_jobs, decode_frame, decode_reply, WireFrame, WireReply};
 use caz_service::{Server, ServerConfig, ShutdownHandle};
 use std::io::{BufRead, BufReader, Write};
@@ -146,16 +148,22 @@ fn saturate(addr: SocketAddr, series_k: usize) -> (Client, Client) {
     (a1, a2)
 }
 
-fn drain_saturators(a1: &mut Client, a2: &mut Client, series_k: usize) {
-    let (rows, terminal) = a1.read_group();
-    assert_eq!(terminal, WireReply::Ok(format!("done {series_k}")));
-    // The anytime evaluator may interleave advisory `approx` chunks
-    // with the exact rows; only the rows are part of this contract.
-    let exact = rows
-        .iter()
+/// Exact `series` frames: the rows and the terminal line. The anytime
+/// evaluator may interleave advisory `approx` chunks with the exact
+/// rows; only the rows are part of these tests' contracts.
+fn exact_group(client: &mut Client) -> (Vec<WireFrame>, WireReply) {
+    let (chunks, terminal) = client.read_group();
+    let rows = chunks
+        .into_iter()
         .filter(|f| !matches!(f, WireFrame::Chunk { tag, .. } if tag == "approx"))
-        .count();
-    assert_eq!(exact, series_k, "{rows:?}");
+        .collect();
+    (rows, terminal)
+}
+
+fn drain_saturators(a1: &mut Client, a2: &mut Client, series_k: usize) {
+    let (rows, terminal) = exact_group(a1);
+    assert_eq!(terminal, WireReply::Ok(format!("done {series_k}")));
+    assert_eq!(rows.len(), series_k, "{rows:?}");
     let reply = a2.read_frame();
     assert!(
         matches!(&reply, WireFrame::Final(WireReply::Ok(t)) if t.starts_with("μ(")),
@@ -347,6 +355,69 @@ fn full_queue_keeps_unrelated_connections_responsive() {
     );
 
     drain_saturators(&mut a1, &mut a2, 11);
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+/// POST `script` to `/eval` on a keep-alive HTTP connection and return
+/// the de-chunked body.
+fn http_eval(reader: &mut BufReader<TcpStream>, script: &str) -> String {
+    let request = format_request("POST", "/eval", &[], script.as_bytes());
+    reader.get_mut().write_all(&request).unwrap();
+    let response = read_response(reader).expect("read response");
+    assert_eq!(response.status, 200, "{script:?}");
+    String::from_utf8(response.body).unwrap()
+}
+
+/// A cache hit whose canonical form the session has memoized is answered
+/// on the reactor thread, so it never enters the pool queue and a full
+/// queue never sheds it: a repeated `mu` over the line protocol and over
+/// HTTP, and a repeated `series`, which replays its rows and `ok done k`.
+/// Each session's memo holds one answer tuple, so each client warms the
+/// request it repeats last.
+#[test]
+fn memoized_hits_are_answered_while_the_pool_is_full() {
+    let (addr, handle, join) = spawn_cfg(overload_cfg(1, 60_000));
+    let mut line = Client::connect(addr);
+    line.setup();
+    let mu = line.send_ok("mu Q (c1, _x1)");
+    let mut series = Client::connect(addr);
+    series.setup();
+    series.push("series S 3");
+    let warm = exact_group(&mut series);
+    assert_eq!(warm.0.len(), 3, "{warm:?}");
+    let mut http = BufReader::new(TcpStream::connect(addr).unwrap());
+    let setup = "fact R(c0,_x0). R(c1,_x1). R(c2,_x2). R(c3,_x3). R(c4,_x4).\n\
+                 query Q(x, y) := R(x, y)\n";
+    assert_eq!(http_eval(&mut http, setup).lines().count(), 2);
+    let http_mu = http_eval(&mut http, "mu Q (c2, _x2)");
+    assert!(http_mu.starts_with("ok μ("), "{http_mu:?}");
+
+    let (mut a1, mut a2) = saturate(addr, 10);
+    // The queue is full: a request the memo does not hold is declined.
+    let mut fresh = Client::connect(addr);
+    fresh.setup();
+    fresh.push("mu Q (c3, _x3)");
+    assert_eq!(fresh.read_raw_line(), "err busy");
+
+    assert_eq!(line.send_ok("mu Q (c1, _x1)"), mu);
+    series.push("series S 3");
+    assert_eq!(exact_group(&mut series), warm);
+    assert_eq!(http_eval(&mut http, "mu Q (c2, _x2)"), http_mu);
+
+    drain_saturators(&mut a1, &mut a2, 10);
+    // Executed: the three warm-ups and the two saturators. The three
+    // hits count as cached jobs, and only the fresh request was shed.
+    let stats = fresh.send_ok("stats");
+    assert_eq!(stats_field(&stats, "jobs_shed_total"), 1, "{stats}");
+    assert_eq!(stats_field(&stats, "jobs_executed_total"), 5, "{stats}");
+    assert_eq!(stats_field(&stats, "jobs_cached_total"), 3, "{stats}");
+    assert_eq!(stats_field(&stats, "cache_hit_latency_count"), 3, "{stats}");
+    assert_eq!(stats_field(&stats, "cache_hits"), 3, "{stats}");
+    assert_eq!(stats_field(&stats, "cache_misses"), 5, "{stats}");
+    assert_eq!(stats_field(&stats, "errors_total"), 0, "{stats}");
+
+    drop(http);
     handle.shutdown();
     join.join().unwrap();
 }

@@ -53,6 +53,16 @@ if ! cargo test -q -p caz-idb --test properties; then
     exit 1
 fi
 
+# Property stage: caz-arith's BigInt vs. i128, Ratio's field axioms
+# and normal form, Poly products pointwise, falling factorials vs.
+# enumerated injections, and the Bell and partial-injection counts the
+# class census multiplies out.
+echo "==> arith properties (CAZ_TEST_SEED=${CAZ_TEST_SEED})"
+if ! cargo test -q -p caz-arith --test properties; then
+    echo "arith properties FAILED — reproduce with: CAZ_TEST_SEED=${CAZ_TEST_SEED} cargo test -p caz-arith --test properties" >&2
+    exit 1
+fi
+
 # Property stage: caz-logic's genericity, UCQ normal form (Theorem 8's
 # search unifies against its disjuncts), naïve and three-valued
 # evaluation, and the join fast path vs. plain domain iteration.
@@ -79,6 +89,17 @@ fi
 echo "==> canonical-form memo differential (CAZ_TEST_SEED=${CAZ_TEST_SEED})"
 if ! cargo test -q -p caz-service --test memo_differential; then
     echo "memo differential FAILED — reproduce with: CAZ_TEST_SEED=${CAZ_TEST_SEED} cargo test -p caz-service --test memo_differential" >&2
+    exit 1
+fi
+
+# Command-language fuzz stage: seeded mutations of valid
+# fact/query/datalog/constraint lines, applied to a session that holds
+# facts, and of evaluation lines, parsed and keyed (memo-only key
+# included, nothing evaluated). This is the code a server runs on its
+# reactor thread, where a panic ends the process: none may panic.
+echo "==> command-language fuzz (CAZ_TEST_SEED=${CAZ_TEST_SEED})"
+if ! cargo test -q -p caz-service --release --test command_fuzz; then
+    echo "command fuzz FAILED — reproduce with: CAZ_TEST_SEED=${CAZ_TEST_SEED} cargo test -p caz-service --release --test command_fuzz" >&2
     exit 1
 fi
 

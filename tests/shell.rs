@@ -64,3 +64,19 @@ fn piped_shell_refuses_reserved_and_null_like_constants() {
         ]
     );
 }
+
+#[test]
+fn piped_shell_refuses_a_fact_at_another_arity() {
+    let script = "fact R(a, _x).\nfact R(b).\nquery Q := exists u, v. R(u, v)\nmu Q\n";
+    let (status, lines) = shell(script);
+    assert!(status.success(), "caz exited with {status}: {lines:?}");
+    assert_eq!(
+        lines,
+        [
+            "1 fact(s) added",
+            "error: relation R used with arity 1, previously 2",
+            "query Q defined",
+            "μ(Q, D) = 1",
+        ]
+    );
+}
