@@ -2,26 +2,19 @@
 //!
 //! One expensive `series Z k` job over an `m`-null database is the
 //! worst latency class the service has (E21's "cliff" jobs): the last
-//! row alone enumerates `k^m` valuations, and before anytime serving a
-//! client watching that job learned *nothing* about μᵏ until the whole
-//! enumeration finished. This workload quantifies what the anytime
-//! evaluator changes, on two live TCP servers that differ only in the
-//! `anytime` flag (both with the planner off, so the job enumerates
-//! rather than taking the class census):
+//! row alone enumerates `k^m` valuations, and without anytime serving a
+//! client watching that job learns *nothing* about μᵏ until the whole
+//! enumeration finishes. This workload times, on one live TCP server
+//! with the planner off (so the job enumerates rather than taking the
+//! class census), each frame that tells the client something new:
 //!
-//! - **time to first estimate (TTFE)** — how long until the client
-//!   holds *any* information about μᵏ, the value it asked for. On the
-//!   anytime server that is the first `ok* approx` chunk (a sampled
-//!   estimate of μᵏ with an error bar); on the sequential server it is
-//!   the exact `k` row, which lands only at the end of the job. This is
-//!   the number the ≥10× acceptance gate is about.
-//! - **time to first chunk (TTFC)** — first frame of any kind. The
-//!   sequential path streams exact rows as they finish, so its μ¹ row
-//!   arrives fast too; this column keeps the comparison honest about
-//!   what streaming alone already bought.
-//! - **total** — send-to-`done` wall clock. Work-stealing subtask
-//!   scatter makes the anytime server faster here as well (the job no
-//!   longer serializes on one worker), but that is a side benefit.
+//! - **time to first estimate (TTFE)** — the first `ok* approx` chunk,
+//!   a sampled estimate of μᵏ with an error bar.
+//! - **time to first chunk (TTFC)** — first frame of any kind.
+//! - **exact row** — the exact `k` row, the first exact word about μᵏ
+//!   and the end of the wait that TTFE cuts short. `exact_row_ms ÷
+//!   ttfe_ms` is the number the ≥10× acceptance gate is about.
+//! - **total** — send-to-`done` wall clock.
 //!
 //! Every trial uses a fresh query name so nothing is served from the
 //! result cache, and the reported numbers are medians across trials.
@@ -32,72 +25,64 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Instant;
 
-/// Per-server medians over the trial jobs, in milliseconds.
-#[derive(Clone, Debug)]
-pub struct SideReport {
-    /// Median time to the first frame carrying information about μᵏ.
-    pub ttfe_ms: f64,
-    /// Median time to the first frame of any kind.
-    pub ttfc_ms: f64,
-    /// Median send-to-`done` wall clock.
-    pub total_ms: f64,
-}
-
-/// What one full workload run measured.
+/// What one full workload run measured: medians over the trial jobs,
+/// in milliseconds from sending the `series` line.
 #[derive(Clone, Debug)]
 pub struct AnytimeBenchReport {
     /// PRNG-style seed recorded for provenance (the job set is fixed;
     /// the seed names the run, matching the other workload reports).
     pub seed: u64,
+    /// CPUs available to the process (and so the server's workers).
+    pub cores: usize,
     /// Nulls in the cliff database (`m`; the last row is `k^m`).
     pub nulls: usize,
     /// Series depth of each job.
     pub k: usize,
-    /// Trial jobs per server.
+    /// Trial jobs.
     pub trials: usize,
-    /// Medians on the anytime server (the default configuration).
-    pub anytime: SideReport,
-    /// Medians on the `--no-anytime` server (the sequential baseline).
-    pub sequential: SideReport,
-    /// `sequential.ttfe_ms / anytime.ttfe_ms` — the cliff collapse.
+    /// Median time to the first `approx` chunk.
+    pub ttfe_ms: f64,
+    /// Median time to the first frame of any kind.
+    pub ttfc_ms: f64,
+    /// Median time to the exact `k` row.
+    pub exact_row_ms: f64,
+    /// Median send-to-`done` wall clock.
+    pub total_ms: f64,
+    /// `exact_row_ms / ttfe_ms` — the cliff collapse.
     pub ttfe_speedup: f64,
-    /// `anytime_chunks_total` on the anytime server after all trials.
+    /// `anytime_chunks_total` after all trials.
     pub chunks: u64,
-    /// `subtasks_stolen_total` on the anytime server after all trials.
-    pub stolen: u64,
 }
 
 impl AnytimeBenchReport {
     /// Render as a small JSON object (the workspace is std-only, so the
     /// encoder is by hand).
     pub fn to_json(&self) -> String {
-        let side = |name: &str, s: &SideReport| {
-            format!(
-                "  \"{}\": {{ \"ttfe_ms\": {:.3}, \"ttfc_ms\": {:.3}, \"total_ms\": {:.3} }}",
-                name, s.ttfe_ms, s.ttfc_ms, s.total_ms
-            )
-        };
         format!(
-            "{{\n  \"workload\": \"anytime\",\n  \"seed\": {},\n  \"nulls\": {},\n  \
-             \"k\": {},\n  \"trials\": {},\n{},\n{},\n  \"ttfe_speedup\": {:.1},\n  \
-             \"anytime_chunks_total\": {},\n  \"subtasks_stolen_total\": {}\n}}",
+            "{{\n  \"workload\": \"anytime\",\n  \"seed\": {},\n  \"cores\": {},\n  \
+             \"nulls\": {},\n  \"k\": {},\n  \"trials\": {},\n  \"ttfe_ms\": {:.3},\n  \
+             \"ttfc_ms\": {:.3},\n  \"exact_row_ms\": {:.3},\n  \"total_ms\": {:.3},\n  \
+             \"ttfe_speedup\": {:.1},\n  \"anytime_chunks_total\": {}\n}}",
             self.seed,
+            self.cores,
             self.nulls,
             self.k,
             self.trials,
-            side("anytime", &self.anytime),
-            side("sequential", &self.sequential),
+            self.ttfe_ms,
+            self.ttfc_ms,
+            self.exact_row_ms,
+            self.total_ms,
             self.ttfe_speedup,
-            self.chunks,
-            self.stolen
+            self.chunks
         )
     }
 }
 
-/// What one trial job observed on the wire.
+/// What one trial job observed on the wire, in milliseconds.
 struct Trial {
     ttfe_ms: f64,
     ttfc_ms: f64,
+    exact_row_ms: f64,
     total_ms: f64,
 }
 
@@ -151,27 +136,28 @@ fn median(samples: &mut [f64]) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Run one cliff job and time its frames. The first frame whose tag is
-/// `approx` or equals `k` itself is the first estimate of μᵏ.
+/// Run one cliff job and time its frames: the first `approx` chunk,
+/// the first frame, the exact `k` row and `done`.
 fn run_trial(client: &mut Client, query: &str, k: usize) -> Trial {
     let last_row = k.to_string();
     client.push(&format!("series {query} {k}"));
     let start = Instant::now();
-    let (mut ttfe, mut ttfc) = (None, None);
+    let (mut ttfe, mut ttfc, mut exact_row) = (None, None, None);
     loop {
         let frame = client.read_frame();
         let at = start.elapsed().as_secs_f64() * 1e3;
         ttfc.get_or_insert(at);
         match frame {
-            WireFrame::Chunk { tag, .. } => {
-                if ttfe.is_none() && (tag == "approx" || tag == last_row) {
-                    ttfe = Some(at);
-                }
+            WireFrame::Chunk { tag, .. } if tag == "approx" => {
+                ttfe.get_or_insert(at);
             }
+            WireFrame::Chunk { tag, .. } if tag == last_row => exact_row = Some(at),
+            WireFrame::Chunk { .. } => {}
             WireFrame::Final(WireReply::Ok(_)) => {
                 return Trial {
-                    ttfe_ms: ttfe.expect("every series reply reaches its last row"),
+                    ttfe_ms: ttfe.expect("an enumerating cliff job streams estimates"),
                     ttfc_ms: ttfc.unwrap(),
+                    exact_row_ms: exact_row.expect("every series reply reaches its last row"),
                     total_ms: at,
                 };
             }
@@ -180,19 +166,23 @@ fn run_trial(client: &mut Client, query: &str, k: usize) -> Trial {
     }
 }
 
-/// Time `trials` cliff jobs on one server and return the raw samples
-/// plus the server's final counter evidence.
-fn run_side(anytime: bool, nulls: usize, k: usize, trials: usize) -> (SideReport, u64, u64) {
-    // Planner off on both sides: the class census would answer these
-    // jobs in one pass, and this workload measures the enumeration
-    // cliff that anytime serving still covers.
+/// Run the workload: `trials` E21-class cliff jobs (`series` to depth
+/// `k` over `nulls` nulls) against one default server with the planner
+/// off, medians over the trials.
+///
+/// Asserts the mechanism fired where timing alone could lie: the
+/// server streamed estimate chunks.
+pub fn run_anytime_bench(seed: u64, nulls: usize, k: usize, trials: usize) -> AnytimeBenchReport {
+    assert!(trials >= 1, "need at least one trial");
+    // Planner off: the class census would answer these jobs in one
+    // pass, and this workload measures the enumeration cliff that
+    // anytime serving still covers.
     let cfg = ServerConfig {
         addr: "127.0.0.1:0".into(),
-        workers: 4,
-        anytime,
         planner: false,
         ..ServerConfig::default()
     };
+    let cores = cfg.workers;
     let server = Server::bind(&cfg).expect("bind ephemeral port");
     let addr = server.local_addr().unwrap();
     let handle = server.shutdown_handle().unwrap();
@@ -202,7 +192,8 @@ fn run_side(anytime: bool, nulls: usize, k: usize, trials: usize) -> (SideReport
     let facts: Vec<String> = (0..nulls).map(|i| format!("R(c{i}, _x{i}).")).collect();
     client.send_ok(&format!("fact {}", facts.join(" ")));
 
-    let (mut ttfe, mut ttfc, mut total) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut ttfe, mut ttfc, mut exact_row, mut total) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     for t in 0..trials {
         // A fresh query name per trial keeps the result cache cold.
         let query = format!("Z{t}");
@@ -210,49 +201,28 @@ fn run_side(anytime: bool, nulls: usize, k: usize, trials: usize) -> (SideReport
         let trial = run_trial(&mut client, &query, k);
         ttfe.push(trial.ttfe_ms);
         ttfc.push(trial.ttfc_ms);
+        exact_row.push(trial.exact_row_ms);
         total.push(trial.total_ms);
     }
     let stats = client.send_ok("stats");
     let chunks = stats_field(&stats, "anytime_chunks_total");
-    let stolen = stats_field(&stats, "subtasks_stolen_total");
-
     handle.shutdown();
     join.join().unwrap();
-    let report = SideReport {
-        ttfe_ms: median(&mut ttfe),
-        ttfc_ms: median(&mut ttfc),
-        total_ms: median(&mut total),
-    };
-    (report, chunks, stolen)
-}
+    assert!(chunks >= 1, "the server streamed no estimate chunks");
 
-/// Run the workload: `trials` E21-class cliff jobs (`series` to depth
-/// `k` over `nulls` nulls) against an anytime server and a sequential
-/// one, medians per side.
-///
-/// Asserts the mechanism fired where timing alone could lie: the
-/// anytime side streamed estimate chunks and stole subtasks; the
-/// sequential side did neither.
-pub fn run_anytime_bench(seed: u64, nulls: usize, k: usize, trials: usize) -> AnytimeBenchReport {
-    assert!(trials >= 1, "need at least one trial");
-    let (anytime, chunks, stolen) = run_side(true, nulls, k, trials);
-    let (sequential, seq_chunks, seq_stolen) = run_side(false, nulls, k, trials);
-    assert!(chunks >= 1, "anytime server streamed no estimate chunks");
-    assert!(stolen >= 1, "anytime server scattered no subtasks");
-    assert_eq!(seq_chunks, 0, "--no-anytime must not stream estimates");
-    assert_eq!(seq_stolen, 0, "--no-anytime must not scatter subtasks");
-
-    let ttfe_speedup = sequential.ttfe_ms / anytime.ttfe_ms.max(1e-9);
+    let (ttfe_ms, exact_row_ms) = (median(&mut ttfe), median(&mut exact_row));
     AnytimeBenchReport {
         seed,
+        cores,
         nulls,
         k,
         trials,
-        anytime,
-        sequential,
-        ttfe_speedup,
+        ttfe_ms,
+        ttfc_ms: median(&mut ttfc),
+        exact_row_ms,
+        total_ms: median(&mut total),
+        ttfe_speedup: exact_row_ms / ttfe_ms.max(1e-9),
         chunks,
-        stolen,
     }
 }
 
@@ -262,15 +232,15 @@ mod tests {
 
     #[test]
     fn anytime_bench_round_trips_and_proves_the_mechanisms() {
-        // Smoke-sized: k=7 over 5 nulls crosses the split threshold
-        // (7⁵ = 16807 valuations on the last row) so both mechanisms
-        // fire, while staying fast in debug builds. The ≥10× TTFE claim
+        // Smoke-sized: k=7 over 5 nulls crosses the sampling threshold
+        // (7⁵ = 16807 valuations on the last row) so the estimator
+        // fires, while staying fast in debug builds. The ≥10× TTFE claim
         // is asserted only by the release-mode runner — debug timings
         // are meaningless.
         let report = run_anytime_bench(3707, 5, 7, 1);
         assert_eq!(report.trials, 1);
-        assert!(report.anytime.ttfe_ms > 0.0 && report.sequential.ttfe_ms > 0.0);
-        assert!(report.anytime.ttfe_ms <= report.anytime.total_ms);
+        assert!(report.ttfe_ms > 0.0);
+        assert!(report.ttfe_ms <= report.exact_row_ms && report.exact_row_ms <= report.total_ms);
         let json = report.to_json();
         assert!(json.contains("\"workload\": \"anytime\""), "{json}");
         assert!(json.contains("\"ttfe_speedup\""), "{json}");

@@ -1,16 +1,16 @@
 //! `anytime_bench` — the `anytime` workload runner (E22).
 //!
 //! Times E21-class cliff jobs (`series Z k` over an `m`-null database)
-//! against two live servers that differ only in the anytime flag, and
-//! writes `BENCH_anytime.json` in the current directory. The headline
-//! column is TTFE — time until the client holds any information about
-//! μᵏ — which the sequential path delays to the end of the job and the
-//! anytime path serves within one sampling batch.
+//! on one live server with the planner off, and writes
+//! `BENCH_anytime.json` in the current directory. The headline column
+//! is TTFE — time until the client holds any information about μᵏ,
+//! served within one sampling batch — against the exact `k` row, which
+//! lands only at the end of the enumeration.
 //!
 //! `CAZ_TEST_SEED` names the run (default 3707); `CAZ_BENCH_NULLS`,
 //! `CAZ_BENCH_K`, and `CAZ_BENCH_TRIALS` size it (defaults 5, 9, 5).
 //! Pass `--smoke` for the CI-sized run (k=7, one trial) that checks
-//! the mechanisms without asserting the release-mode speedup.
+//! the mechanism without asserting the release-mode speedup.
 
 use caz_bench::anytime::run_anytime_bench;
 
@@ -39,16 +39,12 @@ fn main() {
     std::fs::write("BENCH_anytime.json", format!("{json}\n")).expect("write BENCH_anytime.json");
 
     eprintln!(
-        "  anytime     ttfe {:>9.3}ms  ttfc {:>9.3}ms  total {:>9.3}ms",
-        report.anytime.ttfe_ms, report.anytime.ttfc_ms, report.anytime.total_ms
+        "  ttfe {:>9.3}ms  ttfc {:>9.3}ms  exact row {:>9.3}ms  total {:>9.3}ms",
+        report.ttfe_ms, report.ttfc_ms, report.exact_row_ms, report.total_ms
     );
     eprintln!(
-        "  sequential  ttfe {:>9.3}ms  ttfc {:>9.3}ms  total {:>9.3}ms",
-        report.sequential.ttfe_ms, report.sequential.ttfc_ms, report.sequential.total_ms
-    );
-    eprintln!(
-        "  ttfe speedup {:.1}x  ({} chunks, {} subtasks stolen)",
-        report.ttfe_speedup, report.chunks, report.stolen
+        "  ttfe speedup {:.1}x  ({} chunks, {} cores)",
+        report.ttfe_speedup, report.chunks, report.cores
     );
     if !smoke {
         assert!(

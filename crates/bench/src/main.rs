@@ -11,9 +11,9 @@
 //! experiment tables: `planner` (routed fast paths vs. forced
 //! enumeration), `persistence` (cold vs. warm store start), `service`
 //! (the open-loop overload harness, smoke-sized), or `anytime` (the
-//! series-cliff TTFE comparison, smoke-sized). All use fixed seeds
-//! (`CAZ_TEST_SEED`, default 3707) and print their JSON report, the
-//! same one their standalone `*_bench` binaries write to disk.
+//! series-cliff TTFE against the exact row, smoke-sized). All use fixed
+//! seeds (`CAZ_TEST_SEED`, default 3707) and print their JSON report,
+//! the same one their standalone `*_bench` binaries write to disk.
 
 use caz_bench::experiments;
 

@@ -228,8 +228,8 @@ pub fn supp_k_count(event: &dyn SuppEvent, db: &Database, k: usize) -> u128 {
 /// Hits of the event on the flat index range `[start, end)` of `Vᵏ(D)`
 /// (same enumeration order as [`supp_k_count`]; summing disjoint covering
 /// slices reproduces the full count). Checks `cancel` every ~1024
-/// valuations and returns `None` if it is set, so parallel subtasks can
-/// be abandoned promptly when the client goes away.
+/// valuations and returns `None` if it is set, so a caller counting a
+/// row slice by slice can stop promptly when the client goes away.
 pub fn supp_k_count_slice(
     event: &dyn SuppEvent,
     db: &Database,

@@ -74,8 +74,8 @@ impl ConstEnum {
     /// in the same order as [`ConstEnum::valuations`]: the valuation at
     /// flat index `i` assigns `counter[pos] = (i / k^pos) % k` (the first
     /// null is the least-significant digit). Concatenating slices that
-    /// cover `[0, k^m)` reproduces the full enumeration, which is what
-    /// makes support counting splittable across subtasks.
+    /// cover `[0, k^m)` reproduces the full enumeration, so a support
+    /// count can be taken in pieces, with other work in between.
     pub fn valuations_slice(
         &self,
         nulls: &BTreeSet<NullId>,

@@ -114,12 +114,6 @@ pub struct Metrics {
     /// they were produced and the per-connection write buffer hit its
     /// cap ([`crate::ServerConfig::max_wbuf_bytes`]).
     pub slow_reader_disconnects: AtomicU64,
-    /// Enumeration subtasks executed by a worker other than the one
-    /// that scattered them (work actually stolen, not just queued).
-    pub subtasks_stolen: AtomicU64,
-    /// Enumeration subtasks abandoned mid-slice because their job's
-    /// cancellation token fired (client disconnected).
-    pub subtasks_cancelled: AtomicU64,
     /// Executed jobs routed through Theorem 1 (direct naïve measure).
     pub route_theorem1: AtomicU64,
     /// Executed jobs routed through Theorem 4 (Σ^naïve(D) held, so the
@@ -218,8 +212,6 @@ impl Default for Metrics {
             http_4xx: AtomicU64::new(0),
             http_5xx: AtomicU64::new(0),
             slow_reader_disconnects: AtomicU64::new(0),
-            subtasks_stolen: AtomicU64::new(0),
-            subtasks_cancelled: AtomicU64::new(0),
             route_theorem1: AtomicU64::new(0),
             route_theorem4: AtomicU64::new(0),
             route_theorem5: AtomicU64::new(0),
@@ -323,14 +315,6 @@ impl Metrics {
         line(
             "slow_reader_disconnects_total",
             self.slow_reader_disconnects.load(Ordering::Relaxed),
-        );
-        line(
-            "subtasks_stolen_total",
-            self.subtasks_stolen.load(Ordering::Relaxed),
-        );
-        line(
-            "subtasks_cancelled_total",
-            self.subtasks_cancelled.load(Ordering::Relaxed),
         );
         line(
             "planner_route_theorem1_direct_total",
@@ -470,8 +454,6 @@ mod tests {
             "conn_inflight_rejected_total 0",
             "queue_depth 0",
             "anytime_chunks_total 0",
-            "subtasks_stolen_total 0",
-            "subtasks_cancelled_total 0",
             "series_census_total 0",
             // Replication keys are always present; a standalone server
             // reports role 0 (single) and ready 1.

@@ -1,5 +1,5 @@
-//! A bounded, std-only worker pool with per-job panic isolation,
-//! queue-deadline admission control, and work-stealing **subtasks**.
+//! A bounded, std-only worker pool with per-job panic isolation and
+//! queue-deadline admission control.
 //!
 //! Jobs are closures returning `Result<String, String>`; each runs under
 //! `catch_unwind`, so one poisoned query (the measure engine asserts on
@@ -16,26 +16,16 @@
 //! (jobs submitted but not yet picked up), surfaced through the
 //! server's `stats` as `queue_depth`.
 //!
-//! ## Subtasks
-//!
-//! A job already running on a worker can fan its inner loop out with
-//! [`WorkerPool::scatter`]: the pieces go on a subtask deque that every
-//! worker checks *before* the job queue, so idle workers steal them
-//! immediately, while the scattering job drives its own [`TaskGroup`]
-//! via [`TaskGroup::help`]/[`TaskGroup::wait`] — the owner executes
-//! subtasks too, so a group always completes even when every other
-//! worker is busy or the pool is draining (fork–join with helping;
-//! no configuration can deadlock). Subtasks are continuations of an
-//! already-admitted job, so they ignore the admission queue cap and
-//! keep running through a graceful shutdown drain.
+//! Each job runs start to finish on the worker that dequeued it, and
+//! workers take jobs in submission order.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::{JoinHandle, ThreadId};
-use std::time::{Duration, Instant};
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// The result a job's submitter receives.
 pub type JobResult = Result<String, String>;
@@ -97,95 +87,8 @@ pub enum TrySubmitError {
     ShutDown(DetachedJob),
 }
 
-/// A unit of scattered work: a piece of a running job's inner loop.
-struct Subtask {
-    run: Box<dyn FnOnce() + Send>,
-    owner: ThreadId,
-    group: Arc<GroupState>,
-}
-
-struct GroupInner {
-    remaining: usize,
-    /// First panic message among the group's subtasks, if any.
-    panic: Option<String>,
-}
-
-struct GroupState {
-    inner: Mutex<GroupInner>,
-    done: Condvar,
-    /// Subtasks executed by a thread other than the scattering one.
-    stolen: AtomicU64,
-}
-
-/// Handle to a scattered batch of subtasks. The owner drives it with
-/// [`TaskGroup::help`] (bounded) or [`TaskGroup::wait`] (to completion);
-/// both execute queued subtasks on the calling thread, so the group
-/// finishes even if no worker ever picks one up.
-pub struct TaskGroup {
-    pool: Arc<Inner>,
-    state: Arc<GroupState>,
-}
-
-impl TaskGroup {
-    /// Have all subtasks of this group finished?
-    pub fn is_done(&self) -> bool {
-        self.state.inner.lock().unwrap().remaining == 0
-    }
-
-    /// Subtasks of this group executed by threads other than the one
-    /// that scattered them.
-    pub fn stolen(&self) -> u64 {
-        self.state.stolen.load(Ordering::Relaxed)
-    }
-
-    /// Work on queued subtasks (any group's — work conservation) for at
-    /// most `budget`, returning early when this group completes. Returns
-    /// [`TaskGroup::is_done`]. The caller interleaves this with its own
-    /// periodic work (the anytime evaluator samples and streams an
-    /// estimate chunk between calls).
-    pub fn help(&self, budget: Duration) -> bool {
-        let deadline = Instant::now() + budget;
-        loop {
-            if self.is_done() {
-                return true;
-            }
-            let task = self.pool.state.lock().unwrap().subtasks.pop_front();
-            if let Some(task) = task {
-                run_subtask(task, std::thread::current().id());
-                continue;
-            }
-            // Nothing to execute locally: wait for completions in short
-            // slices. `done` is notified when *this* group finishes; the
-            // timeout re-polls the deque in case another job scattered
-            // new subtasks meanwhile.
-            let guard = self.state.inner.lock().unwrap();
-            if guard.remaining == 0 {
-                return true;
-            }
-            let remaining_budget = deadline.saturating_duration_since(Instant::now());
-            if remaining_budget.is_zero() {
-                return false;
-            }
-            let slice = remaining_budget.min(Duration::from_millis(2));
-            let _ = self.state.done.wait_timeout(guard, slice).unwrap();
-            if Instant::now() >= deadline {
-                return self.is_done();
-            }
-        }
-    }
-
-    /// Drive the group to completion (executing subtasks on this thread
-    /// as needed) and return the first captured panic message, if any
-    /// subtask panicked.
-    pub fn wait(&self) -> Option<String> {
-        while !self.help(Duration::from_millis(5)) {}
-        self.state.inner.lock().unwrap().panic.clone()
-    }
-}
-
 struct PoolState {
     jobs: VecDeque<Job>,
-    subtasks: VecDeque<Subtask>,
     open: bool,
 }
 
@@ -197,9 +100,8 @@ struct Inner {
     space: Condvar,
 }
 
-/// A fixed-size pool of worker threads pulling jobs off a bounded queue,
-/// with a second, uncapped deque of work-stealing subtasks that takes
-/// priority.
+/// A fixed-size pool of worker threads pulling jobs off one bounded
+/// FIFO queue.
 ///
 /// All methods take `&self` (the handle is shared behind an `Arc` by the
 /// server's connection threads), so shutdown state lives behind mutexes.
@@ -218,7 +120,6 @@ impl WorkerPool {
         let inner = Arc::new(Inner {
             state: Mutex::new(PoolState {
                 jobs: VecDeque::new(),
-                subtasks: VecDeque::new(),
                 open: true,
             }),
             available: Condvar::new(),
@@ -301,39 +202,6 @@ impl WorkerPool {
         Ok(())
     }
 
-    /// Scatter pieces of a running job across the pool as work-stealing
-    /// subtasks. Subtasks bypass the admission queue (they belong to a
-    /// job that was already admitted) and are picked up by idle workers
-    /// ahead of queued jobs; the returned [`TaskGroup`] lets the caller
-    /// help execute them and await completion. Panics inside subtasks
-    /// are caught per subtask and surfaced by [`TaskGroup::wait`].
-    pub fn scatter(&self, tasks: Vec<Box<dyn FnOnce() + Send>>) -> TaskGroup {
-        let group = Arc::new(GroupState {
-            inner: Mutex::new(GroupInner {
-                remaining: tasks.len(),
-                panic: None,
-            }),
-            done: Condvar::new(),
-            stolen: AtomicU64::new(0),
-        });
-        let owner = std::thread::current().id();
-        {
-            let mut state = self.inner.state.lock().unwrap();
-            for run in tasks {
-                state.subtasks.push_back(Subtask {
-                    run,
-                    owner,
-                    group: Arc::clone(&group),
-                });
-            }
-        }
-        self.inner.available.notify_all();
-        TaskGroup {
-            pool: Arc::clone(&self.inner),
-            state: group,
-        }
-    }
-
     /// Convenience: submit and wait for the result.
     pub fn run(&self, work: Box<dyn FnOnce() -> JobResult + Send>) -> (JobResult, Outcome) {
         match self.submit(work) {
@@ -345,7 +213,7 @@ impl WorkerPool {
     }
 
     /// Graceful shutdown: stop accepting jobs, let the workers drain
-    /// every queued job and subtask, then join them. Idempotent.
+    /// every queued job, then join them. Idempotent.
     pub fn shutdown(&self) {
         {
             let mut state = self.inner.state.lock().unwrap();
@@ -367,26 +235,14 @@ impl Drop for WorkerPool {
 }
 
 fn worker_loop(inner: &Inner, depth: &AtomicU64) {
-    let me = std::thread::current().id();
     loop {
-        enum Work {
-            Task(Subtask),
-            Job(Job),
-        }
-        let work = {
+        let job = {
             let mut state = inner.state.lock().unwrap();
             loop {
-                // Subtasks first: they are pieces of a job that is
-                // already occupying a worker and a client connection, so
-                // finishing them bounds that job's latency; new jobs can
-                // wait one subtask's slice.
-                if let Some(t) = state.subtasks.pop_front() {
-                    break Work::Task(t);
-                }
                 if let Some(j) = state.jobs.pop_front() {
                     depth.fetch_sub(1, Ordering::Relaxed);
                     inner.space.notify_one();
-                    break Work::Job(j);
+                    break j;
                 }
                 if !state.open {
                     return;
@@ -394,10 +250,7 @@ fn worker_loop(inner: &Inner, depth: &AtomicU64) {
                 state = inner.available.wait(state).unwrap();
             }
         };
-        match work {
-            Work::Task(t) => run_subtask(t, me),
-            Work::Job(job) => run_job(job),
-        }
+        run_job(job);
     }
 }
 
@@ -438,44 +291,13 @@ fn run_job(job: Job) {
     }
 }
 
-fn run_subtask(task: Subtask, executor: ThreadId) {
-    if executor != task.owner {
-        task.group.stolen.fetch_add(1, Ordering::Relaxed);
-    }
-    let outcome = catch_unwind(AssertUnwindSafe(task.run));
-    let mut inner = task.group.inner.lock().unwrap();
-    inner.remaining -= 1;
-    if let Err(payload) = outcome {
-        if inner.panic.is_none() {
-            // Raw message, not the `panic_message` wrapping: the owner
-            // may rethrow it (`resume_group_panic`), and only the final
-            // catch at the job boundary should add the prefix.
-            inner.panic = Some(raw_panic_message(payload.as_ref()));
-        }
-    }
-    if inner.remaining == 0 {
-        task.group.done.notify_all();
-    }
-}
-
-/// Rethrow a panic captured from a subtask ([`TaskGroup::wait`]) on the
-/// calling thread, so a scattered job's panic surfaces exactly like a
-/// sequential one: caught once at the job boundary and framed as
-/// `evaluation panicked: <msg>`.
-pub fn resume_group_panic(msg: String) -> ! {
-    std::panic::resume_unwind(Box::new(msg))
-}
-
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    format!("evaluation panicked: {}", raw_panic_message(payload))
-}
-
-fn raw_panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
+    let msg = payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_string())
         .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "unknown panic".into())
+        .unwrap_or_else(|| "unknown panic".into());
+    format!("evaluation panicked: {msg}")
 }
 
 #[cfg(test)]
@@ -714,159 +536,5 @@ mod tests {
             assert!(rx.recv().unwrap().0.is_ok());
         }
         assert!(pool.submit(Box::new(|| Ok(String::new()))).is_err());
-    }
-
-    #[test]
-    fn scattered_subtasks_run_in_parallel_and_count_steals() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::time::Duration;
-        let pool = Arc::new(WorkerPool::new(4, 16));
-        let pool2 = Arc::clone(&pool);
-        // Scatter from inside a running job, like the anytime evaluator.
-        let (result, outcome) = pool.run(Box::new(move || {
-            let in_flight = Arc::new(AtomicUsize::new(0));
-            let peak = Arc::new(AtomicUsize::new(0));
-            let sum = Arc::new(AtomicUsize::new(0));
-            let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..8)
-                .map(|i| {
-                    let in_flight = Arc::clone(&in_flight);
-                    let peak = Arc::clone(&peak);
-                    let sum = Arc::clone(&sum);
-                    Box::new(move || {
-                        let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-                        peak.fetch_max(now, Ordering::SeqCst);
-                        std::thread::sleep(Duration::from_millis(20));
-                        sum.fetch_add(i + 1, Ordering::SeqCst);
-                        in_flight.fetch_sub(1, Ordering::SeqCst);
-                    }) as Box<dyn FnOnce() + Send>
-                })
-                .collect();
-            let group = pool2.scatter(tasks);
-            assert!(group.wait().is_none(), "no subtask panicked");
-            assert!(group.is_done());
-            assert_eq!(sum.load(Ordering::SeqCst), 36, "all subtasks ran exactly once");
-            assert!(peak.load(Ordering::SeqCst) >= 2, "subtasks overlapped");
-            // Three idle workers plus the owner: something must steal.
-            assert!(group.stolen() >= 1, "stolen = {}", group.stolen());
-            Ok("scattered".into())
-        }));
-        assert_eq!(outcome, Outcome::Completed);
-        assert_eq!(result.unwrap(), "scattered");
-    }
-
-    #[test]
-    fn owner_completes_group_with_no_free_workers() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        // A 1-worker pool: the only worker is the scattering job itself,
-        // so nobody can steal — wait() must execute every subtask on the
-        // owner thread instead of deadlocking.
-        let pool = Arc::new(WorkerPool::new(1, 4));
-        let pool2 = Arc::clone(&pool);
-        let (result, _) = pool.run(Box::new(move || {
-            let sum = Arc::new(AtomicUsize::new(0));
-            let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..5)
-                .map(|i| {
-                    let sum = Arc::clone(&sum);
-                    Box::new(move || {
-                        sum.fetch_add(i + 1, Ordering::SeqCst);
-                    }) as Box<dyn FnOnce() + Send>
-                })
-                .collect();
-            let group = pool2.scatter(tasks);
-            assert!(group.wait().is_none());
-            assert_eq!(group.stolen(), 0, "nobody else could steal");
-            assert_eq!(sum.load(Ordering::SeqCst), 15);
-            Ok("solo".into())
-        }));
-        assert_eq!(result.unwrap(), "solo");
-    }
-
-    #[test]
-    fn subtask_panic_is_captured_not_fatal() {
-        let pool = Arc::new(WorkerPool::new(2, 4));
-        let pool2 = Arc::clone(&pool);
-        let (result, outcome) = pool.run(Box::new(move || {
-            let tasks: Vec<Box<dyn FnOnce() + Send>> = vec![
-                Box::new(|| {}),
-                Box::new(|| panic!("subtask boom")),
-                Box::new(|| {}),
-            ];
-            let group = pool2.scatter(tasks);
-            let panic = group.wait().expect("panic captured");
-            assert!(panic.contains("subtask boom"), "{panic}");
-            Ok("survived".into())
-        }));
-        assert_eq!(outcome, Outcome::Completed);
-        assert_eq!(result.unwrap(), "survived");
-        // The pool still serves after a subtask panic.
-        let (res, out) = pool.run(Box::new(|| Ok("after".into())));
-        assert_eq!(out, Outcome::Completed);
-        assert_eq!(res.unwrap(), "after");
-    }
-
-    #[test]
-    fn help_budget_returns_before_group_completion() {
-        use std::time::Duration;
-        let pool = Arc::new(WorkerPool::new(2, 4));
-        let pool2 = Arc::clone(&pool);
-        let (result, _) = pool.run(Box::new(move || {
-            let tasks: Vec<Box<dyn FnOnce() + Send>> = vec![Box::new(|| {
-                std::thread::sleep(Duration::from_millis(150));
-            })];
-            let group = pool2.scatter(tasks);
-            // Let the other worker steal the sleeping subtask, then a
-            // tiny help budget must return promptly with done == false —
-            // this is the window where the anytime evaluator streams an
-            // approx chunk.
-            std::thread::sleep(Duration::from_millis(20));
-            let start = Instant::now();
-            let done = group.help(Duration::from_millis(10));
-            assert!(!done, "subtask still sleeping");
-            assert!(start.elapsed() < Duration::from_millis(100), "help respected its budget");
-            assert!(group.wait().is_none());
-            Ok("budgeted".into())
-        }));
-        assert_eq!(result.unwrap(), "budgeted");
-    }
-
-    #[test]
-    fn scatter_during_shutdown_drain_still_completes() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::mpsc::channel;
-        // A job admitted before shutdown scatters subtasks mid-drain;
-        // the group must still complete (the owner helps) and the job
-        // must deliver its result before shutdown() returns.
-        let pool = Arc::new(WorkerPool::new(2, 8));
-        let pool2 = Arc::clone(&pool);
-        let (started_tx, started_rx) = channel::<()>();
-        let (done_tx, done_rx) = channel();
-        pool.try_submit_detached(DetachedJob {
-            work: Box::new(move || {
-                started_tx.send(()).unwrap();
-                // Give shutdown() a moment to flip the pool closed.
-                std::thread::sleep(std::time::Duration::from_millis(40));
-                let sum = Arc::new(AtomicUsize::new(0));
-                let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..4)
-                    .map(|i| {
-                        let sum = Arc::clone(&sum);
-                        Box::new(move || {
-                            sum.fetch_add(i + 1, Ordering::SeqCst);
-                        }) as Box<dyn FnOnce() + Send>
-                    })
-                    .collect();
-                let group = pool2.scatter(tasks);
-                assert!(group.wait().is_none());
-                Ok(format!("drained {}", sum.load(Ordering::SeqCst)))
-            }),
-            on_done: Box::new(move |res, out| done_tx.send((res, out)).unwrap()),
-            deadline: None,
-        })
-        .map_err(|_| "rejected")
-        .unwrap();
-        started_rx.recv().unwrap();
-        pool.shutdown();
-        let (res, out) = done_rx.recv().unwrap();
-        assert_eq!(out, Outcome::Completed);
-        assert_eq!(res.unwrap(), "drained 10");
     }
 }

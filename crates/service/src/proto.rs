@@ -35,10 +35,10 @@
 //!   soon as that μᵏ is computed (ascending `k`), then a terminal
 //!   `ok done <k>`. Joining the chunk payloads with newlines (plus a
 //!   trailing newline) reconstructs byte-for-byte what the interactive
-//!   shell prints. With **anytime serving** enabled (the default on
-//!   live connections; see `--no-anytime`), an expensive series job
-//!   additionally interleaves Monte-Carlo estimate chunks of the final
-//!   μ^k_max while the exact enumeration proceeds:
+//!   shell prints. On a live connection, a series job that enumerates
+//!   an expensive final row additionally interleaves Monte-Carlo
+//!   estimate chunks of μ^k_max while the exact enumeration proceeds
+//!   (**anytime serving**):
 //!
 //!   ```text
 //!   approx  = "ok* approx " value " ±" err " " samples LF
@@ -51,11 +51,11 @@
 //!   (never a number, so they cannot collide with `k`-row tags):
 //!   clients reconstructing the exact table skip them. They appear only
 //!   on cache misses computed for a live streaming connection — batch
-//!   mode, `--no-anytime`, and cache-hit replays emit none — and they
-//!   are never part of the cached aggregate, so a hit replays exactly
-//!   the `k`-row chunks plus `ok done <k>`. Stripping `approx` chunks,
-//!   the frame sequence is byte-identical with and without anytime
-//!   serving.
+//!   mode, jobs the class census answers, and cache-hit replays emit
+//!   none — and they are never part of the cached aggregate, so a hit
+//!   replays exactly the `k`-row chunks plus `ok done <k>`. Stripping
+//!   `approx` chunks, the frame sequence is byte-identical to batch
+//!   mode's.
 //! * **`explain <eval command>`** — the planner's full report as word-
 //!   tagged chunks, then a terminal `ok done <n>`: one `route` chunk
 //!   (the chosen route's kebab-case name), one `features` chunk (the

@@ -55,15 +55,15 @@
 //! served — in-flight and queued commands finish (nothing is shed
 //! during drain), replies flush, and each connection closes once idle.
 //!
-//! **Two protocols, one port**: unless `--no-http` disables it, the
-//! first bytes of every connection are sniffed ([`crate::http::sniff`])
-//! — an uppercase HTTP method token selects HTTP/1.1 framing, anything
-//! else the line protocol (all commands are lowercase, so the
-//! discriminator is unambiguous). The [`Transport`] on each connection
-//! then decides how extracted input becomes [`Pending`] entries and how
-//! reply frames are encoded in [`Reactor::queue_frames`]: one reply
-//! group per HTTP response, one frame per chunk, so a de-chunked
-//! `text/plain` body is byte-identical to the line protocol's output.
+//! **Two protocols, one port**: the first bytes of every connection are
+//! sniffed ([`crate::http::sniff`]) — an uppercase HTTP method token
+//! selects HTTP/1.1 framing, anything else the line protocol (all
+//! commands are lowercase, so the discriminator is unambiguous). The
+//! [`Transport`] on each connection then decides how extracted input
+//! becomes [`Pending`] entries and how reply frames are encoded in
+//! [`Reactor::queue_frames`]: one reply group per HTTP response, one
+//! frame per chunk, so a de-chunked `text/plain` body is byte-identical
+//! to the line protocol's output.
 //!
 //! **Slow readers are bounded**: after a partial socket drain the
 //! written prefix of `wbuf` is compacted away, and a connection whose
@@ -167,9 +167,8 @@ impl Notifier {
 
 /// The live connection a `series` member streams to, owned by its
 /// worker closure: each row goes out as a chunk as soon as it is
-/// computed, and enumeration may run as anytime scatter, with `approx`
-/// estimates in between, until the reactor fires `cancel` on
-/// disconnect.
+/// computed, with `approx` estimates in between while it enumerates,
+/// until the reactor fires `cancel` on disconnect.
 pub(crate) struct Stream {
     notifier: Arc<Notifier>,
     conn: u64,
@@ -203,8 +202,8 @@ struct Inflight {
     /// `series` rows already streamed to the connection.
     streamed: usize,
     /// Cancellation token of a streaming `series` member: fired when the
-    /// connection dies, so its enumeration subtasks stop instead of
-    /// burning the pool for a reply nobody will read.
+    /// connection dies, so its enumeration stops instead of burning a
+    /// worker for a reply nobody will read.
     cancel: Option<Arc<AtomicBool>>,
 }
 
@@ -320,11 +319,11 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: std::net::TcpStream, transport: Transport) -> Conn {
+    fn new(stream: std::net::TcpStream) -> Conn {
         Conn {
             stream,
             session: Session::new(),
-            transport,
+            transport: Transport::Sniff,
             rbuf: Vec::new(),
             pending: VecDeque::new(),
             backlog: 0,
@@ -466,12 +465,7 @@ impl Reactor {
                         continue;
                     }
                     self.shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
-                    let transport = if self.shared.http {
-                        Transport::Sniff
-                    } else {
-                        Transport::Line
-                    };
-                    self.conns.insert(token, Conn::new(stream, transport));
+                    self.conns.insert(token, Conn::new(stream));
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -1150,8 +1144,8 @@ impl Reactor {
         if let Some(conn) = self.conns.remove(&id) {
             let _ = self.epoll.delete(conn.stream.as_raw_fd());
             // Nobody is left to read the reply: tell the in-flight
-            // anytime job to stop enumerating. The job still finishes
-            // on its worker (counted, never cached).
+            // `series` to stop enumerating. It settles on its worker at
+            // its next slice (counted, never cached).
             if let Some(cancel) = conn.inflight.as_ref().and_then(|g| g.cancel.as_ref()) {
                 cancel.store(true, Ordering::Relaxed);
             }

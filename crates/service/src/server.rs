@@ -126,24 +126,6 @@ pub struct ServerConfig {
     /// under overload. `0` (the default) disables both: jobs wait
     /// however long backpressure takes.
     pub queue_deadline_ms: u64,
-    /// Anytime serving for expensive `series` jobs over live
-    /// connections: stream `ok* approx …` estimate chunks while the
-    /// exact enumeration proceeds, and split that enumeration across
-    /// the pool as work-stealing subtasks: anytime is the enumeration
-    /// engine of the one evaluation pipeline. Only jobs the class
-    /// census does not answer (see [`ServerConfig::planner`]) enumerate
-    /// at all, so with the planner on this covers the residual region:
-    /// large named-constant pools, or more nulls than the census
-    /// accepts. Estimates go out every 25 ms. Disabled (`--no-anytime`),
-    /// series rows enumerate sequentially with no approx chunks — the
-    /// differential baseline; final frames are byte-identical either
-    /// way.
-    pub anytime: bool,
-    /// Serve HTTP/1.1 (keep-alive, chunked responses) on the same port
-    /// as the line protocol, sniffed per connection from the first
-    /// bytes (see [`crate::http`]). `--no-http` disables the sniffer,
-    /// restoring a line-protocol-only listener.
-    pub http: bool,
     /// Cap on *unsent* reply bytes buffered per connection. A peer that
     /// reads slower than its replies are produced (e.g. an unread
     /// streaming `series`) is disconnected once the buffer exceeds the
@@ -185,8 +167,6 @@ impl Default for ServerConfig {
             planner: true,
             max_inflight_per_conn: 0,
             queue_deadline_ms: 0,
-            anytime: true,
-            http: true,
             max_wbuf_bytes: 4 << 20,
             role: Role::Single,
             replication: None,
@@ -213,12 +193,6 @@ pub(crate) struct Shared {
     /// Queue deadline for pool jobs; `Some` also enables shed-on-full
     /// (see [`ServerConfig::queue_deadline_ms`]).
     pub(crate) queue_deadline: Option<std::time::Duration>,
-    /// Anytime serving for streamed `series` jobs; off, enumeration is
-    /// sequential (see [`ServerConfig::anytime`]).
-    pub(crate) anytime: bool,
-    /// Sniff and serve HTTP/1.1 alongside the line protocol (see
-    /// [`ServerConfig::http`]).
-    pub(crate) http: bool,
     /// Per-connection cap on unsent reply bytes; `0` = unbounded (see
     /// [`ServerConfig::max_wbuf_bytes`]).
     pub(crate) wbuf_cap: usize,
@@ -288,8 +262,6 @@ impl Shared {
             max_inflight_per_conn: cfg.max_inflight_per_conn,
             queue_deadline: (cfg.queue_deadline_ms > 0)
                 .then(|| std::time::Duration::from_millis(cfg.queue_deadline_ms)),
-            anytime: cfg.anytime,
-            http: cfg.http,
             wbuf_cap: cfg.max_wbuf_bytes,
             role: cfg.role,
             on_miss: cfg.on_miss,
@@ -622,8 +594,8 @@ fn proxy_to_leader(addr: &str, session: &Session, ev: &EvalRequest) -> Option<Jo
 
 /// A worker's [`Sink`]: rows go to the live connection, if any; the
 /// class census is counted in `series_census_total`; and enumeration
-/// runs as anytime scatter when anytime is on and the job streams, else
-/// sequentially.
+/// streams estimates between its rows ([`crate::anytime`]) when the job
+/// streams, else runs sequentially.
 struct WorkerSink<'a> {
     shared: &'a Shared,
     stream: Option<Stream>,
@@ -645,8 +617,8 @@ impl Sink for WorkerSink<'_> {
     ) -> Result<String, String> {
         if engine == SeriesEngine::Census {
             self.shared.metrics.series_census.fetch_add(1, Ordering::Relaxed);
-        } else if let Some(stream) = self.stream.as_ref().filter(|_| self.shared.anytime) {
-            return crate::anytime::enumerate(self.shared, event, db, k_max, stream);
+        } else if let Some(stream) = &self.stream {
+            return crate::anytime::enumerate(event, db, k_max, stream);
         }
         Ok(series_rows(engine, &*event, db, k_max, &mut |k, row| self.row(k, row)))
     }

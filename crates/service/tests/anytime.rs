@@ -1,19 +1,20 @@
 //! End-to-end tests of anytime `series` serving: approx-chunk
-//! streaming, differential byte-identity against `--no-anytime`,
-//! cache-hit replay, and graceful-shutdown drain.
+//! streaming, differential byte-identity against batch mode, cache-hit
+//! replay, and graceful-shutdown drain.
 //!
 //! The contract under test (see `docs/ANYTIME.md` and the grammar in
 //! `caz_service::proto`): `ok* approx …` chunks are advisory — deleting
-//! them from an anytime reply stream must leave a frame sequence
+//! them from a live reply stream must leave a frame sequence
 //! byte-identical to the sequential path — and only the exact terminal
 //! aggregate is ever cached. The differential layer drives a seeded
-//! random catalog (`CAZ_TEST_SEED`, fixed default) through two live
-//! servers that differ only in the anytime flag. Both run with the
-//! planner off, so every series enumerates; `series_census.rs` covers
-//! the planner's census path.
+//! random catalog (`CAZ_TEST_SEED`, fixed default) through a live
+//! server and through `run_batch`, which never streams and so
+//! enumerates sequentially. Both run with the planner off, so every
+//! series enumerates; `series_census.rs` covers the planner's census
+//! path.
 
 use caz_service::proto::{decode_frame, WireFrame, WireReply};
-use caz_service::{Server, ServerConfig, ShutdownHandle};
+use caz_service::{run_batch, Server, ServerConfig, ShutdownHandle};
 use caz_testutil::{rngs::StdRng, RngExt, SeedableRng};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -28,15 +29,17 @@ fn seed() -> u64 {
 /// A two-worker server with the planner off: anytime serving is for
 /// series jobs that enumerate, and with the planner on the class census
 /// answers these five-null jobs in one short pass instead.
-fn spawn_server(anytime: bool) -> (SocketAddr, ShutdownHandle, std::thread::JoinHandle<()>) {
-    let cfg = ServerConfig {
+fn config() -> ServerConfig {
+    ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
-        anytime,
         planner: false,
         ..ServerConfig::default()
-    };
-    let server = Server::bind(&cfg).expect("bind ephemeral port");
+    }
+}
+
+fn spawn_server() -> (SocketAddr, ShutdownHandle, std::thread::JoinHandle<()>) {
+    let server = Server::bind(&config()).expect("bind ephemeral port");
     let addr = server.local_addr().unwrap();
     let handle = server.shutdown_handle().unwrap();
     let join = std::thread::spawn(move || server.run().expect("server run"));
@@ -110,7 +113,8 @@ fn is_approx(raw: &str) -> bool {
 /// distinct nulls, one query definition, and a handful of evaluation
 /// commands ending in a `series`. Small enough to stay fast in debug
 /// builds, large enough (`k⁴` up to ~6.5k valuations) to cross the
-/// anytime evaluator's split/sampling thresholds on some draws.
+/// anytime evaluator's sampling threshold and span several slices on
+/// some draws.
 fn random_script(rng: &mut StdRng) -> Vec<String> {
     const CONSTS: [&str; 4] = ["a", "b", "c", "d"];
     const NULLS: [&str; 4] = ["_x", "_y", "_z", "_w"];
@@ -144,52 +148,63 @@ fn random_script(rng: &mut StdRng) -> Vec<String> {
     ]
 }
 
-/// The tentpole's correctness gate: for a seeded catalog of sessions,
-/// the anytime server's reply stream with `approx` chunks deleted is
-/// byte-identical to the `--no-anytime` server's, command by command —
-/// including cache-hit replays (both servers see the same catalog, so
-/// their caches fill identically).
-#[test]
-fn final_frames_are_byte_identical_with_and_without_anytime() {
-    let (addr_any, handle_any, join_any) = spawn_server(true);
-    let (addr_seq, handle_seq, join_seq) = spawn_server(false);
-    let mut client_any = Client::connect(addr_any);
-    let mut client_seq = Client::connect(addr_seq);
-
-    let seed = seed();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xA17_71E);
-    for round in 0..12 {
-        for cmd in random_script(&mut rng) {
-            client_any.push(&cmd);
-            client_seq.push(&cmd);
-            let got: Vec<String> = client_any
-                .read_raw_group()
-                .into_iter()
-                .filter(|raw| !is_approx(raw))
-                .collect();
-            let want = client_seq.read_raw_group();
-            assert_eq!(
-                got, want,
-                "CAZ_TEST_SEED={seed} round={round}: anytime reply (approx stripped) \
-                 diverges from the sequential reply for {cmd:?}"
-            );
+/// `run_batch`'s replies to `script`, one reply group per line.
+fn batch_groups(script: &[String]) -> Vec<Vec<String>> {
+    let mut out = Vec::new();
+    run_batch(script.join("\n").as_bytes(), &mut out, &config()).expect("batch run");
+    let mut groups = vec![Vec::new()];
+    for raw in String::from_utf8(out).unwrap().lines() {
+        let frame = decode_frame(raw).unwrap_or_else(|| panic!("malformed frame {raw:?}"));
+        groups.last_mut().unwrap().push(raw.to_string());
+        if matches!(frame, WireFrame::Final(_)) {
+            groups.push(Vec::new());
         }
     }
+    groups.pop();
+    groups
+}
 
-    handle_any.shutdown();
-    handle_seq.shutdown();
-    join_any.join().unwrap();
-    join_seq.join().unwrap();
+/// The correctness gate: for a seeded catalog of sessions, the live
+/// server's reply stream with `approx` chunks deleted is byte-identical
+/// to batch mode's, command by command — including cache-hit replays
+/// (both see the same catalog in one session, so their caches fill
+/// identically).
+#[test]
+fn stripped_live_frames_are_byte_identical_to_batch() {
+    let seed = seed();
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xA17_71E);
+    let script: Vec<String> = (0..12).flat_map(|_| random_script(&mut rng)).collect();
+    let want = batch_groups(&script);
+    assert_eq!(want.len(), script.len());
+
+    let (addr, handle, join) = spawn_server();
+    let mut client = Client::connect(addr);
+    for (cmd, want) in script.iter().zip(&want) {
+        client.push(cmd);
+        let got: Vec<String> = client
+            .read_raw_group()
+            .into_iter()
+            .filter(|raw| !is_approx(raw))
+            .collect();
+        assert_eq!(
+            &got, want,
+            "CAZ_TEST_SEED={seed}: live reply (approx stripped) diverges from \
+             the batch reply for {cmd:?}"
+        );
+    }
+
+    handle.shutdown();
+    join.join().unwrap();
 }
 
 #[test]
 fn expensive_series_streams_approx_estimates_and_replays_hits_exactly() {
-    let (addr, handle, join) = spawn_server(true);
+    let (addr, handle, join) = spawn_server();
     let mut client = Client::connect(addr);
 
     // Five nulls, k up to 8: the k=8 row alone is 8⁵ = 32768 valuations
-    // — over the split threshold, so the job scatters subtasks and the
-    // estimator streams while they run.
+    // — over the sampling threshold, so the estimator streams while the
+    // rows enumerate.
     let facts: Vec<String> = (0..5).map(|i| format!("R(c{i}, _x{i}).")).collect();
     client.send_ok(&format!("fact {}", facts.join(" ")));
     client.send_ok("query Q := exists u, v. R(u, v)");
@@ -216,10 +231,9 @@ fn expensive_series_streams_approx_estimates_and_replays_hits_exactly() {
     assert_eq!(exact.len(), 9, "eight rows and the terminal: {exact:?}");
     assert_eq!(exact.last().unwrap(), "ok done 8");
 
-    // The estimator and the work-stealing both left counter evidence.
+    // The estimator left counter evidence.
     let stats = client.send_ok("stats");
     assert!(stats_field(&stats, "anytime_chunks_total") >= 1, "{stats}");
-    assert!(stats_field(&stats, "subtasks_stolen_total") >= 1, "{stats}");
 
     // The identical request replays from the cache: the exact frames
     // byte-for-byte, with no approx chunks (nothing is being computed).
@@ -234,11 +248,11 @@ fn expensive_series_streams_approx_estimates_and_replays_hits_exactly() {
 }
 
 /// Graceful shutdown drains an in-flight anytime series to its exact
-/// terminal `done` — scattered subtasks run to completion even as the
-/// pool stops accepting new jobs — before the connection closes.
+/// terminal `done` — the job runs to completion even as the pool stops
+/// accepting new jobs — before the connection closes.
 #[test]
 fn graceful_shutdown_drains_an_anytime_series_to_its_exact_done() {
-    let (addr, _handle, join) = spawn_server(true);
+    let (addr, _handle, join) = spawn_server();
     let mut streamer = Client::connect(addr);
     let facts: Vec<String> = (0..5).map(|i| format!("R(c{i}, _x{i}).")).collect();
     streamer.send_ok(&format!("fact {}", facts.join(" ")));

@@ -457,27 +457,3 @@ fn line_protocol_and_http_share_the_listener() {
     handle.shutdown();
     join.join().unwrap();
 }
-
-#[test]
-fn no_http_flag_disables_sniffing() {
-    let (addr, handle, join) = spawn_cfg(ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 1,
-        http: false,
-        ..ServerConfig::default()
-    });
-
-    // With the gateway off, an HTTP request line is just an unknown
-    // line-protocol command.
-    let stream = TcpStream::connect(addr).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = stream;
-    writer.write_all(b"GET /healthz HTTP/1.1\r\n").unwrap();
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    assert!(line.starts_with("err "), "expected a line-protocol error, got {line:?}");
-
-    handle.shutdown();
-    join.join().unwrap();
-}

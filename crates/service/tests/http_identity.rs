@@ -5,10 +5,10 @@
 //! busy` shed under a full pool queue (where HTTP additionally promotes
 //! the group to `503` + `Retry-After`).
 //!
-//! Anytime serving is disabled here: advisory `ok* approx` chunks are
-//! timing-dependent by design, so they are the one part of a streamed
-//! group that is not byte-reproducible across runs (a dedicated gateway
-//! test asserts they do flow over HTTP).
+//! Advisory `ok* approx` chunks are timing-dependent by design, so they
+//! are the one part of a streamed group that is not byte-reproducible
+//! across runs: both clients strip them before comparing (a dedicated
+//! gateway test asserts they do flow over HTTP).
 
 use caz_service::http::{format_request, read_response};
 use caz_service::proto::{decode_frame, WireFrame};
@@ -25,15 +25,17 @@ fn spawn_cfg(cfg: ServerConfig) -> (SocketAddr, ShutdownHandle, std::thread::Joi
     (addr, handle, join)
 }
 
-/// Deterministic config: one worker (stable `eval*` completion order),
-/// anytime off (no advisory chunks).
+/// Deterministic config: one worker (stable `eval*` completion order).
 fn identity_cfg() -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 1,
-        anytime: false,
         ..ServerConfig::default()
     }
+}
+
+fn is_approx(line: &str) -> bool {
+    line.starts_with("ok* approx ")
 }
 
 /// The command surface compared byte-for-byte. `stats` is excluded:
@@ -88,15 +90,18 @@ impl LineClient {
         self.writer.flush().unwrap();
     }
 
-    /// Read one whole reply group verbatim: every line including its
-    /// trailing newline, through the terminal frame.
+    /// Read one whole reply group verbatim, `approx` chunks stripped:
+    /// every line including its trailing newline, through the terminal
+    /// frame.
     fn read_group_bytes(&mut self) -> String {
         let mut group = String::new();
         loop {
             let mut line = String::new();
             let n = self.reader.read_line(&mut line).expect("read group line");
             assert!(n > 0, "EOF mid-group, collected so far: {group:?}");
-            group.push_str(&line);
+            if !is_approx(&line) {
+                group.push_str(&line);
+            }
             let frame = decode_frame(line.trim_end_matches('\n'))
                 .unwrap_or_else(|| panic!("malformed frame {line:?}"));
             if matches!(frame, WireFrame::Final(_)) {
@@ -128,7 +133,8 @@ impl HttpClient {
         }
     }
 
-    /// POST one command to `/eval`; return (status, de-chunked body).
+    /// POST one command to `/eval`; return (status, de-chunked body
+    /// with `approx` lines stripped).
     fn eval(&mut self, cmd: &str) -> (u16, String) {
         self.request("POST", "/eval", cmd.as_bytes())
     }
@@ -139,10 +145,9 @@ impl HttpClient {
             .unwrap();
         self.writer.flush().unwrap();
         let resp = read_response(&mut self.reader).expect("read response");
-        (
-            resp.status,
-            String::from_utf8(resp.body).expect("utf-8 body"),
-        )
+        let body = String::from_utf8(resp.body).expect("utf-8 body");
+        let exact = body.split_inclusive('\n').filter(|l| !is_approx(l));
+        (resp.status, exact.collect())
     }
 }
 
@@ -257,7 +262,6 @@ fn busy_shed_under_a_full_pool_queue_is_byte_identical_and_503() {
             queue_cap: 1,
             queue_deadline_ms: 10_000,
             planner: false,
-            anytime: false,
             ..ServerConfig::default()
         }
     }

@@ -1,6 +1,6 @@
 //! `series` through the planner's class census, end to end: a default
 //! server answers a five-null cliff series from one support-polynomial
-//! census — no sampler, no scatter — with frames byte-identical to the
+//! census — no sampler, no slices — with frames byte-identical to the
 //! enumeration a `planner: false` server runs; the census never takes a
 //! job past its caps, so nothing a client sends reaches its assertions;
 //! and `stats`, `/stats` and `explain` say which engine ran.
@@ -113,7 +113,6 @@ fn default_server_answers_the_cliff_from_the_census() {
     assert_eq!(census.last().unwrap(), "ok done 8");
     let delta = |key| stats_field(&after, key) - stats_field(&before, key);
     assert_eq!(delta("series_census_total"), 1, "{after}");
-    assert_eq!(delta("subtasks_stolen_total"), 0, "{after}");
     assert_eq!(delta("anytime_chunks_total"), 0, "{after}");
     // Still an executed fallback job: no theorem routes a series.
     assert_eq!(delta("planner_fallback_total"), 1, "{after}");

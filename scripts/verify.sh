@@ -72,6 +72,16 @@ if ! cargo test -q -p caz-logic --test properties; then
     exit 1
 fi
 
+# Property stage: caz-constraints' chase (soundness, confluence under
+# FD order, idempotence), FD satisfiability by chase, dispatch and
+# brute force, and constraint formulas vs. direct checks, over random
+# databases and random Σ.
+echo "==> constraints properties (CAZ_TEST_SEED=${CAZ_TEST_SEED})"
+if ! cargo test -q -p caz-constraints --test properties; then
+    echo "constraints properties FAILED — reproduce with: CAZ_TEST_SEED=${CAZ_TEST_SEED} cargo test -p caz-constraints --test properties" >&2
+    exit 1
+fi
+
 # Planner differential stage: every evaluation answered through the
 # complexity-aware planner must be byte-identical to the forced
 # enumeration answer, across 1,000+ seeded sessions (same
@@ -232,21 +242,22 @@ done
 echo "    load smoke OK: overload shed cleanly, report schema intact"
 
 # Anytime smoke stage: run one cliff series job (7^5 = 16807
-# valuations on the last row, over the split threshold) against a live
-# server twice — anytime on (the default) and --no-anytime, both with
-# --no-planner so the job enumerates instead of taking the class
-# census — over a real TCP connection (batch mode deliberately doesn't
-# stream, so the wire is the only place this can be observed). Asserts
-# the contract docs/ANYTIME.md promises: the first frame is an approx
-# estimate (the eager batch precedes all exact work), and deleting the
-# approx frames leaves output byte-identical to the sequential
-# baseline. A third run on a default server takes the census: no
-# approx frames, and the same exact bytes.
-echo "==> anytime smoke (streamed estimates, --no-anytime and census byte identity)"
-anytime_series() { # $1: "on"|"off"|"census"  $2: output file
+# valuations on the last row, over the sampling threshold) against a
+# live server with --no-planner, so the job enumerates instead of
+# taking the class census, over a real TCP connection (batch mode
+# deliberately doesn't stream, so the wire is the only place this can
+# be observed). Asserts the contract docs/ANYTIME.md promises: the
+# first frame is an approx estimate (the eager batch precedes all
+# exact work), and deleting the approx frames leaves output
+# byte-identical to the sequential baseline, `serve --batch
+# --no-planner` over the same lines. A run on a default server takes
+# the census: no approx frames, and the same exact bytes.
+echo "==> anytime smoke (streamed estimates, batch and census byte identity)"
+printf 'fact R(c0, _x0). R(c1, _x1). R(c2, _x2). R(c3, _x3). R(c4, _x4).\nquery Z := exists u, v. R(u, v)\nseries Z 7\n' \
+    > "$STORE_TMP/series.caz"
+anytime_series() { # $1: "on"|"census"  $2: output file
     local flags=()
     [ "$1" = on ] && flags+=(--no-planner)
-    [ "$1" = off ] && flags+=(--no-planner --no-anytime)
     ./target/release/caz serve --addr 127.0.0.1:0 --workers 4 "${flags[@]}" \
         2> "$STORE_TMP/serve.err" &
     local srv=$!
@@ -258,7 +269,7 @@ anytime_series() { # $1: "on"|"off"|"census"  $2: output file
     done
     [ -n "$addr" ] || { echo "anytime smoke FAILED: server did not start" >&2; exit 1; }
     exec 3<>"/dev/tcp/127.0.0.1/${addr##*:}"
-    printf 'fact R(c0, _x0). R(c1, _x1). R(c2, _x2). R(c3, _x3). R(c4, _x4).\nquery Z := exists u, v. R(u, v)\nseries Z 7\n' >&3
+    cat "$STORE_TMP/series.caz" >&3
     : > "$2"
     local line
     read -r line <&3   # `fact` reply
@@ -272,8 +283,9 @@ anytime_series() { # $1: "on"|"off"|"census"  $2: output file
     wait "$srv" 2>/dev/null || true
 }
 anytime_series on "$STORE_TMP/series_any.out"
-anytime_series off "$STORE_TMP/series_seq.out"
 anytime_series census "$STORE_TMP/series_census.out"
+./target/release/caz serve --batch "$STORE_TMP/series.caz" --no-planner \
+    | tail -n +3 > "$STORE_TMP/series_seq.out"
 # The eager estimator batch runs before any exact work, so the very
 # first frame must be an approx chunk.
 first_frame="$(head -n 1 "$STORE_TMP/series_any.out")"
@@ -283,15 +295,15 @@ case "$first_frame" in
        exit 1 ;;
 esac
 grep -q '^ok\* approx ' "$STORE_TMP/series_seq.out" \
-    && { echo "anytime smoke FAILED: --no-anytime streamed an approx chunk" >&2; exit 1; }
+    && { echo "anytime smoke FAILED: batch mode streamed an approx chunk" >&2; exit 1; }
 grep -v '^ok\* approx ' "$STORE_TMP/series_any.out" > "$STORE_TMP/series_any.exact"
 cmp -s "$STORE_TMP/series_any.exact" "$STORE_TMP/series_seq.out" \
-    || { echo "anytime smoke FAILED: exact frames diverge from --no-anytime" >&2; \
+    || { echo "anytime smoke FAILED: exact frames diverge from batch mode" >&2; \
          diff "$STORE_TMP/series_any.exact" "$STORE_TMP/series_seq.out" >&2 || true; exit 1; }
 cmp -s "$STORE_TMP/series_census.out" "$STORE_TMP/series_seq.out" \
     || { echo "anytime smoke FAILED: census frames diverge from enumeration" >&2; \
          diff "$STORE_TMP/series_census.out" "$STORE_TMP/series_seq.out" >&2 || true; exit 1; }
-echo "    anytime OK: estimates streamed first, exact frames byte-identical (census too)"
+echo "    anytime OK: estimates streamed first, exact frames byte-identical (batch and census)"
 
 # HTTP smoke stage: the gateway over raw /dev/tcp (no curl, no HTTP
 # library — the point is that a shell is a sufficient client). Two

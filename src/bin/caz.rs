@@ -26,7 +26,9 @@ use std::time::Duration;
 const USAGE: &str = "\
 usage:
   caz                         interactive shell (reads commands from stdin)
-  caz serve [options]         TCP evaluation server
+  caz serve [options]         TCP evaluation server (line protocol and
+                              HTTP/1.1 on one port, sniffed per
+                              connection)
   caz serve --batch <file>    evaluate a command file offline
   caz route [options]         health-checked routing front-end for a cluster
 options for serve:
@@ -54,15 +56,6 @@ options for serve:
                               when the pool queue is full, and expire
                               jobs that wait longer than <n> ms — both
                               answer 'err busy' (default 0 = disabled)
-  --no-anytime                disable anytime serving: 'series' jobs run
-                              sequentially on one worker and stream no
-                              'ok* approx' estimate chunks (baseline and
-                              escape hatch; final rows are byte-identical
-                              either way)
-  --no-http                   serve only the line protocol: by default
-                              HTTP/1.1 (keep-alive + chunked responses)
-                              is served on the same port, sniffed per
-                              connection from the first bytes
   --max-wbuf-bytes <n>        disconnect a connection whose unsent
                               reply bytes exceed <n> — a slow reader
                               on a streamed series no longer buffers
@@ -178,14 +171,6 @@ fn serve(args: &[String]) -> ExitCode {
             }
             "--no-planner" => {
                 cfg.planner = false;
-                Ok(())
-            }
-            "--no-anytime" => {
-                cfg.anytime = false;
-                Ok(())
-            }
-            "--no-http" => {
-                cfg.http = false;
                 Ok(())
             }
             "--max-wbuf-bytes" => {
