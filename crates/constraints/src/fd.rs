@@ -37,10 +37,11 @@ impl Fd {
     }
 
     /// The FD as a first-order sentence:
-    /// `∀x̄ ∀ȳ (R(x̄) ∧ R(ȳ) ∧ ⋀_{i∈X} xᵢ=yᵢ) → x_A = y_A`.
+    /// `∀x̄ ∀ȳ (R(x̄) ∧ R(ȳ) ∧ ⋀_{i∈X} xᵢ=yᵢ) → x_A = y_A`. Its variables
+    /// are permanent names, one family bounded by the widest relation.
     pub fn to_formula(&self, arity: usize) -> Formula {
-        let xs: Vec<Symbol> = (0..arity).map(|i| Symbol::intern(&format!("fx{i}"))).collect();
-        let ys: Vec<Symbol> = (0..arity).map(|i| Symbol::intern(&format!("fy{i}"))).collect();
+        let xs: Vec<Symbol> = (0..arity).map(|i| Symbol::permanent(&format!("fx{i}"))).collect();
+        let ys: Vec<Symbol> = (0..arity).map(|i| Symbol::permanent(&format!("fy{i}"))).collect();
         let mut premise = vec![
             Formula::Atom(caz_logic::Atom {
                 rel: self.rel,

@@ -48,10 +48,12 @@ impl Ind {
     }
 
     /// The IND as a first-order sentence:
-    /// `∀x̄ R(x̄) → ∃ȳ (S(ȳ) ∧ ⋀ᵢ x_{fᵢ} = y_{tᵢ})`.
+    /// `∀x̄ R(x̄) → ∃ȳ (S(ȳ) ∧ ⋀ᵢ x_{fᵢ} = y_{tᵢ})`. Its variables are
+    /// permanent names, one family bounded by the widest relation.
     pub fn to_formula(&self, from_arity: usize, to_arity: usize) -> Formula {
-        let xs: Vec<Symbol> = (0..from_arity).map(|i| Symbol::intern(&format!("ix{i}"))).collect();
-        let ys: Vec<Symbol> = (0..to_arity).map(|i| Symbol::intern(&format!("iy{i}"))).collect();
+        let xs: Vec<Symbol> =
+            (0..from_arity).map(|i| Symbol::permanent(&format!("ix{i}"))).collect();
+        let ys: Vec<Symbol> = (0..to_arity).map(|i| Symbol::permanent(&format!("iy{i}"))).collect();
         let mut target = vec![Formula::Atom(caz_logic::Atom {
             rel: self.to_rel,
             args: ys.iter().map(|&v| Term::Var(v)).collect(),

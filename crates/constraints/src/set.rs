@@ -5,7 +5,7 @@ use crate::fd::Fd;
 use crate::ind::Ind;
 use crate::keys::{UnaryFk, UnaryKey};
 use caz_idb::parser::ParseError;
-use caz_idb::{Database, Schema};
+use caz_idb::{Database, Schema, Symbol};
 use caz_logic::{Formula, Query};
 use std::fmt;
 
@@ -226,6 +226,9 @@ pub fn parse_constraints(src: &str) -> Result<ConstraintSet, ParseError> {
             col: 1,
             message: format!("{msg} (in {line:?})"),
         };
+        // The constructors intern relation names infallibly; interning
+        // them here first turns running out of ids into a parse error.
+        let intern = |rel: &str| Symbol::try_intern(rel.trim()).map_err(|e| err(&e.to_string()));
         let (kind, rest) = line.split_once(' ').ok_or_else(|| err("expected a constraint"))?;
         let rest = rest.trim();
         match kind {
@@ -234,6 +237,7 @@ pub fn parse_constraints(src: &str) -> Result<ConstraintSet, ParseError> {
                 if col.len() != 1 {
                     return Err(err("unary key needs exactly one column"));
                 }
+                intern(&rel)?;
                 set.push(Constraint::Key(UnaryKey::new(&rel, col[0])));
             }
             "fd" => {
@@ -242,6 +246,7 @@ pub fn parse_constraints(src: &str) -> Result<ConstraintSet, ParseError> {
                     spec.split_once("->").ok_or_else(|| err("expected '->' in fd"))?;
                 let lhs_cols = parse_col_list(lhs, char::is_whitespace).map_err(|m| err(&m))?;
                 let rhs_cols = parse_col_list(rhs, char::is_whitespace).map_err(|m| err(&m))?;
+                intern(rel)?;
                 for &r in &rhs_cols {
                     set.push(Constraint::Fd(Fd::new(rel.trim(), lhs_cols.clone(), r)));
                 }
@@ -257,6 +262,8 @@ pub fn parse_constraints(src: &str) -> Result<ConstraintSet, ParseError> {
                 if fc.len() != tc.len() {
                     return Err(err("ind column lists must have equal length"));
                 }
+                intern(&fr)?;
+                intern(&tr)?;
                 set.push(Constraint::Ind(Ind::new(&fr, fc, &tr, tc)));
             }
             "fk" => {
@@ -267,6 +274,8 @@ pub fn parse_constraints(src: &str) -> Result<ConstraintSet, ParseError> {
                 if fc.len() != 1 || tc.len() != 1 {
                     return Err(err("fk must be unary"));
                 }
+                intern(&fr)?;
+                intern(&tr)?;
                 set.push(Constraint::Fk(UnaryFk::new(&fr, fc[0], &tr, tc[0])));
             }
             _ => return Err(err("unknown constraint kind (key/fd/ind/fk)")),

@@ -14,7 +14,7 @@
 
 use crate::ast::{Literal, Program, Rule};
 use caz_idb::parser::ParseError;
-use caz_idb::Cst;
+use caz_idb::{Cst, Symbol};
 use caz_logic::{Atom, Term};
 
 fn err(line: usize, message: impl Into<String>) -> ParseError {
@@ -42,7 +42,13 @@ fn parse_term(tok: &str, line: usize) -> Result<Term, ParseError> {
     if !tok.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
         return Err(err(line, format!("bad term {tok:?}")));
     }
-    Ok(Term::Var(caz_idb::Symbol::intern(tok)))
+    symbol(tok, line).map(Term::Var)
+}
+
+/// Intern a name from the program text; running out of ids is a parse
+/// error.
+fn symbol(name: &str, line: usize) -> Result<Symbol, ParseError> {
+    Symbol::try_intern(name).map_err(|e| err(line, e.to_string()))
 }
 
 fn parse_atom(src: &str, line: usize) -> Result<Atom, ParseError> {
@@ -69,7 +75,7 @@ fn parse_atom(src: &str, line: usize) -> Result<Atom, ParseError> {
             .map(|t| parse_term(t, line))
             .collect::<Result<_, _>>()?
     };
-    Ok(Atom { rel: caz_idb::Symbol::intern(name), args })
+    Ok(Atom { rel: symbol(name, line)?, args })
 }
 
 /// Split a rule body on top-level commas (commas inside parentheses
@@ -155,6 +161,8 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
             .map(|r| r.head.rel.resolve())
             .unwrap_or_default()
     });
+    // Interned here so that `Program::new` only re-finds the name.
+    symbol(&output, 0)?;
     Program::new(rules, &output).map_err(|m| err(0, m))
 }
 

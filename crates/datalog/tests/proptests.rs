@@ -1,11 +1,35 @@
 //! Property tests for the Datalog engine: transitive closure against a
-//! BFS reference, naïve evaluation laws, and measure-engine agreement
-//! with equivalent first-order queries.
+//! BFS reference, naïve evaluation laws, the 0–1 law, and agreement with
+//! random unions of conjunctive queries written as nonrecursive
+//! programs.
+//!
+//! Seeded (`CAZ_TEST_SEED`, default 3707; every assertion names the
+//! seed and case): each property draws its own stream of graphs,
+//! databases over `edge/2` or `R/2, S/1`, and random UCQs.
+//! Reproduce with `CAZ_TEST_SEED=<seed> cargo test -p caz-datalog --test proptests`.
 
-use caz_datalog::{naive_eval_datalog, output_facts, parse_program, DatalogEvent, Program};
-use caz_idb::{Cst, Database, Tuple, Value};
-use proptest::prelude::*;
+use caz_core::{mu_exact, TupleAnswerEvent};
+use caz_datalog::{naive_eval_datalog, output_facts, parse_program, DatalogEvent, Program, Rule};
+use caz_idb::{
+    random_complete_database, random_database, Cst, Database, DbGenConfig, NullId, Schema, Symbol,
+    Tuple, Value,
+};
+use caz_logic::{naive_eval, random_ucq, Atom, Query, QueryGenConfig, Term, Ucq};
+use caz_testutil::rngs::StdRng;
+use caz_testutil::{RngExt, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
+
+const CASES: usize = 32;
+
+fn seed() -> u64 {
+    std::env::var("CAZ_TEST_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(3707)
+}
+
+/// The stream for one property: the suite seed mixed with a salt, so
+/// properties draw independent cases.
+fn stream(salt: u64) -> StdRng {
+    StdRng::seed_from_u64(seed() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
 
 fn tc_program() -> Program {
     parse_program(
@@ -14,6 +38,17 @@ fn tc_program() -> Program {
          output path",
     )
     .unwrap()
+}
+
+fn edge_db(rng: &mut StdRng, tuples: usize, constants: usize, nulls: usize) -> Database {
+    let cfg = DbGenConfig {
+        relations: vec![("edge".into(), 2)],
+        tuples_per_relation: tuples,
+        num_constants: constants,
+        num_nulls: nulls,
+        null_prob: 0.5,
+    };
+    random_database(rng, &cfg)
 }
 
 /// Build an edge database over `n` named vertices from an edge list.
@@ -52,89 +87,65 @@ fn bfs_closure(n: usize, edges: &[(usize, usize)]) -> BTreeSet<(usize, usize)> {
     out
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Datalog transitive closure equals BFS reachability.
-    #[test]
-    fn transitive_closure_matches_bfs(
-        n in 2usize..6,
-        edges in proptest::collection::vec((0usize..6, 0usize..6), 0..10),
-    ) {
-        let db = graph_db(n, &edges);
-        let datalog: BTreeSet<(String, String)> = output_facts(&tc_program(), &db)
+/// Datalog transitive closure equals BFS reachability.
+#[test]
+fn transitive_closure_matches_bfs() {
+    let (seed, mut rng) = (seed(), stream(1));
+    for case in 0..CASES {
+        let n = rng.random_range(2..6);
+        let len = rng.random_range(0..10);
+        let edges: Vec<(usize, usize)> =
+            (0..len).map(|_| (rng.random_range(0..6), rng.random_range(0..6))).collect();
+        let datalog: BTreeSet<(String, String)> = output_facts(&tc_program(), &graph_db(n, &edges))
             .into_iter()
             .map(|t| {
-                (
-                    t.values()[0].as_const().unwrap().name(),
-                    t.values()[1].as_const().unwrap().name(),
-                )
+                let name = |i: usize| t.values()[i].as_const().unwrap().name();
+                (name(0), name(1))
             })
             .collect();
         let reference: BTreeSet<(String, String)> = bfs_closure(n, &edges)
             .into_iter()
             .map(|(u, v)| (format!("v{u}"), format!("v{v}")))
             .collect();
-        prop_assert_eq!(datalog, reference);
+        assert_eq!(datalog, reference, "CAZ_TEST_SEED={seed} case {case}: n = {n}, {edges:?}");
     }
+}
 
-    /// Naïve evaluation is stable across calls and under null renaming
-    /// (Proposition 1, for the Datalog query class).
-    #[test]
-    fn datalog_naive_eval_stable(seed in 0u64..5000) {
-        use caz_idb::{random_database, DbGenConfig};
-        use rand::{rngs::StdRng, SeedableRng};
-        let cfg = DbGenConfig {
-            relations: vec![("edge".into(), 2)],
-            tuples_per_relation: 4,
-            num_constants: 3,
-            num_nulls: 2,
-            null_prob: 0.4,
-        };
-        let db = random_database(&mut StdRng::seed_from_u64(seed), &cfg);
-        let prog = tc_program();
+/// Naïve evaluation is stable across calls and under null renaming
+/// (Proposition 1, for the Datalog query class).
+#[test]
+fn datalog_naive_eval_stable() {
+    let (seed, mut rng) = (seed(), stream(2));
+    let prog = tc_program();
+    for case in 0..CASES {
+        let db = edge_db(&mut rng, 4, 3, 2);
         let a = naive_eval_datalog(&prog, &db);
-        prop_assert_eq!(&a, &naive_eval_datalog(&prog, &db));
+        assert_eq!(a, naive_eval_datalog(&prog, &db), "CAZ_TEST_SEED={seed} case {case}: {db}");
         // Renaming nulls renames the answers accordingly.
-        let fresh: BTreeMap<_, _> = db
-            .nulls()
-            .into_iter()
-            .map(|nl| (nl, caz_idb::NullId::fresh()))
-            .collect();
-        let renamed = db.map(|v| match v {
-            Value::Null(nl) => Value::Null(fresh[&nl]),
+        let fresh: BTreeMap<NullId, NullId> =
+            db.nulls().into_iter().map(|n| (n, NullId::fresh())).collect();
+        let back: BTreeMap<NullId, NullId> = fresh.iter().map(|(&o, &n)| (n, o)).collect();
+        let rename = |map: &BTreeMap<NullId, NullId>, v: Value| match v {
+            Value::Null(n) => Value::Null(*map.get(&n).unwrap_or(&n)),
             c => c,
-        });
+        };
+        let renamed = db.map(|v| rename(&fresh, v));
         let b: BTreeSet<Tuple> = naive_eval_datalog(&prog, &renamed)
             .into_iter()
-            .map(|t| {
-                t.map(|v| match v {
-                    Value::Null(nl) => {
-                        let orig = fresh.iter().find(|(_, &nn)| nn == nl).map(|(&o, _)| o);
-                        Value::Null(orig.unwrap_or(nl))
-                    }
-                    c => c,
-                })
-            })
+            .map(|t| t.map(|v| rename(&back, v)))
             .collect();
-        prop_assert_eq!(a, b);
+        assert_eq!(a, b, "CAZ_TEST_SEED={seed} case {case}: renaming {db}");
     }
+}
 
-    /// Theorem 1 for Datalog on random incomplete graphs: μ ∈ {0, 1} and
-    /// equals naïve membership — via the polynomial engine.
-    #[test]
-    fn zero_one_law_for_datalog_randomized(seed in 0u64..3000) {
-        use caz_idb::{random_database, DbGenConfig};
-        use rand::{rngs::StdRng, SeedableRng};
-        let cfg = DbGenConfig {
-            relations: vec![("edge".into(), 2)],
-            tuples_per_relation: 3,
-            num_constants: 2,
-            num_nulls: 2,
-            null_prob: 0.5,
-        };
-        let db = random_database(&mut StdRng::seed_from_u64(seed), &cfg);
-        let prog = tc_program();
+/// Theorem 1 for Datalog on random incomplete graphs: μ ∈ {0, 1} and
+/// equals naïve membership — via the polynomial engine.
+#[test]
+fn zero_one_law_for_datalog_randomized() {
+    let (seed, mut rng) = (seed(), stream(3));
+    let prog = tc_program();
+    for case in 0..CASES {
+        let db = edge_db(&mut rng, 3, 2, 2);
         let naive = naive_eval_datalog(&prog, &db);
         let mut candidates: Vec<Tuple> = naive.iter().take(2).cloned().collect();
         // One adom candidate that may or may not be an answer.
@@ -142,34 +153,112 @@ proptest! {
             candidates.push(Tuple::new(vec![v, v]));
         }
         for t in candidates {
-            let m = caz_core::mu_exact(&DatalogEvent::new(prog.clone(), t.clone()), &db);
-            prop_assert!(m.is_zero() || m.is_one(), "0–1 law on {}", t);
-            prop_assert_eq!(m.is_one(), naive.contains(&t), "Theorem 1 on {}", t);
+            let m = mu_exact(&DatalogEvent::new(prog.clone(), t.clone()), &db);
+            let at = format!("CAZ_TEST_SEED={seed} case {case}: {t} over {db}");
+            assert!(m.is_zero() || m.is_one(), "0–1 law: {at}");
+            assert_eq!(m.is_one(), naive.contains(&t), "Theorem 1: {at}");
         }
     }
+}
+
+/// `q` as a nonrecursive program: one rule `Ans(head) :- atoms` per
+/// disjunct, its equalities substituted away. `None` when some disjunct
+/// leaves a head variable outside its atoms, which no safe rule can say.
+fn ucq_program(q: &Query) -> Option<Program> {
+    let ucq = Ucq::from_query(q)?;
+    let ans = Symbol::intern("Ans");
+    let mut rules = Vec::new();
+    'disjuncts: for d in &ucq.disjuncts {
+        let mut subst: BTreeMap<Symbol, Term> = BTreeMap::new();
+        let resolve = |subst: &BTreeMap<Symbol, Term>, t: &Term| {
+            let mut t = *t;
+            while let Some(next) = t.as_var().and_then(|v| subst.get(&v)) {
+                t = *next;
+            }
+            t
+        };
+        for (l, r) in &d.eqs {
+            match (resolve(&subst, l), resolve(&subst, r)) {
+                (Term::Const(a), Term::Const(b)) if a != b => continue 'disjuncts,
+                (Term::Var(v), t) | (t, Term::Var(v)) if t != Term::Var(v) => {
+                    subst.insert(v, t);
+                }
+                _ => {}
+            }
+        }
+        let atom = |rel: Symbol, args: &[Term]| Atom {
+            rel,
+            args: args.iter().map(|t| resolve(&subst, t)).collect(),
+        };
+        let head: Vec<Term> = ucq.head.iter().map(|&v| Term::Var(v)).collect();
+        let body = d.atoms.iter().map(|a| atom(a.rel, &a.args)).collect();
+        rules.push(Rule::positive(atom(ans, &head), body));
+    }
+    Program::new(rules, "Ans").ok()
+}
+
+/// Random UCQs agree with themselves written as nonrecursive programs:
+/// the same naïve answers, and the same exact measure μ for each naïve
+/// answer and one more candidate (the 0–1 law, through both engines).
+#[test]
+fn random_ucqs_agree_with_their_programs() {
+    let (seed, mut rng) = (seed(), stream(4));
+    let qcfg = QueryGenConfig {
+        schema: Schema::from_pairs([("R", 2), ("S", 1)]),
+        arity: 1,
+        max_depth: 2,
+        allow_negation: false,
+        allow_forall: false,
+        constants: vec![Cst::new("d0")],
+    };
+    let dbcfg = DbGenConfig {
+        relations: vec![("R".into(), 2), ("S".into(), 1)],
+        tuples_per_relation: 3,
+        num_constants: 2,
+        num_nulls: 2,
+        null_prob: 0.5,
+    };
+    let mut checked = 0;
+    for case in 0..CASES {
+        let q = random_ucq(&mut rng, &qcfg);
+        let db = random_database(&mut rng, &dbcfg);
+        let Some(prog) = ucq_program(&q) else {
+            continue;
+        };
+        checked += 1;
+        let at = format!("CAZ_TEST_SEED={seed} case {case}: {q} as {prog} over {db}");
+        let naive = naive_eval(&q, &db);
+        assert_eq!(naive, naive_eval_datalog(&prog, &db), "naïve answers: {at}");
+        let extra = db.adom().into_iter().next_back().map(|v| Tuple::new(vec![v]));
+        for t in naive.iter().take(2).cloned().chain(extra) {
+            let fo = mu_exact(&TupleAnswerEvent::new(q.clone(), t.clone()), &db);
+            let dl = mu_exact(&DatalogEvent::new(prog.clone(), t.clone()), &db);
+            assert_eq!(fo, dl, "μ at {t}: {at}");
+        }
+    }
+    assert!(checked >= CASES / 2, "CAZ_TEST_SEED={seed}: only {checked} UCQs were safe rules");
 }
 
 /// Single-step programs agree with their FO translations on random
 /// complete graphs (the overlap of the two query languages).
 #[test]
 fn single_step_program_equals_fo_join() {
-    use caz_idb::{random_complete_database, DbGenConfig};
-    use rand::{rngs::StdRng, SeedableRng};
+    let (seed, mut rng) = (seed(), stream(5));
     let prog = parse_program("two(x, z) :- edge(x, y), edge(y, z).\noutput two").unwrap();
     let q = caz_logic::parse_query("Two(x, z) := exists y. edge(x, y) & edge(y, z)").unwrap();
-    for seed in 0..10 {
-        let cfg = DbGenConfig {
-            relations: vec![("edge".into(), 2)],
-            tuples_per_relation: 5,
-            num_constants: 4,
-            num_nulls: 0,
-            null_prob: 0.0,
-        };
-        let db = random_complete_database(&mut StdRng::seed_from_u64(seed), &cfg);
+    let cfg = DbGenConfig {
+        relations: vec![("edge".into(), 2)],
+        tuples_per_relation: 5,
+        num_constants: 4,
+        num_nulls: 0,
+        null_prob: 0.0,
+    };
+    for case in 0..CASES {
+        let db = random_complete_database(&mut rng, &cfg);
         assert_eq!(
             output_facts(&prog, &db),
             caz_logic::eval_query(&q, &db),
-            "seed {seed}"
+            "CAZ_TEST_SEED={seed} case {case}: {db}"
         );
     }
 }

@@ -49,7 +49,7 @@ impl Database {
 
     /// Look up a relation by name.
     pub fn relation(&self, name: &str) -> Option<&Relation> {
-        self.relations.get(&Symbol::intern(name))
+        self.relations.get(&Symbol::lookup(name)?)
     }
 
     /// Look up a relation by symbol.

@@ -36,9 +36,11 @@ pub use codd::{is_codd, null_occurrences, to_codd, CoddResult};
 pub use database::Database;
 pub use enumeration::{ConstEnum, ValuationIter};
 pub use generator::{random_complete_database, random_database, DbGenConfig};
-pub use parser::{parse_args, parse_database, Arg, ParseError, ParsedDb};
+pub use parser::{parse_args, parse_database, parse_database_with, Arg, ParseError, ParsedDb};
 pub use relation::Relation;
 pub use schema::Schema;
 pub use tuple::{format_tuples, Tuple};
 pub use valuation::Valuation;
-pub use value::{cst, int, Cst, NullId, Symbol, Value, RESERVED_PREFIX};
+pub use value::{
+    cst, int, Cst, IdSpaceExhausted, NullId, Symbol, SymbolScope, Value, RESERVED_PREFIX,
+};

@@ -17,7 +17,7 @@
 
 use crate::database::Database;
 use crate::tuple::Tuple;
-use crate::value::{Cst, NullId, Value};
+use crate::value::{Cst, NullId, Symbol, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -40,7 +40,7 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Result of parsing: the database plus the named nulls it introduced.
+/// Result of parsing: the database plus the named nulls it minted.
 #[derive(Debug, Clone)]
 pub struct ParsedDb {
     /// The parsed database.
@@ -185,6 +185,17 @@ impl<'a> Scanner<'a> {
 
 /// Parse the text format into a database.
 pub fn parse_database(src: &str) -> Result<ParsedDb, ParseError> {
+    parse_database_with(src, &BTreeMap::new())
+}
+
+/// [`parse_database`] continuing from `known` nulls: a null name in
+/// `known` denotes its null there, and only other names mint a null.
+/// [`ParsedDb::nulls`] lists the nulls the parse minted. Running out of
+/// ids is a parse error, never a wrap.
+pub fn parse_database_with(
+    src: &str,
+    known: &BTreeMap<String, NullId>,
+) -> Result<ParsedDb, ParseError> {
     let mut s = Scanner::new(src);
     let mut db = Database::new();
     let mut nulls: BTreeMap<String, NullId> = BTreeMap::new();
@@ -197,24 +208,31 @@ pub fn parse_database(src: &str) -> Result<ParsedDb, ParseError> {
         if rel.starts_with('_') || rel.chars().next().is_some_and(|c| c.is_ascii_digit()) {
             return Err(s.error(format!("invalid relation name {rel:?}")));
         }
-        let values: Vec<Value> = s
-            .args()?
-            .into_iter()
-            .map(|arg| match arg {
-                Arg::Const(c) => Value::Const(c),
-                Arg::Null(name) if name.is_empty() => Value::Null(NullId::fresh()),
-                Arg::Null(name) => {
-                    Value::Null(*nulls.entry(name).or_insert_with_key(|name| NullId::named(name)))
+        let rel_sym = Symbol::try_intern(&rel).map_err(|e| s.error(e.to_string()))?;
+        let mut values = Vec::new();
+        for arg in s.args()? {
+            let null = match arg {
+                Arg::Const(c) => {
+                    values.push(Value::Const(c));
+                    continue;
                 }
-            })
-            .collect();
+                Arg::Null(name) if name.is_empty() => NullId::try_fresh(),
+                Arg::Null(name) => match known.get(&name).or_else(|| nulls.get(&name)) {
+                    Some(&id) => Ok(id),
+                    None => NullId::try_named(&name).inspect(|&id| {
+                        nulls.insert(name, id);
+                    }),
+                },
+            };
+            values.push(Value::Null(null.map_err(|e| s.error(e.to_string()))?));
+        }
         // Optional statement terminator.
         s.skip_trivia();
         if s.peek() == Some(b'.') {
             s.bump();
         }
         let arity = values.len();
-        if let Some(existing) = db.relation(&rel) {
+        if let Some(existing) = db.relation_sym(rel_sym) {
             if existing.arity() != arity {
                 return Err(s.error(format!(
                     "relation {rel} used with arity {arity}, previously {}",

@@ -48,7 +48,7 @@ impl Schema {
 
     /// Arity of a relation by name, if declared.
     pub fn arity_of(&self, name: &str) -> Option<usize> {
-        self.arity(Symbol::intern(name))
+        self.arity(Symbol::lookup(name)?)
     }
 
     /// Iterate over `(name, arity)` in deterministic order.

@@ -112,42 +112,45 @@ pub struct Ucq {
 /// Rename every bound variable to `{v}${n}`, numbering the query's
 /// binders from 0, so that binders are pairwise distinct and disjoint
 /// from the free variables. The names depend only on the formula, so
-/// normalizing the same query again interns no new symbols.
-fn alpha_rename(f: &Formula) -> Formula {
+/// normalizing the same query again interns no new symbols. `None` when
+/// the id space is exhausted.
+fn alpha_rename(f: &Formula) -> Option<Formula> {
     fn go(
         f: &Formula,
         map: &BTreeMap<Symbol, Symbol>,
         free: &BTreeSet<Symbol>,
         next: &mut usize,
-    ) -> Formula {
-        match f {
+    ) -> Option<Formula> {
+        Some(match f {
             Formula::Exists(vs, g) | Formula::Forall(vs, g) => {
                 let mut map = map.clone();
-                let fresh: Vec<Symbol> = vs
-                    .iter()
-                    .map(|v| {
-                        let nv = loop {
-                            let nv = Symbol::intern(&format!("{v}${next}"));
-                            *next += 1;
-                            if !free.contains(&nv) {
-                                break nv;
-                            }
-                        };
-                        map.insert(*v, nv);
-                        nv
-                    })
-                    .collect();
-                let body = go(g, &map, free, next);
+                let mut fresh = Vec::with_capacity(vs.len());
+                for v in vs {
+                    let nv = loop {
+                        let nv = Symbol::try_intern(&format!("{v}${next}")).ok()?;
+                        *next += 1;
+                        if !free.contains(&nv) {
+                            break nv;
+                        }
+                    };
+                    map.insert(*v, nv);
+                    fresh.push(nv);
+                }
+                let body = go(g, &map, free, next)?;
                 match f {
                     Formula::Exists(_, _) => Formula::Exists(fresh, Box::new(body)),
                     _ => Formula::Forall(fresh, Box::new(body)),
                 }
             }
-            Formula::Not(g) => Formula::not(go(g, map, free, next)),
-            Formula::And(gs) => Formula::And(gs.iter().map(|g| go(g, map, free, next)).collect()),
-            Formula::Or(gs) => Formula::Or(gs.iter().map(|g| go(g, map, free, next)).collect()),
+            Formula::Not(g) => Formula::not(go(g, map, free, next)?),
+            Formula::And(gs) => {
+                Formula::And(gs.iter().map(|g| go(g, map, free, next)).collect::<Option<_>>()?)
+            }
+            Formula::Or(gs) => {
+                Formula::Or(gs.iter().map(|g| go(g, map, free, next)).collect::<Option<_>>()?)
+            }
             leaf => leaf.rename_vars(map),
-        }
+        })
     }
     go(f, &BTreeMap::new(), &f.free_vars(), &mut 0)
 }
@@ -214,7 +217,7 @@ impl Ucq {
         if !is_ucq_shaped(&q.body) {
             return None;
         }
-        let renamed = alpha_rename(&q.body);
+        let renamed = alpha_rename(&q.body)?;
         let mut disjuncts = dnf(&renamed)?;
         // Drop quantified variables that do not occur in the disjunct.
         for d in &mut disjuncts {

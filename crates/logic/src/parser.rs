@@ -16,7 +16,7 @@
 //!   the head or a quantifier) and a *constant* otherwise; quoted
 //!   identifiers (`'c'`) and numbers are always constants.
 
-use crate::ast::{Formula, Query, Term};
+use crate::ast::{Atom, Formula, Query, Term};
 use caz_idb::parser::ParseError;
 use caz_idb::{Cst, Symbol};
 
@@ -245,12 +245,18 @@ impl Parser {
         }
     }
 
+    /// Intern a name from the query text; running out of ids is a parse
+    /// error.
+    fn symbol(&self, name: &str) -> Result<Symbol, ParseError> {
+        Symbol::try_intern(name).map_err(|e| self.lx.error(e.to_string()))
+    }
+
     fn quantifier(&mut self) -> Result<Formula, ParseError> {
         let is_exists = matches!(self.lx.bump(), Tok::Exists);
         let mut vars = Vec::new();
         loop {
             let name = self.ident("a quantified variable")?;
-            vars.push(Symbol::intern(&name));
+            vars.push(self.symbol(&name)?);
             match self.lx.peek() {
                 Tok::Comma => {
                     self.lx.bump();
@@ -343,7 +349,7 @@ impl Parser {
                 }
             }
         }
-        Ok(Formula::atom(rel, args))
+        Ok(Formula::Atom(Atom { rel: self.symbol(rel)?, args }))
     }
 
     fn equality(&mut self) -> Result<Formula, ParseError> {
@@ -358,7 +364,7 @@ impl Parser {
     fn term(&mut self) -> Result<Term, ParseError> {
         let name = match self.lx.bump() {
             Tok::Ident(name) => {
-                let sym = Symbol::intern(&name);
+                let sym = self.symbol(&name)?;
                 if self.scope.contains(&sym) {
                     return Ok(Term::Var(sym));
                 }
@@ -385,7 +391,7 @@ pub fn parse_query(src: &str) -> Result<Query, ParseError> {
         } else {
             loop {
                 let v = p.ident("a head variable")?;
-                head.push(Symbol::intern(&v));
+                head.push(p.symbol(&v)?);
                 match p.lx.bump() {
                     Tok::Comma => {}
                     Tok::RParen => break,

@@ -302,8 +302,10 @@ impl Metrics {
             self.conn_inflight_rejected.load(Ordering::Relaxed),
         );
         line("queue_depth", self.queue_depth.load(Ordering::Relaxed));
-        // Process-wide and never freed: flat under a steady workload.
+        // Process-wide gauges: live names and named nulls. A session's
+        // names die with it, so both fall when a connection closes.
         line("interned_symbols", caz_idb::Symbol::interned_count() as u64);
+        line("null_names", caz_idb::NullId::named_count() as u64);
         line(
             "anytime_chunks_total",
             self.anytime_chunks.load(Ordering::Relaxed),
@@ -444,9 +446,11 @@ mod tests {
         assert_eq!(saw_hits, Some(1));
         assert!(snap.contains("requests_total 3"));
         assert!(snap.contains("cache_shards 2"), "{snap}");
-        // The interner gauge is process-wide, so only its presence is
-        // pinned here.
-        assert!(snap.lines().any(|l| l.starts_with("interned_symbols ")), "{snap}");
+        // The interner gauges are process-wide, so only their presence
+        // is pinned here.
+        for key in ["interned_symbols ", "null_names "] {
+            assert!(snap.lines().any(|l| l.starts_with(key)), "{key}: {snap}");
+        }
         // Admission-control keys are always present, zero when idle.
         for key in [
             "jobs_shed_total 0",

@@ -451,7 +451,7 @@ pub(crate) fn classify(session: &mut Session, shared: &Shared, line: &str) -> St
                 EvalKind::Series => Framing::Series,
                 _ => Framing::Final,
             };
-            match memoized_hit(session, shared, &ev) {
+            match session.in_request(|| memoized_hit(session, shared, &ev)) {
                 Some(text) => {
                     let result = Account::new(shared, start, Counted::Cached).finish(Ok(text));
                     Step::Done(frame(framing, result, 0), Control::Continue)
@@ -711,7 +711,7 @@ pub(crate) fn eval_on_worker(
     // enumeration route, keeping the per-route counters summing to
     // `jobs_executed_total`.
     let mut account = Account::new(shared, start, Counted::Executed(Route::EnumerationFallback));
-    let result = evaluate(shared, session, ev, stream, &mut account.counted);
+    let result = session.in_request(|| evaluate(shared, session, ev, stream, &mut account.counted));
     account.finish(result)
 }
 
@@ -774,7 +774,8 @@ pub(crate) fn plan_on_worker(
     explain: bool,
 ) -> JobResult {
     let account = Account::new(shared, Instant::now(), Counted::Plan);
-    account.finish(session.plan_for(target).map(|report| report.text(explain)))
+    let report = session.in_request(|| session.plan_for(target).map(|r| r.text(explain)));
+    account.finish(report)
 }
 
 /// A bound, not-yet-running evaluation server.

@@ -14,8 +14,8 @@ use caz_core::{mu_k, Series, SeriesCensus, SeriesCost, SeriesEngine, SuppEvent};
 use caz_datalog::parse_program;
 use crate::cache::CacheKey;
 use caz_idb::{
-    fnv1a_128, format_tuples, parse_args, parse_database, try_iso_canonical, Arg, Database,
-    NullId, Tuple, Value,
+    fnv1a_128, format_tuples, parse_args, parse_database_with, try_iso_canonical, Arg, Database,
+    NullId, Symbol, SymbolScope, Tuple, Value,
 };
 use caz_logic::{parse_query, Query};
 use caz_planner::{ExecOutcome, Features, QueryRef, Rejection, Route};
@@ -39,12 +39,18 @@ const ANSWER_REL: &str = "__caz_answer";
 /// and Datalog programs.
 ///
 /// A server clones the session into every evaluation job, so all of it
-/// is shared copy-on-write: a clone costs five reference counts and
+/// is shared copy-on-write: a clone costs six reference counts and
 /// copies no state. `fact` builds a new `D` (and so a fresh
 /// canonical-form memo); a definition or constraint copies its map or
 /// `Σ` only while a job still holds the old snapshot.
+///
+/// The names a client sends live as long as the state that holds them
+/// (see [`caz_idb::SymbolScope`]): state commands run in the session's
+/// scope, which its clones share and `clear` replaces, and each
+/// evaluation runs in a child scope that ends with it.
 #[derive(Default, Clone)]
 pub struct Session {
+    scope: SymbolScope,
     instance: Arc<Instance>,
     queries: Arc<BTreeMap<String, Query>>,
     programs: Arc<BTreeMap<String, caz_datalog::Program>>,
@@ -75,7 +81,12 @@ struct Instance {
 /// unchanged since the session's previous keyed request canonicalizes
 /// nothing.
 #[derive(Default, Debug)]
-struct CanonMemo(Mutex<Option<(Tuple, Option<Canon>)>>);
+struct CanonMemo(Mutex<Option<MemoEntry>>);
+
+/// The memoized tuple, its canonical form, and the scope of the request
+/// that keyed it: ā's names must outlive the request, or a freed and
+/// reused slot could make another tuple `peek` equal to it.
+type MemoEntry = (Tuple, Option<Canon>, Option<SymbolScope>);
 
 /// A canonical form's text and digest.
 type Canon = (Arc<str>, u128);
@@ -83,7 +94,7 @@ type Canon = (Arc<str>, u128);
 impl CanonMemo {
     /// Every write stores a whole entry, so a poisoned lock still guards
     /// a valid one.
-    fn lock(&self) -> std::sync::MutexGuard<'_, Option<(Tuple, Option<Canon>)>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Option<MemoEntry>> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -98,7 +109,7 @@ impl CanonMemo {
     /// empty or holds another tuple.
     fn peek(&self, answer: &Tuple) -> Option<Option<Canon>> {
         match &*self.lock() {
-            Some((memo, canon)) if memo == answer => Some(canon.clone()),
+            Some((memo, canon, _)) if memo == answer => Some(canon.clone()),
             _ => None,
         }
     }
@@ -111,12 +122,15 @@ impl CanonMemo {
             return canon;
         }
         let mut ext = db.clone();
+        // Permanent, so that embedding ā never makes a request hold a
+        // name of its own.
+        Symbol::permanent(ANSWER_REL);
         ext.insert(ANSWER_REL, answer.clone());
         let canon = try_iso_canonical(&ext).map(|text| {
             let digest = fnv1a_128(text.as_bytes());
             (Arc::from(text), digest)
         });
-        *self.lock() = Some((answer.clone(), canon.clone()));
+        *self.lock() = Some((answer.clone(), canon.clone(), SymbolScope::current()));
         canon
     }
 }
@@ -310,14 +324,16 @@ impl Session {
             Request::AddConstraint(src) => {
                 self.apply_logged("constraint", src, Session::add_constraint)
             }
-            Request::Eval(ev) => self.eval_planned(ev, &mut |_| {}).map(Reply::Text),
+            Request::Eval(ev) => {
+                self.in_request(|| self.eval_planned(ev, &mut |_| {})).map(Reply::Text)
+            }
             Request::Plan { explain, target } => {
-                self.plan_for(target).map(|r| Reply::Text(r.text(*explain)))
+                self.in_request(|| self.plan_for(target)).map(|r| Reply::Text(r.text(*explain)))
             }
             // Outside a server there is no pool to fan out over: run the
             // jobs sequentially and tag each output line with its index,
             // mirroring the wire format's tagged chunks.
-            Request::EvalMulti(jobs) => {
+            Request::EvalMulti(jobs) => self.in_request(|| {
                 let mut out = String::new();
                 for (i, job) in jobs.iter().enumerate() {
                     let result =
@@ -331,19 +347,30 @@ impl Session {
                     }
                 }
                 Ok(Reply::Text(out))
-            }
+            }),
         }
     }
 
-    /// Apply one state mutation and, when it succeeds, record the raw
-    /// line (`word src`) in the replayable setup log.
+    /// Run `f` as one evaluation request against this session: the names
+    /// it interns that the session does not hold (tuple literals, and
+    /// names the engines derive from them) live in a child scope that
+    /// ends with `f`, unless the canonical-form memo keeps it. A request
+    /// that interns nothing new creates no scope.
+    pub(crate) fn in_request<R>(&self, f: impl FnOnce() -> R) -> R {
+        self.scope.child(f).0
+    }
+
+    /// Apply one state mutation in the session's scope and, when it
+    /// succeeds, record the raw line (`word src`) in the replayable
+    /// setup log. A line that fails keeps none of the names it interned.
     fn apply_logged(
         &mut self,
         word: &str,
         src: &str,
         apply: fn(&mut Session, &str) -> Result<Reply, String>,
     ) -> Result<Reply, String> {
-        let reply = apply(self, src)?;
+        let scope = self.scope.clone();
+        let reply = scope.enter(|| apply(self, src))?;
         Arc::make_mut(&mut self.setup).push(format!("{word} {src}"));
         Ok(reply)
     }
@@ -388,9 +415,9 @@ impl Session {
     }
 
     fn add_facts(&mut self, src: &str) -> Result<Reply, String> {
-        // Re-parse against the session's null names so `_x` stays the
-        // same null across `fact` commands.
-        let parsed = parse_database(src).map_err(|e| e.to_string())?;
+        // Parse against the session's null names so `_x` stays the same
+        // null across `fact` commands; only new names mint a null.
+        let parsed = parse_database_with(src, &self.instance.nulls).map_err(|e| e.to_string())?;
         if parsed.db.relation(ANSWER_REL).is_some() {
             return Err(format!("relation name {ANSWER_REL} is reserved"));
         }
@@ -408,21 +435,12 @@ impl Session {
                 }
             }
         }
-        // Remap the parse's fresh nulls onto the session's.
         let mut nulls = self.instance.nulls.clone();
-        let mut remap: BTreeMap<NullId, NullId> = BTreeMap::new();
-        for (name, id) in &parsed.nulls {
-            let target = *nulls.entry(name.clone()).or_insert(*id);
-            remap.insert(*id, target);
-        }
-        let remapped = parsed.db.map(|v| match v {
-            Value::Null(n) => Value::Null(*remap.get(&n).unwrap_or(&n)),
-            c => c,
-        });
-        let added = remapped.len();
+        nulls.extend(parsed.nulls);
+        let added = parsed.db.len();
         // A new `D` is a new instance with an empty memo; snapshots keep
         // the old one.
-        let db = self.instance.db.union(&remapped);
+        let db = self.instance.db.union(&parsed.db);
         self.instance = Arc::new(Instance { db, nulls, canon: CanonMemo::default() });
         Ok(Reply::Text(format!("{added} fact(s) added")))
     }

@@ -2,8 +2,8 @@
 //! new symbols. Naïve evaluation (FO and Datalog) values nulls in the
 //! one fixed `~nv<i>` family, Theorem 4's check and Theorem 8's
 //! certificate search reuse it, and UCQ normalization numbers binders
-//! per query. Symbols are never freed, so a per-evaluation name would
-//! grow the interner, and the server's memory, without limit.
+//! per query. Machine-made names are permanent, so a per-evaluation one
+//! would grow the interner, and the server's memory, without limit.
 //!
 //! This file holds a single test: the interner is process-global, and
 //! a concurrently running test would intern names of its own.

@@ -145,6 +145,23 @@ if ! cargo test -q -p caz-compare --test properties; then
     exit 1
 fi
 
+# Property stages: the last suites ported off `proptest`. caz-datalog's
+# checks transitive closure against BFS, naïve-evaluation laws, the 0–1
+# law, and random UCQs against themselves as nonrecursive programs; the
+# root crate's cross-validates the polynomial engine, enumeration, naïve
+# evaluation, the Monte-Carlo estimator, the chase, Theorem 8 and the
+# satisfiability dispatcher. Both draw random databases and queries.
+echo "==> datalog properties (CAZ_TEST_SEED=${CAZ_TEST_SEED})"
+if ! cargo test -q -p caz-datalog --test proptests; then
+    echo "datalog properties FAILED — reproduce with: CAZ_TEST_SEED=${CAZ_TEST_SEED} cargo test -p caz-datalog --test proptests" >&2
+    exit 1
+fi
+echo "==> engine cross-validation properties (CAZ_TEST_SEED=${CAZ_TEST_SEED})"
+if ! cargo test -q --test cross_validation; then
+    echo "cross-validation properties FAILED — reproduce with: CAZ_TEST_SEED=${CAZ_TEST_SEED} cargo test --test cross_validation" >&2
+    exit 1
+fi
+
 # Census differential stage: the support-polynomial class census vs.
 # valuation enumeration, count for count at every k in 1..=K (k < c
 # included), over seeded databases and Boolean, negated, tuple and

@@ -3,10 +3,10 @@
 //! theorem fast paths (naïve evaluation, the chase), the Monte-Carlo
 //! estimator, and the UCQ certificate algorithm must all agree.
 //!
-//! The proptest suites live behind the non-default `ext-deps` feature
-//! because the external `proptest` crate cannot be fetched in the
-//! offline build environment (re-add it to [dev-dependencies] before
-//! enabling). The deterministic cross-checks below always run.
+//! The `property_based` properties are seeded (`CAZ_TEST_SEED`, default
+//! 3707; every assertion names the seed and case): each draws its own
+//! stream of random databases over `R/2, S/1` and random queries.
+//! Reproduce with `CAZ_TEST_SEED=<seed> cargo test --test cross_validation`.
 
 use certain_answers::prelude::*;
 
@@ -69,16 +69,26 @@ fn polynomial_engine_vs_enumeration_vs_naive_seeded() {
     }
 }
 
-#[cfg(feature = "ext-deps")]
 mod property_based {
     use super::*;
     use caz_core::{m_k, mu_k, mu_k_conditional, BoolQueryEvent, ConstraintEvent};
     use caz_logic::{random_query, random_ucq, QueryGenConfig};
-    use proptest::prelude::*;
     use caz_testutil::rngs::StdRng;
     use caz_testutil::SeedableRng;
 
-    fn small_db(seed: u64, nulls: usize) -> Database {
+    const CASES: usize = 24;
+
+    fn seed() -> u64 {
+        std::env::var("CAZ_TEST_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(3707)
+    }
+
+    /// The stream for one property: the suite seed mixed with a salt,
+    /// so properties draw independent cases.
+    fn stream(salt: u64) -> StdRng {
+        StdRng::seed_from_u64(seed() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    }
+
+    fn small_db(rng: &mut StdRng, nulls: usize) -> Database {
         let cfg = DbGenConfig {
             relations: vec![("R".into(), 2), ("S".into(), 1)],
             tuples_per_relation: 3,
@@ -86,187 +96,201 @@ mod property_based {
             num_nulls: nulls,
             null_prob: 0.5,
         };
-        random_database(&mut StdRng::seed_from_u64(seed), &cfg)
+        random_database(rng, &cfg)
     }
 
-    fn rand_bool_query(seed: u64) -> Query {
-        let cfg = QueryGenConfig {
+    fn query_cfg(arity: usize, allow_forall: bool, constants: Vec<Cst>) -> QueryGenConfig {
+        QueryGenConfig {
             schema: Schema::from_pairs([("R", 2), ("S", 1)]),
-            arity: 0,
+            arity,
             max_depth: 2,
             allow_negation: true,
-            allow_forall: true,
-            constants: vec![Cst::new("d0")],
-        };
-        random_query(&mut StdRng::seed_from_u64(seed), &cfg)
+            allow_forall,
+            constants,
+        }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
+    fn rand_bool_query(rng: &mut StdRng) -> Query {
+        random_query(rng, &query_cfg(0, true, vec![Cst::new("d0")]))
+    }
 
-        /// Theorem 1, both directions, via three engines: the polynomial
-        /// limit is 0/1, equals naïve evaluation, and the finite μᵏ matches
-        /// the polynomial evaluated at k.
-        #[test]
-        fn polynomial_engine_vs_enumeration_vs_naive(seed in 0u64..5000, nulls in 0usize..3) {
-            let db = small_db(seed, nulls);
-            let q = rand_bool_query(seed.wrapping_add(1));
+    /// Theorem 1, both directions, via three engines: the polynomial
+    /// limit is 0/1, equals naïve evaluation, and the finite μᵏ matches
+    /// the polynomial evaluated at k.
+    #[test]
+    fn polynomial_engine_vs_enumeration_vs_naive() {
+        let (seed, mut rng) = (seed(), stream(1));
+        for case in 0..CASES {
+            let db = small_db(&mut rng, case % 3);
+            let q = rand_bool_query(&mut rng);
+            let at = format!("CAZ_TEST_SEED={seed} case {case}: {q} over {db}");
             let ev = BoolQueryEvent::new(q.clone());
             let sp = caz_core::support_poly(&ev, &db);
             let limit = sp.mu_limit();
-            prop_assert!(limit.is_zero() || limit.is_one());
-            prop_assert_eq!(limit.is_one(), naive_eval_bool(&q, &db));
-            // The polynomial agrees with exhaustive counting at several k.
+            assert!(limit.is_zero() || limit.is_one(), "0–1 law: {at}");
+            assert_eq!(limit.is_one(), naive_eval_bool(&q, &db), "Theorem 1: {at}");
             for k in [sp.named_count.max(1), sp.named_count + 2] {
                 let exact = caz_core::supp_k_count(&ev, &db, k);
-                prop_assert_eq!(
-                    sp.count_at(k),
-                    Ratio::from_int(exact as i64),
-                    "k = {}", k
+                assert_eq!(sp.count_at(k), Ratio::from_int(exact as i64), "k = {k}: {at}");
+            }
+        }
+    }
+
+    /// Theorem 2: on databases without nulls the μ and m sequences
+    /// agree exactly.
+    #[test]
+    fn mu_and_m_measures_agree() {
+        let (seed, mut rng) = (seed(), stream(2));
+        for case in 0..CASES {
+            let db = small_db(&mut rng, 0);
+            let q = rand_bool_query(&mut rng);
+            let ev = BoolQueryEvent::new(q.clone());
+            for k in [1usize, 3] {
+                assert_eq!(
+                    mu_k(&ev, &db, k),
+                    m_k(&ev, &db, k),
+                    "CAZ_TEST_SEED={seed} case {case}: k = {k}, {q} over {db}"
                 );
             }
         }
+    }
 
-        /// Theorem 2: at moderate k the μ and m sequences are within the
-        /// coarse band around their (common, 0/1) limit, and they agree on
-        /// databases without nulls exactly.
-        #[test]
-        fn mu_and_m_measures_agree(seed in 0u64..2000) {
-            let db = small_db(seed, 0);
-            let q = rand_bool_query(seed.wrapping_add(2));
-            let ev = BoolQueryEvent::new(q);
-            for k in [1usize, 3] {
-                prop_assert_eq!(mu_k(&ev, &db, k), m_k(&ev, &db, k));
-            }
-        }
-
-        /// Corollary 1: certain answers are a subset of naïve answers; and
-        /// every certain answer has μ = 1.
-        #[test]
-        fn certain_subset_of_naive(seed in 0u64..3000) {
-            let db = small_db(seed, 2);
-            let cfg = QueryGenConfig {
-                schema: Schema::from_pairs([("R", 2), ("S", 1)]),
-                arity: 1,
-                max_depth: 2,
-                allow_negation: true,
-                allow_forall: false,
-                constants: vec![],
-            };
-            let q = random_query(&mut StdRng::seed_from_u64(seed.wrapping_add(3)), &cfg);
+    /// Corollary 1: certain answers are a subset of naïve answers, and
+    /// every certain answer has μ = 1.
+    #[test]
+    fn certain_subset_of_naive() {
+        let (seed, mut rng) = (seed(), stream(3));
+        for case in 0..CASES {
+            let db = small_db(&mut rng, 2);
+            let q = random_query(&mut rng, &query_cfg(1, false, vec![]));
             let naive = naive_eval(&q, &db);
-            let certain = certain_answers(&q, &db);
-            for t in &certain {
-                prop_assert!(naive.contains(t), "certain ⊆ naïve");
-                prop_assert!(almost_certainly_true(&q, &db, Some(t)));
+            for t in &certain_answers(&q, &db) {
+                let at = format!("CAZ_TEST_SEED={seed} case {case}: {t} of {q} over {db}");
+                assert!(naive.contains(t), "certain ⊆ naïve: {at}");
+                assert!(almost_certainly_true(&q, &db, Some(t)), "μ = 1: {at}");
             }
         }
+    }
 
-        /// The Monte-Carlo estimator is consistent with exhaustive μᵏ.
-        #[test]
-        fn sampling_consistent(seed in 0u64..1000) {
-            let db = small_db(seed, 2);
-            let q = rand_bool_query(seed.wrapping_add(4));
-            let ev = BoolQueryEvent::new(q);
+    /// The Monte-Carlo estimator is consistent with exhaustive μᵏ.
+    #[test]
+    fn sampling_consistent() {
+        let (seed, mut rng) = (seed(), stream(4));
+        for case in 0..CASES {
+            let db = small_db(&mut rng, 2);
+            let q = rand_bool_query(&mut rng);
+            let ev = BoolQueryEvent::new(q.clone());
             let k = 6;
             let exact = mu_k(&ev, &db, k).to_f64();
-            let mut rng = StdRng::seed_from_u64(seed);
             let est = estimate_mu_k(&mut rng, &ev, &db, k, 1500).unwrap();
             // 2σ plus slack for the Bernoulli tail.
-            prop_assert!((est.value - exact).abs() <= 3.5 * est.std_error + 0.05,
-                "estimate {} vs exact {}", est.value, exact);
+            assert!(
+                (est.value - exact).abs() <= 3.5 * est.std_error + 0.05,
+                "CAZ_TEST_SEED={seed} case {case}: estimate {} vs exact {exact}, {q} over {db}",
+                est.value
+            );
         }
+    }
 
-        /// Theorem 3: the conditional closed form equals finite-k
-        /// enumeration once k covers the named constants.
-        #[test]
-        fn conditional_closed_form_vs_enumeration(seed in 0u64..2000) {
-            let db = small_db(seed, 2);
-            let sigma = parse_constraints("fd R: 1 -> 2").unwrap();
-            let q = rand_bool_query(seed.wrapping_add(5));
+    /// Theorem 3: the conditional closed form lies within the band of
+    /// the finite-k sequence once k covers the named constants.
+    #[test]
+    fn conditional_closed_form_vs_enumeration() {
+        let (seed, mut rng) = (seed(), stream(5));
+        let sigma = parse_constraints("fd R: 1 -> 2").unwrap();
+        for case in 0..CASES {
+            let db = small_db(&mut rng, 2);
+            let q = rand_bool_query(&mut rng);
             let closed = mu_conditional(&q, &sigma, &db, None);
-            let qev = BoolQueryEvent::new(q);
-            let sev = ConstraintEvent::new(sigma);
-            // Named constants: ≤ 2 db constants + 1 query constant; nulls 2.
-            // k = 8 is already in the polynomial regime for this family *and*
-            // FD-conditional sequences stabilize exactly there (values only
-            // depend on collision counts).
+            let qev = BoolQueryEvent::new(q.clone());
+            let sev = ConstraintEvent::new(sigma.clone());
+            // Named constants: ≤ 2 db constants + 1 query constant; nulls
+            // 2. k = 8 is already in the polynomial regime for this
+            // family, and FD-conditional sequences stabilize there
+            // (values only depend on collision counts).
             let fin = mu_k_conditional(&qev, &sev, &db, 8);
             let fin2 = mu_k_conditional(&qev, &sev, &db, 12);
-            // The sequence converges: closed form is between the trend.
             let (lo, hi) = if fin <= fin2 { (fin, fin2) } else { (fin2, fin) };
             let slack = Ratio::from_frac(1, 3);
-            prop_assert!(closed >= (&lo - &slack) && closed <= (&hi + &slack),
-                "closed {} vs finite {}..{}", closed, lo, hi);
+            assert!(
+                closed >= (&lo - &slack) && closed <= (&hi + &slack),
+                "CAZ_TEST_SEED={seed} case {case}: closed {closed} vs finite {lo}..{hi}, \
+                 {q} over {db}"
+            );
         }
+    }
 
-        /// Theorem 5: the chase fast path equals the polynomial engine for
-        /// FD constraints (constant tuples / Boolean queries).
-        #[test]
-        fn chase_path_equals_engine(seed in 0u64..3000) {
-            let db = small_db(seed, 2);
-            let fds = [Fd::new("R", vec![0], 1)];
-            let sigma = parse_constraints("fd R: 1 -> 2").unwrap();
-            let q = rand_bool_query(seed.wrapping_add(6));
+    /// Theorem 5: the chase fast path equals the polynomial engine for
+    /// FD constraints (Boolean queries), and obeys the 0–1 law.
+    #[test]
+    fn chase_path_equals_engine() {
+        let (seed, mut rng) = (seed(), stream(6));
+        let fds = [Fd::new("R", vec![0], 1)];
+        let sigma = parse_constraints("fd R: 1 -> 2").unwrap();
+        for case in 0..CASES {
+            let db = small_db(&mut rng, 2);
+            let q = rand_bool_query(&mut rng);
+            let at = format!("CAZ_TEST_SEED={seed} case {case}: {q} over {db}");
             let fast = mu_conditional_fd(&q, &fds, &db, None).unwrap();
-            let slow = mu_conditional(&q, &sigma, &db, None);
-            prop_assert_eq!(fast.clone(), slow);
-            prop_assert!(fast.is_zero() || fast.is_one(), "0–1 law under FDs");
+            assert_eq!(fast, mu_conditional(&q, &sigma, &db, None), "{at}");
+            assert!(fast.is_zero() || fast.is_one(), "0–1 law under FDs: {at}");
         }
+    }
 
-        /// Theorem 8: the UCQ certificate algorithm equals brute-force Sep.
-        #[test]
-        fn ucq_certificate_equals_brute_force(seed in 0u64..1500) {
-            let cfg = DbGenConfig {
-                relations: vec![("R".into(), 2), ("S".into(), 1)],
-                tuples_per_relation: 2,
-                num_constants: 2,
-                num_nulls: 2,
-                null_prob: 0.5,
-            };
-            let db = random_database(&mut StdRng::seed_from_u64(seed), &cfg);
-            let qcfg = QueryGenConfig {
-                schema: Schema::from_pairs([("R", 2), ("S", 1)]),
-                arity: 1,
-                max_depth: 2,
-                allow_negation: false,
-                allow_forall: false,
-                constants: vec![],
-            };
-            let q = random_ucq(&mut StdRng::seed_from_u64(seed.wrapping_add(7)), &qcfg);
+    /// Theorem 8: the UCQ certificate algorithm equals brute-force Sep.
+    #[test]
+    fn ucq_certificate_equals_brute_force() {
+        let (seed, mut rng) = (seed(), stream(7));
+        let cfg = DbGenConfig {
+            relations: vec![("R".into(), 2), ("S".into(), 1)],
+            tuples_per_relation: 2,
+            num_constants: 2,
+            num_nulls: 2,
+            null_prob: 0.5,
+        };
+        for case in 0..CASES {
+            let db = random_database(&mut rng, &cfg);
+            let q = random_ucq(&mut rng, &query_cfg(1, false, vec![]));
             let cmp = UcqComparator::new(&q).expect("generator yields UCQs");
             let candidates = adom_candidates(&db, 1);
             for a in candidates.iter().take(3) {
                 for b in candidates.iter().take(3) {
-                    prop_assert_eq!(
+                    assert_eq!(
                         cmp.sep(&db, a, b),
                         sep(&q, &db, a, b),
-                        "Sep({}, {}) on {}", a, b, q
+                        "CAZ_TEST_SEED={seed} case {case}: Sep({a}, {b}) of {q} over {db}"
                     );
                 }
             }
         }
+    }
 
-        /// Satisfiability dispatcher vs brute force on key/FK instances.
-        #[test]
-        fn satisfiability_dispatcher_exact(seed in 0u64..1200) {
-            let cfg = DbGenConfig {
-                relations: vec![("R".into(), 2), ("U".into(), 1)],
-                tuples_per_relation: 3,
-                num_constants: 3,
-                num_nulls: 2,
-                null_prob: 0.5,
-            };
-            let db = random_database(&mut StdRng::seed_from_u64(seed), &cfg);
-            let schema = Schema::from_pairs([("R", 2), ("U", 1)]);
-            for cons in ["key R[1]", "fd R: 1 -> 2", "fk R[2] -> U[1]", "key R[1]\nfk R[2] -> U[1]"] {
+    /// The satisfiability dispatcher equals brute force on key/FK
+    /// instances.
+    #[test]
+    fn satisfiability_dispatcher_exact() {
+        let (seed, mut rng) = (seed(), stream(8));
+        let cfg = DbGenConfig {
+            relations: vec![("R".into(), 2), ("U".into(), 1)],
+            tuples_per_relation: 3,
+            num_constants: 3,
+            num_nulls: 2,
+            null_prob: 0.5,
+        };
+        let schema = Schema::from_pairs([("R", 2), ("U", 1)]);
+        for case in 0..CASES {
+            let db = random_database(&mut rng, &cfg);
+            for cons in
+                ["key R[1]", "fd R: 1 -> 2", "fk R[2] -> U[1]", "key R[1]\nfk R[2] -> U[1]"]
+            {
                 let set = parse_constraints(cons).unwrap();
                 let fast = satisfiable(&set, &db, &schema).unwrap();
-                let brute = caz_constraints::satisfiable_generic(
-                    &set.to_query(&schema).unwrap(),
-                    &db,
+                let brute =
+                    caz_constraints::satisfiable_generic(&set.to_query(&schema).unwrap(), &db);
+                assert_eq!(
+                    fast, brute,
+                    "CAZ_TEST_SEED={seed} case {case}: constraints {cons:?} on {db}"
                 );
-                prop_assert_eq!(fast, brute, "constraints {} on db {}", cons, db);
             }
         }
     }
