@@ -53,7 +53,7 @@ pub fn e06_conditional_rationals() -> String {
         &BoolQueryEvent::new(qa.clone()),
         &ConstraintEvent::new(sigma.clone()),
         &db,
-    );
+    ).unwrap();
     writeln!(
         out,
         "§4 example: |Suppᵏ(Σ∧Qa)| = {}, |Suppᵏ(Σ)| = {}, ratio → {}",
@@ -103,7 +103,7 @@ pub fn e08_sharp_p() -> String {
     for m in [1usize, 2, 3, 4, 5, 6] {
         let db = null_scaling_db(m);
         let t0 = Instant::now();
-        let sp = support_poly(&BoolQueryEvent::new(q.clone()), &db);
+        let sp = support_poly(&BoolQueryEvent::new(q.clone()), &db).unwrap();
         writeln!(out, "{m:>6} {:>14} {:>12?}", sp.total_classes, t0.elapsed()).unwrap();
     }
     writeln!(out, "satisfiability scales linearly; exact counting grows super-exponentially in m.").unwrap();

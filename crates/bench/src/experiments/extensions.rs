@@ -98,7 +98,7 @@ pub fn e18_weighted_measures() -> String {
         ],
     )
     .unwrap();
-    let uniform = caz_core::mu_exact(&ev, &p.db);
+    let uniform = caz_core::mu_exact(&ev, &p.db).unwrap();
     let weighted = mu_weighted(&ev, &p.db, &pref);
     writeln!(out, "uniform μ = {uniform} (0–1 law), weighted μ_w = {weighted}").unwrap();
     assert!(uniform.is_zero());
@@ -138,7 +138,7 @@ pub fn e18_weighted_measures() -> String {
         let ev = BoolQueryEvent::new(q);
         assert_eq!(
             mu_weighted(&ev, &db, &Preference::uniform()),
-            caz_core::mu_exact(&ev, &db)
+            caz_core::mu_exact(&ev, &db).unwrap()
         );
     }
     writeln!(
@@ -175,7 +175,7 @@ pub fn e19_datalog() -> String {
         Tuple::new(vec![cst("c"), cst("c")]),
     ] {
         let ev = DatalogEvent::new(prog.clone(), t.clone());
-        let m = caz_core::mu_exact(&ev, &p.db);
+        let m = caz_core::mu_exact(&ev, &p.db).unwrap();
         let naive = naive_contains_datalog(&prog, &p.db, &t);
         let certain = caz_datalog::is_certain_datalog_answer(&prog, &p.db, &t);
         assert!(m.is_zero() || m.is_one(), "0–1 law beyond FO violated");

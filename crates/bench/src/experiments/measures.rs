@@ -98,7 +98,7 @@ pub fn e02_zero_one(trials: usize) -> String {
         let db = random_database(&mut rng, &db_cfg);
         let q = random_query(&mut rng, &q_cfg);
         let ev = BoolQueryEvent::new(q.clone());
-        let exact = caz_core::mu_exact(&ev, &db);
+        let exact = caz_core::mu_exact(&ev, &db).unwrap();
         let naive = naive_eval_bool(&q, &db);
         assert!(exact.is_zero() || exact.is_one(), "0–1 law violated!");
         assert_eq!(exact.is_one(), naive, "Theorem 1 violated!");
@@ -159,7 +159,7 @@ pub fn e03_m_measure() -> String {
         );
         let q = random_query(&mut rng, &q_cfg);
         let ev = BoolQueryEvent::new(q);
-        let exact = caz_core::mu_exact(&ev, &db).to_f64();
+        let exact = caz_core::mu_exact(&ev, &db).unwrap().to_f64();
         let m12 = caz_core::m_k(&ev, &db, 14).to_f64();
         if (m12 - exact).abs() < 0.35 {
             agreements += 1;
@@ -266,7 +266,7 @@ pub fn e16_pos_forall_g() -> String {
 pub fn intro_support_poly() -> String {
     let ex = intro_example();
     let ev = TupleAnswerEvent::new(ex.query.clone(), ex.a.clone());
-    let sp = support_poly(&ev, &ex.db);
+    let sp = support_poly(&ev, &ex.db).unwrap();
     format!(
         "|Suppᵏ(Q, D, (c1,⊥1))| = {}   (m = {}, named = {}, classes: {} true / {} total)\nμ = {}",
         sp.poly,

@@ -160,10 +160,10 @@ pub fn support_table(q: &Query, db: &Database, candidates: &[Tuple]) -> SupportT
         .collect();
     for (vi, v) in all_valuations.iter().enumerate() {
         let vdb = v.apply_db(db);
-        let ev = Evaluator::new(&vdb, &q.generic_consts());
+        let ev = Evaluator::new(&vdb, q);
         for (ci, t) in candidates.iter().enumerate() {
             let vt = v.apply_tuple(t);
-            if vt.is_complete() && ev.satisfies(q, &vt) {
+            if vt.is_complete() && ev.satisfies(&vt) {
                 supports[ci].set(vi);
             }
         }

@@ -265,11 +265,10 @@ impl Unification<'_> {
             .collect();
         let w = Valuation::from_pairs(self.nulls.iter().copied().zip(values));
         let wd = w.apply_db(self.db);
-        let eval = Evaluator::new(&wd, &self.cmp.consts);
-        let q = &self.cmp.query;
+        let eval = Evaluator::new(&wd, &self.cmp.query);
         // A null of b̄ outside D stays a null and is never an answer.
         let wb = w.apply_tuple(self.b);
-        (!wb.is_complete() || !eval.satisfies(q, &wb)) && eval.satisfies(q, &w.apply_tuple(self.a))
+        (!wb.is_complete() || !eval.satisfies(&wb)) && eval.satisfies(&w.apply_tuple(self.a))
     }
 }
 

@@ -35,7 +35,7 @@ pub use measure::{m_k, m_k_series, mu_k, mu_k_conditional, mu_k_conditional_seri
 pub use owa::{owa_m_k, OwaCount};
 pub use poly_engine::{
     census_classes, census_poly, conditional_polys, mu_conditional_exact, mu_exact, support_poly,
-    SeriesCensus, SeriesCost, SeriesEngine, SupportPoly,
+    CensusTooLarge, SeriesCensus, SeriesCost, SeriesEngine, SupportPoly,
 };
 pub use proof_lemmas::{
     bijective_image_census, mu_k_bijective, non_bijective_exact, partition_of_valuations,

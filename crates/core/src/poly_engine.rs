@@ -41,6 +41,42 @@ pub const MAX_NULLS: usize = 10;
 /// injections are tracked in a 64-bit mask).
 pub const MAX_NAMED: usize = 64;
 
+/// An instance past the class walk's caps ([`MAX_NULLS`] nulls,
+/// [`MAX_NAMED`] named constants). Its `Display` is the stable text a
+/// server answers such a job with.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CensusTooLarge {
+    /// `m`: number of nulls of the database.
+    pub nulls: usize,
+    /// `c = |A|`: number of named constants (`Const(D) ∪ C`).
+    pub named_count: usize,
+}
+
+impl CensusTooLarge {
+    /// `Err` unless the class walk accepts `m` nulls and `c` named
+    /// constants.
+    fn check(nulls: usize, named_count: usize) -> Result<(), CensusTooLarge> {
+        if nulls <= MAX_NULLS && named_count <= MAX_NAMED {
+            Ok(())
+        } else {
+            Err(CensusTooLarge { nulls, named_count })
+        }
+    }
+}
+
+impl std::fmt::Display for CensusTooLarge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "support-polynomial engine caps at {MAX_NULLS} nulls and {MAX_NAMED} named constants \
+             (got {} nulls, {} named constants)",
+            self.nulls, self.named_count
+        )
+    }
+}
+
+impl std::error::Error for CensusTooLarge {}
+
 /// The census of one event over one database: how many classes `(ρ, f)`
 /// hold the event, bucketed by what decides their valuation count at
 /// each `k`. [`support_poly`] folds it into the polynomial;
@@ -68,20 +104,14 @@ pub struct SeriesCensus {
 
 impl SeriesCensus {
     /// Walk every class `(ρ, f)` once, recording the true ones.
-    ///
-    /// Panics past [`MAX_NULLS`] nulls or [`MAX_NAMED`] named constants;
-    /// callers serving untrusted input check [`SeriesCost::census_eligible`]
-    /// first.
-    pub fn new(event: &dyn SuppEvent, db: &Database) -> SeriesCensus {
+    /// Refuses instances past [`MAX_NULLS`] nulls or [`MAX_NAMED`] named
+    /// constants before walking anything.
+    pub fn new(event: &dyn SuppEvent, db: &Database) -> Result<SeriesCensus, CensusTooLarge> {
         let nulls: Vec<NullId> = db.nulls().into_iter().collect();
         let m = nulls.len();
-        assert!(
-            m <= MAX_NULLS,
-            "support-polynomial engine caps at {MAX_NULLS} nulls (got {m})"
-        );
         let named = named_pool(event, db);
         let c = named.len();
-        assert!(c <= MAX_NAMED, "named-constant pool larger than 64 not supported");
+        CensusTooLarge::check(m, c)?;
 
         // Reserved fresh constants, pairwise distinct and outside A by
         // construction; interned once, not once per class.
@@ -123,7 +153,7 @@ impl SeriesCensus {
                 }
             });
         });
-        census
+        Ok(census)
     }
 
     /// `|Suppᵏ(event, D)|` for any `k`, exactly as enumerating `Vᵏ(D)`
@@ -221,10 +251,9 @@ impl SeriesCost {
         SeriesCost { nulls, named_count, classes: census_classes(nulls, named_count), valuations }
     }
 
-    /// Whether [`SeriesCensus::new`] accepts the instance at all (it
-    /// panics otherwise).
+    /// Whether [`SeriesCensus::new`] accepts the instance at all.
     pub fn census_eligible(&self) -> bool {
-        self.nulls <= MAX_NULLS && self.named_count <= MAX_NAMED
+        CensusTooLarge::check(self.nulls, self.named_count).is_ok()
     }
 
     /// The cheaper engine: the census when it is eligible and inspects
@@ -310,25 +339,25 @@ impl SupportPoly {
 ///
 /// let db = parse_database("R(c1, _x). R(c2, _y).").unwrap().db;
 /// let q = parse_query("Collide := exists p. R(c1, p) & R(c2, p)").unwrap();
-/// let sp = support_poly(&BoolQueryEvent::new(q), &db);
+/// let sp = support_poly(&BoolQueryEvent::new(q), &db).unwrap();
 /// // Exactly k of the k² valuations collide the two nulls:
 /// assert_eq!(sp.poly.to_string(), "k");
 /// assert!(sp.mu_limit().is_zero()); // degree 1 < m = 2
 /// ```
-pub fn support_poly(event: &dyn SuppEvent, db: &Database) -> SupportPoly {
-    let census = SeriesCensus::new(event, db);
-    SupportPoly {
+pub fn support_poly(event: &dyn SuppEvent, db: &Database) -> Result<SupportPoly, CensusTooLarge> {
+    let census = SeriesCensus::new(event, db)?;
+    Ok(SupportPoly {
         poly: census.poly(),
         nulls: census.nulls,
         named_count: census.named_count,
         true_classes: census.true_classes,
         total_classes: census.total_classes,
-    }
+    })
 }
 
 /// The exact limit measure `μ(event, D)` (Theorem 1: always 0 or 1).
-pub fn mu_exact(event: &dyn SuppEvent, db: &Database) -> Ratio {
-    support_poly(event, db).mu_limit()
+pub fn mu_exact(event: &dyn SuppEvent, db: &Database) -> Result<Ratio, CensusTooLarge> {
+    Ok(support_poly(event, db)?.mu_limit())
 }
 
 /// The exact conditional measure
@@ -339,10 +368,10 @@ pub fn mu_conditional_exact(
     q_event: &dyn SuppEvent,
     sigma_event: &dyn SuppEvent,
     db: &Database,
-) -> Ratio {
-    let (num, den) = conditional_polys(q_event, sigma_event, db);
-    Poly::limit_ratio(&num.poly, &den.poly)
-        .expect("Supp(σ∧q) ⊆ Supp(σ): the ratio cannot diverge")
+) -> Result<Ratio, CensusTooLarge> {
+    let (num, den) = conditional_polys(q_event, sigma_event, db)?;
+    Ok(Poly::limit_ratio(&num.poly, &den.poly)
+        .expect("Supp(σ∧q) ⊆ Supp(σ): the ratio cannot diverge"))
 }
 
 /// The two polynomials behind the conditional measure (numerator
@@ -352,7 +381,7 @@ pub fn conditional_polys(
     q_event: &dyn SuppEvent,
     sigma_event: &dyn SuppEvent,
     db: &Database,
-) -> (SupportPoly, SupportPoly) {
+) -> Result<(SupportPoly, SupportPoly), CensusTooLarge> {
     // Wrap so both polynomials see the union of the constant sets: the
     // class decomposition must be computed over the same pool `A`.
     struct WithConsts<'a> {
@@ -391,14 +420,17 @@ pub fn conditional_polys(
     let num = support_poly(
         &Both { q: q_event, s: sigma_event, consts: consts.clone() },
         db,
-    );
-    let den = support_poly(&WithConsts { inner: sigma_event, consts }, db);
-    (num, den)
+    )?;
+    let den = support_poly(&WithConsts { inner: sigma_event, consts }, db)?;
+    Ok((num, den))
 }
 
 /// Consistency check on the engine itself: summing the class counts over
 /// *all* classes must give exactly `kᵐ`. Returns the total polynomial.
-pub fn census_poly(db: &Database, extra_consts: &std::collections::BTreeSet<Cst>) -> Poly {
+pub fn census_poly(
+    db: &Database,
+    extra_consts: &std::collections::BTreeSet<Cst>,
+) -> Result<Poly, CensusTooLarge> {
     struct Always(std::collections::BTreeSet<Cst>);
     impl SuppEvent for Always {
         fn holds(&self, _: &Valuation, _: &Database) -> bool {
@@ -411,7 +443,7 @@ pub fn census_poly(db: &Database, extra_consts: &std::collections::BTreeSet<Cst>
             "⊤".into()
         }
     }
-    support_poly(&Always(extra_consts.clone()), db).poly
+    Ok(support_poly(&Always(extra_consts.clone()), db)?.poly)
 }
 
 #[cfg(test)]
@@ -427,7 +459,7 @@ mod tests {
             let db = parse_database(src).unwrap().db;
             let m = db.nulls().len();
             assert_eq!(
-                census_poly(&db, &Default::default()),
+                census_poly(&db, &Default::default()).unwrap(),
                 Poly::x_pow(m),
                 "census for {src}"
             );
@@ -441,7 +473,7 @@ mod tests {
         let db = parse_database("R(a, _x). R(b, _y). S(c1).").unwrap().db;
         for src in ["Q := exists p. R(a, p) & R(b, p)", "Q := exists p. R(p, a) | S(p)"] {
             let ev = BoolQueryEvent::new(parse_query(src).unwrap());
-            let census = SeriesCensus::new(&ev, &db);
+            let census = SeriesCensus::new(&ev, &db).unwrap();
             assert_eq!(census.named_count, 3);
             for k in 1..=6 {
                 let exact = crate::support::supp_k_count(&ev, &db, k);
@@ -464,7 +496,7 @@ mod tests {
             let ev = NotEvent::new(Box::new(BoolQueryEvent::new(
                 parse_query("Never := exists u. N(u) & !N(u)").unwrap(),
             )));
-            let census = SeriesCensus::new(&ev, &db);
+            let census = SeriesCensus::new(&ev, &db).unwrap();
             assert_eq!((census.nulls, census.named_count), (m, c));
             assert_eq!(census.true_classes, census.total_classes);
             assert_eq!(u128::from(census.total_classes), census_classes(m, c), "m={m} c={c}");
@@ -500,12 +532,12 @@ mod tests {
         let db = parse_database("R(c1, _x). R(c2, _y).").unwrap().db;
         let col = parse_query("Col := exists p. R(c1, p) & R(c2, p)").unwrap();
         let ev = BoolQueryEvent::new(col.clone());
-        let sp = support_poly(&ev, &db);
+        let sp = support_poly(&ev, &db).unwrap();
         // |Suppᵏ| = k (the diagonal): degree 1 < m = 2 ⇒ μ = 0.
         assert_eq!(sp.mu_limit(), Ratio::zero());
         assert!(!naive_eval_bool(&col, &db));
         let neg = NotEvent::new(Box::new(BoolQueryEvent::new(col.clone())));
-        assert_eq!(mu_exact(&neg, &db), Ratio::one());
+        assert_eq!(mu_exact(&neg, &db).unwrap(), Ratio::one());
         assert!(naive_eval_bool(&col.negated(), &db));
     }
 
@@ -514,7 +546,7 @@ mod tests {
         let db = parse_database("R(c1, _x). R(c2, _y).").unwrap().db;
         let q = parse_query("Col := exists p. R(c1, p) & R(c2, p)").unwrap();
         let ev = BoolQueryEvent::new(q);
-        let sp = support_poly(&ev, &db);
+        let sp = support_poly(&ev, &db).unwrap();
         for k in sp.named_count..8 {
             let exact = crate::support::supp_k_count(&ev, &db, k);
             assert_eq!(
@@ -537,11 +569,11 @@ mod tests {
         let q = parse_query("Q(x, y) := R1(x, y) & !R2(x, y)").unwrap();
         let a = Tuple::new(vec![caz_idb::cst("c1"), Value::Null(p.nulls["p1"])]);
         let ev = TupleAnswerEvent::new(q.clone(), a);
-        assert_eq!(mu_exact(&ev, &p.db), Ratio::one());
+        assert_eq!(mu_exact(&ev, &p.db).unwrap(), Ratio::one());
         // A tuple that is not even possible is almost certainly false.
         let bad = Tuple::new(vec![caz_idb::cst("zz"), caz_idb::cst("zz")]);
         let ev_bad = TupleAnswerEvent::new(q, bad);
-        assert_eq!(mu_exact(&ev_bad, &p.db), Ratio::zero());
+        assert_eq!(mu_exact(&ev_bad, &p.db).unwrap(), Ratio::zero());
     }
 
     #[test]
@@ -553,7 +585,7 @@ mod tests {
             caz_constraints::parse_constraints("ind R[1] <= U[1]").unwrap(),
         );
         let qa = BoolQueryEvent::new(parse_query("Qa := R(1, 1)").unwrap());
-        assert_eq!(mu_conditional_exact(&qa, &sigma, &db), Ratio::from_frac(1, 3));
+        assert_eq!(mu_conditional_exact(&qa, &sigma, &db).unwrap(), Ratio::from_frac(1, 3));
         // ā = (1,⊥) and b̄ = (2,⊥) as tuple events: supports of size 1
         // and 2 among the three Σ-valuations (v(⊥) ∈ {1,2,3}).
         let p = parse_database("R(2, 1). R(_b, _b). U(1). U(2). U(3).").unwrap();
@@ -564,13 +596,13 @@ mod tests {
         );
         let ev_b = TupleAnswerEvent::new(q_rel.clone(), b_tuple);
         assert_eq!(
-            mu_conditional_exact(&ev_b, &sigma2, &p.db),
+            mu_conditional_exact(&ev_b, &sigma2, &p.db).unwrap(),
             Ratio::from_frac(2, 3)
         );
         let a_tuple = Tuple::new(vec![caz_idb::cst("1"), Value::Null(p.nulls["b"])]);
         let ev_a = TupleAnswerEvent::new(q_rel, a_tuple);
         assert_eq!(
-            mu_conditional_exact(&ev_a, &sigma2, &p.db),
+            mu_conditional_exact(&ev_a, &sigma2, &p.db).unwrap(),
             Ratio::from_frac(1, 3)
         );
     }
@@ -582,7 +614,7 @@ mod tests {
             caz_constraints::parse_constraints("fd R: 1 -> 2").unwrap(),
         );
         let q = BoolQueryEvent::new(parse_query("T := exists x, y. R(x, y)").unwrap());
-        assert_eq!(mu_conditional_exact(&q, &sigma, &db), Ratio::zero());
+        assert_eq!(mu_conditional_exact(&q, &sigma, &db).unwrap(), Ratio::zero());
     }
 
     #[test]
@@ -592,13 +624,13 @@ mod tests {
             caz_constraints::parse_constraints("ind R[1] <= U[1]").unwrap(),
         );
         let q = BoolQueryEvent::new(parse_query("Q1 := R(1, 1)").unwrap());
-        let (num, den) = conditional_polys(&q, &sigma, &db);
+        let (num, den) = conditional_polys(&q, &sigma, &db).unwrap();
         assert_eq!(num.named_count, den.named_count);
         // Σ: v(⊥) ∈ {1,2} → |Suppᵏ(Σ)| = 2 (constant), |Suppᵏ(Σ∧Q)| = 1.
         assert_eq!(den.count_at(5), Ratio::from_int(2));
         assert_eq!(num.count_at(5), Ratio::from_int(1));
         assert_eq!(
-            mu_conditional_exact(&q, &sigma, &db),
+            mu_conditional_exact(&q, &sigma, &db).unwrap(),
             Ratio::from_frac(1, 2)
         );
     }

@@ -210,7 +210,7 @@ mod tests {
     #[test]
     fn mu_bijective_is_zero_or_one_and_matches_limit() {
         let (db, ev) = setup();
-        let limit = mu_exact(&ev, &db);
+        let limit = mu_exact(&ev, &db).unwrap();
         for k in 5..=9usize {
             let b = mu_k_bijective(&ev, &db, k).expect("bijective valuations exist");
             assert!(b.is_zero() || b.is_one(), "Proposition 1 forces 0/1, got {b}");

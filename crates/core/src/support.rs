@@ -8,7 +8,7 @@
 //! engine.
 
 use caz_idb::{ConstEnum, Cst, Database, Tuple, Valuation};
-use caz_logic::{eval_bool, naive_contains, tuple_in_answer, Evaluator, Query};
+use caz_logic::{eval_bool, naive_contains, tuple_in_answer, Query};
 use std::collections::BTreeSet;
 
 /// A generic event over valuations: truth depends only on `v(D)` (and
@@ -80,7 +80,7 @@ impl SuppEvent for TupleAnswerEvent {
         if !vt.is_complete() {
             return false; // mentions a null outside Null(D)
         }
-        Evaluator::new(vdb, &self.query.generic_consts()).satisfies(&self.query, &vt)
+        tuple_in_answer(&self.query, vdb, &vt)
     }
 
     fn constants(&self) -> BTreeSet<Cst> {

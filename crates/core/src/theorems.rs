@@ -2,7 +2,7 @@
 //! fast path the corresponding theorem licenses (and cross-validated
 //! against the polynomial engine in the test suites).
 
-use crate::poly_engine::{mu_conditional_exact, mu_exact};
+use crate::poly_engine::{mu_conditional_exact, mu_exact, CensusTooLarge};
 use crate::support::{BoolQueryEvent, ConstraintEvent, ImpliesEvent, SuppEvent, TupleAnswerEvent};
 use caz_arith::Ratio;
 use caz_constraints::{chase, ConstraintSet, Fd};
@@ -57,14 +57,22 @@ pub fn almost_certainly_false(q: &Query, db: &Database, tuple: Option<&Tuple>) -
 
 /// `μ(Q, D, ā)` through the support-polynomial engine (no use of
 /// Theorem 1) — the slow, first-principles path used to validate the
-/// fast one.
+/// fast one. Panics past the engine's caps ([`CensusTooLarge`]).
 pub fn mu_via_polynomials(q: &Query, db: &Database, tuple: Option<&Tuple>) -> Ratio {
-    mu_exact(event_for(q, tuple).as_ref(), db)
+    within_caps(mu_exact(event_for(q, tuple).as_ref(), db))
+}
+
+/// The measure of a convenience wrapper whose caller vouches for the
+/// instance's size.
+fn within_caps(measure: Result<Ratio, CensusTooLarge>) -> Ratio {
+    measure.unwrap_or_else(|too_large| panic!("{too_large}"))
 }
 
 /// **Theorem 3.** The conditional measure `μ(Q | Σ, D, ā)`: always
 /// exists, is a rational in [0, 1], and is computed exactly as a ratio
-/// of leading coefficients of support polynomials.
+/// of leading coefficients of support polynomials. Panics past the
+/// engine's caps ([`CensusTooLarge`]); the fallible form is
+/// [`mu_conditional_exact`].
 ///
 /// ```
 /// use caz_arith::Ratio;
@@ -88,18 +96,19 @@ pub fn mu_conditional(
 ) -> Ratio {
     let q_ev = event_for(q, tuple);
     let s_ev = ConstraintEvent::new(sigma.clone());
-    mu_conditional_exact(q_ev.as_ref(), &s_ev, db)
+    within_caps(mu_conditional_exact(q_ev.as_ref(), &s_ev, db))
 }
 
 /// **Proposition 3.** The implication measure `μ(Σ → Q, D)`: 1 when
 /// `μ(Σ, D) = 0`, otherwise equal to `μ(Q, D)`. Computed directly from
 /// the engine (the proposition is verified against this in the tests).
+/// Panics past the engine's caps ([`CensusTooLarge`]).
 pub fn mu_implication(sigma: &ConstraintSet, q: &Query, db: &Database) -> Ratio {
     let ev = ImpliesEvent::new(
         Box::new(ConstraintEvent::new(sigma.clone())),
         event_for(q, None),
     );
-    mu_exact(&ev, db)
+    within_caps(mu_exact(&ev, db))
 }
 
 /// Why Theorem 5's chase-then-measure fast path does not apply to a
@@ -164,12 +173,14 @@ pub fn mu_conditional_fd(
 
 /// **Theorem 4.** If `Σ^naïve(D)` is true (the constraints are almost
 /// certainly true), constraints do not affect the measure:
-/// `μ(Q | Σ, D, ā) = μ(Q, D, ā)`. This predicate tests the hypothesis.
+/// `μ(Q | Σ, D, ā) = μ(Q, D, ā)`. This predicate tests the hypothesis
+/// on the support-polynomial engine, and panics past its caps
+/// ([`CensusTooLarge`]).
 pub fn sigma_almost_certainly_true(
     sigma: &ConstraintSet,
     db: &Database,
 ) -> bool {
-    mu_exact(&ConstraintEvent::new(sigma.clone()), db).is_one()
+    within_caps(mu_exact(&ConstraintEvent::new(sigma.clone()), db)).is_one()
 }
 
 #[cfg(test)]

@@ -5,9 +5,15 @@
 //! constant set; answers are tuples over the same domain. This evaluation
 //! is generic in the sense of Definition 1: it commutes with every
 //! permutation of `Const` fixing `C`.
+//!
+//! Both domains are built on first use. Deciding a sentence, or one
+//! answer tuple, whose quantifiers all take the join fast path with no
+//! leftover variable reads neither: that is the question the class
+//! census asks once per class.
 
-use crate::ast::{Formula, Query, Term};
+use crate::ast::{Atom, Formula, Query, Term};
 use caz_idb::{Database, Symbol, Tuple, Value};
+use std::cell::{Cell, OnceCell};
 use std::collections::BTreeSet;
 
 /// Evaluation environment: a stack of variable bindings (inner bindings
@@ -19,7 +25,12 @@ struct Env {
 
 impl Env {
     fn lookup(&self, v: Symbol) -> Option<Value> {
-        self.stack.iter().rev().find(|(s, _)| *s == v).map(|&(_, val)| val)
+        self.lookup_above(0, v)
+    }
+
+    /// The binding of `v` pushed at or after position `mark`.
+    fn lookup_above(&self, mark: usize, v: Symbol) -> Option<Value> {
+        self.stack[mark..].iter().rev().find(|(s, _)| *s == v).map(|&(_, val)| val)
     }
 
     fn push(&mut self, v: Symbol, val: Value) {
@@ -35,36 +46,54 @@ impl Env {
     }
 }
 
-/// An evaluator bound to one complete database.
+/// An evaluator bound to one query and one complete database.
 pub struct Evaluator<'a> {
     db: &'a Database,
-    /// Quantifier domain: `Const(D) ∪ C`.
-    dom: Vec<Value>,
-    /// Answer domain: `adom(D) = Const(D)` (the database is complete).
-    /// Queries "do not invent values" (§2 of the paper): answers are
-    /// tuples over the active domain only, even when the query mentions
-    /// constants outside it.
-    adom: BTreeSet<Value>,
+    q: &'a Query,
+    /// Quantifier domain: `Const(D) ∪ C`, `C` the query's constants,
+    /// built on first use.
+    dom: OnceCell<Vec<Value>>,
+    /// Answer domain: `adom(D) = Const(D)` (the database is complete),
+    /// built on first use. Queries "do not invent values" (§2 of the
+    /// paper): answers are tuples over the active domain only, even
+    /// when the query mentions constants outside it.
+    adom: OnceCell<BTreeSet<Value>>,
+    /// Whether [`Evaluator::satisfies`] has been asked before: the first
+    /// question scans `D` instead of building the answer domain.
+    asked: Cell<bool>,
     /// Use the join-based fast path for existential conjunctions of
     /// atoms (semantically equivalent; off only for ablation benches).
     use_joins: bool,
 }
 
+/// One `∃ vs (atom ∧ … ∧ eq ∧ …)` under the join fast path. Its
+/// bindings live on the evaluation's [`Env`] above `mark`, so a
+/// quantified variable bound there shadows an outer one.
+struct Join<'f> {
+    vs: &'f [Symbol],
+    conjuncts: &'f [Formula],
+    mark: usize,
+}
+
 impl<'a> Evaluator<'a> {
-    /// Create an evaluator for a query-shaped domain: quantifiers range
-    /// over `Const(D)` plus the given query constants, answers over
-    /// `Const(D)`. Panics if the database is incomplete — evaluating a
-    /// query directly on nulls is exactly the mistake the paper's
-    /// framework is about; use naïve evaluation instead.
-    pub fn new(db: &'a Database, query_consts: &BTreeSet<caz_idb::Cst>) -> Evaluator<'a> {
+    /// Create an evaluator for `q`: quantifiers range over `Const(D)`
+    /// plus the query's constants, answers over `Const(D)`. Panics if
+    /// the database is incomplete — evaluating a query directly on nulls
+    /// is exactly the mistake the paper's framework is about; use naïve
+    /// evaluation instead.
+    pub fn new(db: &'a Database, q: &'a Query) -> Evaluator<'a> {
         assert!(
             db.is_complete(),
             "direct evaluation requires a complete database; use naive evaluation for nulls"
         );
-        let adom: BTreeSet<Value> = db.consts().into_iter().map(Value::Const).collect();
-        let mut dom = adom.clone();
-        dom.extend(query_consts.iter().map(|&c| Value::Const(c)));
-        Evaluator { db, dom: dom.into_iter().collect(), adom, use_joins: true }
+        Evaluator {
+            db,
+            q,
+            dom: OnceCell::new(),
+            adom: OnceCell::new(),
+            asked: Cell::new(false),
+            use_joins: true,
+        }
     }
 
     /// Disable the join fast path (ablation only — results are
@@ -76,7 +105,27 @@ impl<'a> Evaluator<'a> {
 
     /// The quantifier domain.
     pub fn domain(&self) -> &[Value] {
-        &self.dom
+        self.dom.get_or_init(|| {
+            let mut dom = self.db.consts();
+            dom.extend(self.q.generic_consts());
+            dom.into_iter().map(Value::Const).collect()
+        })
+    }
+
+    fn adom(&self) -> &BTreeSet<Value> {
+        self.adom.get_or_init(|| self.db.consts().into_iter().map(Value::Const).collect())
+    }
+
+    /// `t ⊆ adom(D)`. The evaluator's first question scans `D`'s tuples
+    /// (the census asks each class's evaluator one); a later one builds
+    /// the answer domain once and looks each value up.
+    fn within_adom(&self, t: &Tuple) -> bool {
+        if self.adom.get().is_none() && !self.asked.replace(true) {
+            let in_db = |v| self.db.relations().any(|r| r.iter().any(|u| u.values().contains(v)));
+            return t.iter().all(in_db);
+        }
+        let adom = self.adom();
+        t.iter().all(|v| adom.contains(v))
     }
 
     fn term_value(&self, t: &Term, env: &Env) -> Value {
@@ -118,106 +167,93 @@ impl<'a> Evaluator<'a> {
     /// recursion then applies); semantically identical otherwise, since
     /// any witness assignment must match the atoms tuple-wise and
     /// leftover variables are still ranged over the full domain.
-    fn join_exists(&self, vs: &[Symbol], g: &Formula, env: &Env) -> Option<bool> {
-        let conjuncts: Vec<&Formula> = match g {
-            Formula::And(items) => items.iter().collect(),
-            Formula::Atom(_) | Formula::Eq(_, _) => vec![g],
+    fn join_exists(&self, vs: &[Symbol], g: &Formula, env: &mut Env) -> Option<bool> {
+        let conjuncts = match g {
+            Formula::And(items) => items.as_slice(),
+            Formula::Atom(_) | Formula::Eq(_, _) => std::slice::from_ref(g),
             _ => return None,
         };
-        let mut atoms: Vec<&crate::ast::Atom> = Vec::new();
-        let mut eqs: Vec<(&Term, &Term)> = Vec::new();
-        for c in conjuncts {
-            match c {
-                Formula::Atom(a) => atoms.push(a),
-                Formula::Eq(x, y) => eqs.push((x, y)),
-                _ => return None,
-            }
+        if !conjuncts.iter().all(|c| matches!(c, Formula::Atom(_) | Formula::Eq(_, _))) {
+            return None;
         }
-        let vsset: std::collections::BTreeSet<Symbol> = vs.iter().copied().collect();
-        let mut local: std::collections::BTreeMap<Symbol, Value> =
-            std::collections::BTreeMap::new();
-        Some(self.join_atoms(&atoms, &eqs, &vsset, &mut local, env, 0))
+        let join = Join { vs, conjuncts, mark: env.len() };
+        let found = self.join_atoms(&join, env, 0);
+        env.truncate(join.mark);
+        Some(found)
     }
 
-    /// Resolve a term under the join's local bindings: quantified
-    /// variables shadow the outer environment.
-    fn join_resolve(
-        &self,
-        t: &Term,
-        vsset: &std::collections::BTreeSet<Symbol>,
-        local: &std::collections::BTreeMap<Symbol, Value>,
-        env: &Env,
-    ) -> Option<Value> {
+    /// Resolve a term under the join's bindings: a quantified variable
+    /// is unbound (`None`) until the join binds it.
+    fn join_resolve(&self, t: &Term, join: &Join<'_>, env: &Env) -> Option<Value> {
         match t {
             Term::Const(c) => Some(Value::Const(*c)),
-            Term::Var(v) if vsset.contains(v) => local.get(v).copied(),
-            Term::Var(v) => Some(
-                env.lookup(*v)
-                    .unwrap_or_else(|| panic!("unbound variable {v} during evaluation")),
-            ),
+            Term::Var(v) if join.vs.contains(v) => env.lookup_above(join.mark, *v),
+            Term::Var(_) => Some(self.term_value(t, env)),
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn join_atoms(
-        &self,
-        atoms: &[&crate::ast::Atom],
-        eqs: &[(&Term, &Term)],
-        vsset: &std::collections::BTreeSet<Symbol>,
-        local: &mut std::collections::BTreeMap<Symbol, Value>,
-        env: &Env,
-        i: usize,
-    ) -> bool {
-        if i == atoms.len() {
-            // Range leftover quantified variables over the domain (they
-            // occur only in equalities, if anywhere).
-            if let Some(&v) = vsset.iter().find(|v| !local.contains_key(v)) {
-                for &val in &self.dom {
-                    local.insert(v, val);
-                    if self.join_atoms(atoms, eqs, vsset, local, env, i) {
-                        local.remove(&v);
-                        return true;
-                    }
-                }
-                local.remove(&v);
-                return false;
-            }
-            return eqs.iter().all(|(a, b)| {
-                self.join_resolve(a, vsset, local, env).unwrap()
-                    == self.join_resolve(b, vsset, local, env).unwrap()
-            });
-        }
-        let a = atoms[i];
+    /// Match the atoms from conjunct `i` on, in order, binding
+    /// quantified variables tuple by tuple; then range the leftover
+    /// variables and check the equalities.
+    fn join_atoms(&self, join: &Join<'_>, env: &mut Env, i: usize) -> bool {
+        let next = join.conjuncts[i..].iter().enumerate().find_map(|(o, c)| match c {
+            Formula::Atom(a) => Some((i + o, a)),
+            _ => None,
+        });
+        let Some((at, a)) = next else {
+            return self.join_leftovers(join, env);
+        };
         let Some(rel) = self.db.relation_sym(a.rel) else {
             return false;
         };
-        'tuples: for t in rel.iter() {
-            let mut newly: Vec<Symbol> = Vec::new();
-            for (arg, &val) in a.args.iter().zip(t.values()) {
-                match self.join_resolve(arg, vsset, local, env) {
-                    Some(existing) => {
-                        if existing != val {
-                            for v in newly.drain(..) {
-                                local.remove(&v);
-                            }
-                            continue 'tuples;
-                        }
-                    }
-                    None => {
-                        let Term::Var(v) = arg else { unreachable!() };
-                        local.insert(*v, val);
-                        newly.push(*v);
-                    }
-                }
-            }
-            if self.join_atoms(atoms, eqs, vsset, local, env, i + 1) {
+        let mark = env.len();
+        for t in rel.iter() {
+            if self.bind_atom(a, t, join, env) && self.join_atoms(join, env, at + 1) {
                 return true;
             }
-            for v in newly {
-                local.remove(&v);
-            }
+            env.truncate(mark);
         }
         false
+    }
+
+    /// Extend the join's bindings so that `a` matches `t`; false on a
+    /// clash (the caller truncates what was pushed).
+    fn bind_atom(&self, a: &Atom, t: &Tuple, join: &Join<'_>, env: &mut Env) -> bool {
+        for (arg, &val) in a.args.iter().zip(t.values()) {
+            match self.join_resolve(arg, join, env) {
+                Some(existing) if existing != val => return false,
+                Some(_) => {}
+                None => {
+                    let Term::Var(v) = arg else { unreachable!() };
+                    env.push(*v, val);
+                }
+            }
+        }
+        true
+    }
+
+    /// Range the quantified variables no atom bound over the domain
+    /// (they occur only in equalities, if anywhere), then check the
+    /// equalities.
+    fn join_leftovers(&self, join: &Join<'_>, env: &mut Env) -> bool {
+        if let Some(&v) = join.vs.iter().find(|&&v| env.lookup_above(join.mark, v).is_none()) {
+            let mark = env.len();
+            for &val in self.domain() {
+                env.push(v, val);
+                let found = self.join_leftovers(join, env);
+                env.truncate(mark);
+                if found {
+                    return true;
+                }
+            }
+            return false;
+        }
+        join.conjuncts.iter().all(|c| match c {
+            Formula::Eq(a, b) => {
+                self.join_resolve(a, join, env).unwrap() == self.join_resolve(b, join, env).unwrap()
+            }
+            _ => true,
+        })
     }
 
     /// For `Exists` (`want = true`): is there an assignment making `g`
@@ -235,7 +271,7 @@ impl<'a> Evaluator<'a> {
                 None => ev.holds(g, env) == want,
                 Some((&v, rest)) => {
                     let mark = env.len();
-                    for &val in &ev.dom {
+                    for &val in ev.domain() {
                         env.push(v, val);
                         let found = rec(ev, rest, g, env, want);
                         env.truncate(mark);
@@ -250,19 +286,22 @@ impl<'a> Evaluator<'a> {
         rec(self, vs, g, env, want)
     }
 
-    /// Evaluate a closed formula.
-    pub fn eval_sentence(&self, f: &Formula) -> bool {
-        debug_assert!(f.free_vars().is_empty(), "sentence has free variables");
-        self.holds(f, &mut Env::default())
+    /// Decide the Boolean query.
+    pub fn eval_bool(&self) -> bool {
+        assert!(self.q.is_boolean(), "{} is not Boolean", self.q.name);
+        // A Boolean query's body is closed: `Query::new` checked that its
+        // free variables lie in the empty head.
+        self.holds(&self.q.body, &mut Env::default())
     }
 
     /// Is `t ∈ Q(D)`? Answers are tuples over `adom(D)`: a tuple with a
     /// component outside the active domain is never an answer, even if
     /// the body would be satisfied by it.
-    pub fn satisfies(&self, q: &Query, t: &Tuple) -> bool {
+    pub fn satisfies(&self, t: &Tuple) -> bool {
+        let q = self.q;
         assert_eq!(t.arity(), q.arity(), "tuple arity mismatch for {}", q.name);
         assert!(t.is_complete(), "satisfies() requires a constant tuple");
-        if !t.iter().all(|v| self.adom.contains(v)) {
+        if !self.within_adom(t) {
             return false;
         }
         let mut env = Env::default();
@@ -274,47 +313,41 @@ impl<'a> Evaluator<'a> {
 
     /// All answers to the query: the set of `adom(D)`-tuples satisfying
     /// it.
-    pub fn answers(&self, q: &Query) -> BTreeSet<Tuple> {
+    pub fn answers(&self) -> BTreeSet<Tuple> {
         let mut out = BTreeSet::new();
-        let mut current: Vec<Value> = Vec::with_capacity(q.arity());
-        fn rec(
-            ev: &Evaluator<'_>,
-            q: &Query,
-            current: &mut Vec<Value>,
-            out: &mut BTreeSet<Tuple>,
-        ) {
-            if current.len() == q.arity() {
+        let mut current: Vec<Value> = Vec::with_capacity(self.q.arity());
+        fn rec(ev: &Evaluator<'_>, current: &mut Vec<Value>, out: &mut BTreeSet<Tuple>) {
+            if current.len() == ev.q.arity() {
                 let t = Tuple::new(current.clone());
-                if ev.satisfies(q, &t) {
+                if ev.satisfies(&t) {
                     out.insert(t);
                 }
                 return;
             }
-            for &val in ev.adom.iter() {
+            for &val in ev.adom() {
                 current.push(val);
-                rec(ev, q, current, out);
+                rec(ev, current, out);
                 current.pop();
             }
         }
-        rec(self, q, &mut current, &mut out);
+        rec(self, &mut current, &mut out);
         out
     }
 }
 
 /// Evaluate a query on a complete database (one-shot convenience).
 pub fn eval_query(q: &Query, db: &Database) -> BTreeSet<Tuple> {
-    Evaluator::new(db, &q.generic_consts()).answers(q)
+    Evaluator::new(db, q).answers()
 }
 
 /// Evaluate a Boolean query on a complete database.
 pub fn eval_bool(q: &Query, db: &Database) -> bool {
-    assert!(q.is_boolean(), "{} is not Boolean", q.name);
-    Evaluator::new(db, &q.generic_consts()).eval_sentence(&q.body)
+    Evaluator::new(db, q).eval_bool()
 }
 
 /// Does `t` belong to `Q(db)`? (`db` complete, `t` over constants.)
 pub fn tuple_in_answer(q: &Query, db: &Database, t: &Tuple) -> bool {
-    Evaluator::new(db, &q.generic_consts()).satisfies(q, t)
+    Evaluator::new(db, q).satisfies(t)
 }
 
 #[cfg(test)]
@@ -443,10 +476,9 @@ mod tests {
         ];
         for src in cases {
             let q = parse_query(src).unwrap();
-            let consts = q.generic_consts();
-            let fast = Evaluator::new(&db, &consts);
-            let slow = Evaluator::new(&db, &consts).without_joins();
-            assert_eq!(fast.answers(&q), slow.answers(&q), "{src}");
+            let fast = Evaluator::new(&db, &q);
+            let slow = Evaluator::new(&db, &q).without_joins();
+            assert_eq!(fast.answers(), slow.answers(), "{src}");
         }
     }
 

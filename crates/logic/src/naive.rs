@@ -28,28 +28,24 @@ use std::collections::BTreeSet;
 /// assert_eq!(ans, [Tuple::new(vec![Value::Null(p.nulls["b"])])].into());
 /// ```
 pub fn naive_eval(q: &Query, db: &Database) -> BTreeSet<Tuple> {
-    let consts = q.generic_consts();
-    let v = Valuation::naive(db, &consts);
+    let v = Valuation::naive(db, &q.generic_consts());
     let vd = v.apply_db(db);
-    let ev = Evaluator::new(&vd, &consts);
     let back = v.inverse_subst();
-    ev.answers(q).into_iter().map(|t| t.map(&back)).collect()
+    Evaluator::new(&vd, q).answers().into_iter().map(|t| t.map(&back)).collect()
 }
 
 /// Naïve evaluation of a Boolean query.
 pub fn naive_eval_bool(q: &Query, db: &Database) -> bool {
     assert!(q.is_boolean(), "{} is not Boolean", q.name);
-    let consts = q.generic_consts();
-    let vd = Valuation::naive(db, &consts).apply_db(db);
-    Evaluator::new(&vd, &consts).eval_sentence(&q.body)
+    let vd = Valuation::naive(db, &q.generic_consts()).apply_db(db);
+    Evaluator::new(&vd, q).eval_bool()
 }
 
 /// Is `t` (a tuple over `adom(D)`, possibly with nulls) in `Q^naïve(D)`?
 pub fn naive_contains(q: &Query, db: &Database, t: &Tuple) -> bool {
-    let consts = q.generic_consts();
     // The tuple's constants are avoided too, so no null of D can
     // valuate onto one of them.
-    let mut avoid = consts.clone();
+    let mut avoid = q.generic_consts();
     avoid.extend(t.consts());
     let v = Valuation::naive(db, &avoid);
     let vd = v.apply_db(db);
@@ -59,7 +55,7 @@ pub fn naive_contains(q: &Query, db: &Database, t: &Tuple) -> bool {
         // never be an answer over adom(D).
         return false;
     }
-    Evaluator::new(&vd, &consts).satisfies(q, &vt)
+    Evaluator::new(&vd, q).satisfies(&vt)
 }
 
 #[cfg(test)]

@@ -268,6 +268,7 @@ impl Parser {
                 _ => return Err(self.lx.error("expected ',' or '.' after variable")),
             }
         }
+        let vars = exact(vars);
         let mark = self.scope.len();
         self.scope.extend(vars.iter().copied());
         let body = self.formula()?;
@@ -296,7 +297,7 @@ impl Parser {
             self.lx.bump();
             parts.push(self.conjunction()?);
         }
-        Ok(if parts.len() == 1 { parts.pop().unwrap() } else { Formula::Or(parts) })
+        Ok(if parts.len() == 1 { parts.pop().unwrap() } else { Formula::Or(exact(parts)) })
     }
 
     fn conjunction(&mut self) -> Result<Formula, ParseError> {
@@ -305,7 +306,7 @@ impl Parser {
             self.lx.bump();
             parts.push(self.unary()?);
         }
-        Ok(if parts.len() == 1 { parts.pop().unwrap() } else { Formula::And(parts) })
+        Ok(if parts.len() == 1 { parts.pop().unwrap() } else { Formula::And(exact(parts)) })
     }
 
     fn unary(&mut self) -> Result<Formula, ParseError> {
@@ -349,7 +350,7 @@ impl Parser {
                 }
             }
         }
-        Ok(Formula::Atom(Atom { rel: self.symbol(rel)?, args }))
+        Ok(Formula::Atom(Atom { rel: self.symbol(rel)?, args: exact(args) }))
     }
 
     fn equality(&mut self) -> Result<Formula, ParseError> {
@@ -406,7 +407,14 @@ pub fn parse_query(src: &str) -> Result<Query, ParseError> {
     if *p.lx.peek() != Tok::Eof {
         return Err(p.lx.error("trailing input after formula"));
     }
-    Query::new(&name, head, body).map_err(|m| ParseError { line: 1, col: 1, message: m })
+    Query::new(&name, exact(head), body).map_err(|m| ParseError { line: 1, col: 1, message: m })
+}
+
+/// `v` without spare capacity: a session keeps every parsed definition
+/// for as long as it lives.
+fn exact<T>(mut v: Vec<T>) -> Vec<T> {
+    v.shrink_to_fit();
+    v
 }
 
 #[cfg(test)]

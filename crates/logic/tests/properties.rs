@@ -10,11 +10,14 @@
 //! candidate with the join evaluator.
 //! Reproduce with `CAZ_TEST_SEED=<seed> cargo test -p caz-logic --test properties`.
 
-use caz_idb::{random_complete_database, random_database, Cst, DbGenConfig, NullId, Schema, Value};
+use caz_idb::{
+    random_complete_database, random_database, Cst, DbGenConfig, NullId, Schema, Symbol, Tuple,
+    Value,
+};
 use caz_logic::three_valued::{eval3_bool, NullMode, Truth};
 use caz_logic::{
-    eval_bool, eval_query, naive_eval, naive_eval_bool, random_query, random_ucq, Evaluator,
-    QueryGenConfig, Ucq,
+    con, eval_bool, eval_query, naive_eval, naive_eval_bool, random_query, random_ucq, var, Atom,
+    Evaluator, Formula, Query, QueryGenConfig, Term, Ucq,
 };
 use caz_testutil::rngs::StdRng;
 use caz_testutil::{RngExt, SeedableRng};
@@ -181,13 +184,83 @@ fn join_fast_path_is_semantics_preserving() {
     for case in 0..48 {
         let db = random_complete_database(&mut rng, &db_cfg(0));
         let q = random_query(&mut rng, &q_cfg(1));
-        let consts = q.generic_consts();
-        let fast = Evaluator::new(&db, &consts);
-        let slow = Evaluator::new(&db, &consts).without_joins();
+        let fast = Evaluator::new(&db, &q);
+        let slow = Evaluator::new(&db, &q).without_joins();
         assert_eq!(
-            fast.answers(&q),
-            slow.answers(&q),
+            fast.answers(),
+            slow.answers(),
             "CAZ_TEST_SEED={seed} case {case}: {q} over {db}"
+        );
+    }
+}
+
+/// An existential conjunction in the join path's shape:
+/// `Q(h0) := ∃ y, z. A₁ ∧ A₂ ∧ z = t` (Boolean without the head), whose
+/// atoms draw terms from the head, `y` and the constants `d0` (often in
+/// `Const(D)`) and `e0` (never), and whose `z` occurs only in the
+/// equality, so the join must range it over `Const(D) ∪ C`.
+fn join_query(rng: &mut StdRng, arity: usize) -> Query {
+    let head: Vec<Symbol> = (0..arity).map(|i| Symbol::intern(&format!("h{i}"))).collect();
+    let mut terms: Vec<Term> = vec![var("y"), con("d0"), con("e0")];
+    terms.extend(head.iter().map(|&h| Term::Var(h)));
+    let pick = |rng: &mut StdRng| terms[rng.random_range(0..terms.len())];
+    let mut conjuncts: Vec<Formula> = (0..2)
+        .map(|_| {
+            if rng.random_bool(0.5) {
+                Formula::Atom(Atom::new("R", vec![pick(rng), pick(rng)]))
+            } else {
+                Formula::Atom(Atom::new("S", vec![pick(rng)]))
+            }
+        })
+        .collect();
+    conjuncts.push(Formula::Eq(var("z"), pick(rng)));
+    let body = Formula::exists(["y", "z"], Formula::and(conjuncts));
+    Query::new("J", head, body).expect("every free variable is a head variable")
+}
+
+/// The evaluator builds its domains only when a path reads them, so
+/// the paths that read none must agree with the ones that read both:
+/// `tuple_in_answer` (one question, which checks `ā ⊆ adom(D)` by
+/// scanning `D`) and one evaluator asked about every candidate in turn
+/// (which builds `adom(D)` at its second question) with membership in
+/// the full answer set, for tuples over `adom(D)`, the query's
+/// constants and a fresh constant; and `eval_bool` (join bindings,
+/// leftover variables ranged over `Const(D) ∪ C`) with plain domain
+/// iteration. Half the draws are join-shaped queries with an
+/// equality-only variable and a constant outside `Const(D)`.
+#[test]
+fn lazily_built_domains_answer_like_full_evaluation() {
+    let (seed, mut rng) = (seed(), stream(8));
+    let cfg = QueryGenConfig { constants: vec![Cst::new("d0"), Cst::new("e0")], ..q_cfg(1) };
+    let bool_cfg = QueryGenConfig { arity: 0, ..cfg.clone() };
+    let fresh = Value::Const(Cst::new("f0"));
+    for case in 0..64 {
+        let db = random_complete_database(&mut rng, &db_cfg(0));
+        let (q, b) = if case % 2 == 0 {
+            (random_query(&mut rng, &cfg), random_query(&mut rng, &bool_cfg))
+        } else {
+            (join_query(&mut rng, 1), join_query(&mut rng, 0))
+        };
+        let at = format!("CAZ_TEST_SEED={seed} case {case}");
+        let answers = eval_query(&q, &db);
+        let mut candidates: BTreeSet<Value> = db.consts().into_iter().map(Value::Const).collect();
+        candidates.extend(q.generic_consts().into_iter().map(Value::Const));
+        candidates.insert(fresh);
+        let shared = Evaluator::new(&db, &q);
+        for &v in &candidates {
+            let t = Tuple::new(vec![v]);
+            assert_eq!(
+                caz_logic::tuple_in_answer(&q, &db, &t),
+                answers.contains(&t),
+                "{at}: {t} in {q} over {db}"
+            );
+            let shared_says = shared.satisfies(&t);
+            assert_eq!(shared_says, answers.contains(&t), "{at}: {t} in {q} over {db}, shared");
+        }
+        assert_eq!(
+            eval_bool(&b, &db),
+            Evaluator::new(&db, &b).without_joins().eval_bool(),
+            "{at}: {b} over {db}"
         );
     }
 }

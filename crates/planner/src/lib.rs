@@ -265,10 +265,13 @@ fn enumerate(job: &Job) -> Result<ExecOutcome, String> {
             ExecOutcome::Tuples(certain_datalog_answers(p, db))
         }
         (PlanKind::Best, QueryRef::Fo(q)) => ExecOutcome::Tuples(caz_compare::best_answers(q, db)),
-        (PlanKind::Mu, _) => ExecOutcome::Measure(mu_exact(&*event(job), db)),
+        (PlanKind::Mu, _) => {
+            ExecOutcome::Measure(mu_exact(&*event(job), db).map_err(|e| e.to_string())?)
+        }
         (PlanKind::Cond, _) => {
             let sigma = ConstraintEvent::new(job.sigma.clone());
-            ExecOutcome::Measure(mu_conditional_exact(&*event(job), &sigma, db))
+            let measure = mu_conditional_exact(&*event(job), &sigma, db);
+            ExecOutcome::Measure(measure.map_err(|e| e.to_string())?)
         }
         (PlanKind::Compare, QueryRef::Fo(q)) => {
             let (Some(t1), Some(t2)) = (&job.tuple, &job.tuple2) else {

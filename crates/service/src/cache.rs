@@ -15,9 +15,10 @@
 //! [`ShardedCache::counters`] are exact sums over shards, an invariant
 //! the metrics snapshot and the stress tests rely on.
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// A fully resolved cache key: the isomorphism-invariant request string
 /// plus the 128-bit FNV-1a digest of the embedded canonical form, which
@@ -43,19 +44,22 @@ pub struct ResultCache {
     insertions: AtomicU64,
 }
 
+/// Each key is stored once: the map and every recency pair share it.
 struct Lru {
-    map: HashMap<String, Entry>,
+    map: HashMap<Arc<str>, Entry>,
     /// Recency queue of `(stamp, key)`; stale pairs (whose stamp no
     /// longer matches the entry) are skipped lazily on eviction and
     /// compacted when the queue outgrows the map.
-    queue: VecDeque<(u64, String)>,
+    queue: VecDeque<(u64, Arc<str>)>,
     capacity: usize,
     tick: u64,
 }
 
 struct Entry {
     value: String,
-    stamp: u64,
+    /// A `Cell`, so a hit refreshes it through the one lookup that also
+    /// yields the shared key.
+    stamp: Cell<u64>,
 }
 
 impl ResultCache {
@@ -85,11 +89,12 @@ impl ResultCache {
         let mut lru = self.inner.lock().unwrap();
         lru.tick += 1;
         let tick = lru.tick;
-        match lru.map.get_mut(key) {
-            Some(entry) => {
-                entry.stamp = tick;
+        match lru.map.get_key_value(key) {
+            Some((shared, entry)) => {
+                entry.stamp.set(tick);
                 let value = entry.value.clone();
-                lru.queue.push_back((tick, key.to_string()));
+                let shared = Arc::clone(shared);
+                lru.queue.push_back((tick, shared));
                 lru.maybe_compact();
                 drop(lru);
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -107,19 +112,21 @@ impl ResultCache {
 
     /// Insert (or refresh) `key`, evicting least-recently-used entries
     /// beyond capacity.
-    pub fn insert(&self, key: String, value: String) {
+    pub fn insert(&self, key: &str, value: String) {
         let mut lru = self.inner.lock().unwrap();
         lru.tick += 1;
         let tick = lru.tick;
-        let fresh = lru
-            .map
-            .insert(key.clone(), Entry { value, stamp: tick })
-            .is_none();
+        // A refresh keeps the key the map already holds.
+        let (key, fresh) = match lru.map.remove_entry(key) {
+            Some((held, _)) => (held, false),
+            None => (Arc::from(key), true),
+        };
+        lru.map.insert(Arc::clone(&key), Entry { value, stamp: Cell::new(tick) });
         lru.queue.push_back((tick, key));
         while lru.map.len() > lru.capacity {
             match lru.queue.pop_front() {
                 Some((stamp, k)) => {
-                    let current = lru.map.get(&k).map(|e| e.stamp);
+                    let current = lru.map.get(&k).map(|e| e.stamp.get());
                     if current == Some(stamp) {
                         lru.map.remove(&k);
                         self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -168,7 +175,7 @@ impl Lru {
         if self.queue.len() > 2 * self.map.len() + 16 {
             let map = &self.map;
             self.queue
-                .retain(|(stamp, k)| map.get(k).map(|e| e.stamp) == Some(*stamp));
+                .retain(|(stamp, k)| map.get(k).map(|e| e.stamp.get()) == Some(*stamp));
         }
     }
 }
@@ -244,7 +251,7 @@ impl ShardedCache {
     /// Insert (or refresh) `key` in its shard, evicting LRU entries
     /// beyond the shard's capacity.
     pub fn insert(&self, key: &CacheKey, value: String) {
-        self.shards[self.shard_index(key.shard_hash)].insert(key.text.clone(), value);
+        self.shards[self.shard_index(key.shard_hash)].insert(&key.text, value);
     }
 
     /// Total entries across all shards.
@@ -285,7 +292,7 @@ mod tests {
     fn hit_miss_and_counters() {
         let c = ResultCache::new(4);
         assert_eq!(c.get("a"), None);
-        c.insert("a".into(), "1".into());
+        c.insert("a", "1".into());
         assert_eq!(c.get("a").as_deref(), Some("1"));
         let (h, m, e, i) = c.counters();
         assert_eq!((h, m, e, i), (1, 1, 0, 1));
@@ -294,10 +301,10 @@ mod tests {
     #[test]
     fn lru_evicts_least_recent() {
         let c = ResultCache::new(2);
-        c.insert("a".into(), "1".into());
-        c.insert("b".into(), "2".into());
+        c.insert("a", "1".into());
+        c.insert("b", "2".into());
         assert_eq!(c.get("a").as_deref(), Some("1")); // refresh a
-        c.insert("c".into(), "3".into()); // evicts b
+        c.insert("c", "3".into()); // evicts b
         assert_eq!(c.get("b"), None);
         assert_eq!(c.get("a").as_deref(), Some("1"));
         assert_eq!(c.get("c").as_deref(), Some("3"));
@@ -308,17 +315,33 @@ mod tests {
     #[test]
     fn overwrite_refreshes_without_growing() {
         let c = ResultCache::new(2);
-        c.insert("a".into(), "1".into());
-        c.insert("a".into(), "2".into());
+        c.insert("a", "1".into());
+        c.insert("a", "2".into());
         assert_eq!(c.len(), 1);
         assert_eq!(c.get("a").as_deref(), Some("2"));
         assert_eq!(c.counters().3, 1, "one distinct insertion");
     }
 
     #[test]
+    fn hits_and_refreshes_share_the_map_key() {
+        let c = ResultCache::new(4);
+        c.insert("a", "1".into());
+        for _ in 0..5 {
+            assert_eq!(c.get("a").as_deref(), Some("1"));
+        }
+        c.insert("a", "2".into());
+        let lru = c.inner.lock().unwrap();
+        let (key, _) = lru.map.get_key_value("a").unwrap();
+        assert_eq!(lru.queue.len(), 7, "one insert, five hits, one refresh");
+        assert!(lru.queue.iter().all(|(_, k)| Arc::ptr_eq(k, key)));
+        // The map's reference plus one per queued pair: no copies.
+        assert_eq!(Arc::strong_count(key), 1 + lru.queue.len());
+    }
+
+    #[test]
     fn queue_compaction_keeps_memory_bounded() {
         let c = ResultCache::new(2);
-        c.insert("a".into(), "1".into());
+        c.insert("a", "1".into());
         for _ in 0..10_000 {
             c.get("a");
         }
@@ -338,7 +361,7 @@ mod tests {
                         if let Some(v) = c.get(&k) {
                             assert_eq!(v, format!("v{}", (t * 7 + i) % 12));
                         } else {
-                            c.insert(k.clone(), format!("v{}", (t * 7 + i) % 12));
+                            c.insert(&k, format!("v{}", (t * 7 + i) % 12));
                         }
                     }
                 })

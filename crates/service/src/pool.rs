@@ -2,9 +2,9 @@
 //! queue-deadline admission control.
 //!
 //! Jobs are closures returning `Result<String, String>`; each runs under
-//! `catch_unwind`, so one poisoned query (the measure engine asserts on
-//! inputs past its exponential-cost caps) produces an error reply on
-//! that job's channel instead of killing a worker or the server. The
+//! `catch_unwind`, so a bug that panics inside one job produces an error
+//! reply on that job's channel instead of killing a worker or the
+//! server. The
 //! queue is a `Mutex<VecDeque>` behind two condvars, so submission
 //! applies backpressure once `queue_cap` jobs are waiting.
 //!

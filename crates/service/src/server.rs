@@ -620,7 +620,7 @@ impl Sink for WorkerSink<'_> {
         } else if let Some(stream) = &self.stream {
             return crate::anytime::enumerate(event, db, k_max, stream);
         }
-        Ok(series_rows(engine, &*event, db, k_max, &mut |k, row| self.row(k, row)))
+        series_rows(engine, &*event, db, k_max, &mut |k, row| self.row(k, row))
     }
 }
 
@@ -959,6 +959,22 @@ pub fn run_batch<R: BufRead, W: Write>(
 mod tests {
     use super::*;
     use crate::proto::{decode_frame, join_jobs};
+
+    #[test]
+    fn a_job_that_panics_is_accounted_once_on_its_route() {
+        let shared = Shared::new(&ServerConfig { workers: 1, ..ServerConfig::default() }).unwrap();
+        let counted = Counted::Executed(Route::EnumerationFallback);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _account = Account::new(&shared, Instant::now(), counted);
+            panic!("a bug in an engine");
+        }));
+        assert!(unwound.is_err());
+        let stats = shared.metrics.snapshot(&shared.cache);
+        for want in ["panics_total 1", "errors_total 1", "jobs_executed_total 1",
+                     "planner_fallback_total 1"] {
+            assert!(stats.lines().any(|l| l == want), "missing {want:?} in {stats}");
+        }
+    }
 
     fn batch(cmds: &str) -> Vec<WireFrame> {
         batch_bytes(cmds.as_bytes())

@@ -771,7 +771,7 @@ pub(crate) trait Sink {
         db: &Database,
         k_max: usize,
     ) -> Result<String, String> {
-        Ok(series_rows(engine, &*event, db, k_max, &mut |k, row| self.row(k, row)))
+        series_rows(engine, &*event, db, k_max, &mut |k, row| self.row(k, row))
     }
 }
 
@@ -786,15 +786,19 @@ impl Sink for &mut dyn FnMut(usize, &str) {
 }
 
 /// Compute `μ¹..μ^k_max` on `engine` in ascending `k`, passing each
-/// rendered row to `emit` and returning their concatenation.
+/// rendered row to `emit` and returning their concatenation. The
+/// census refuses an instance past its caps, before any row.
 pub(crate) fn series_rows(
     engine: SeriesEngine,
     event: &dyn SuppEvent,
     db: &Database,
     k_max: usize,
     emit: &mut dyn FnMut(usize, &str),
-) -> String {
-    let census = (engine == SeriesEngine::Census).then(|| SeriesCensus::new(event, db));
+) -> Result<String, String> {
+    let census = match engine {
+        SeriesEngine::Census => Some(SeriesCensus::new(event, db).map_err(|e| e.to_string())?),
+        SeriesEngine::Enumeration => None,
+    };
     let mut out = String::new();
     for k in 1..=k_max {
         let value = match &census {
@@ -803,7 +807,7 @@ pub(crate) fn series_rows(
         };
         push_series_row(&mut out, emit, k, value);
     }
-    out
+    Ok(out)
 }
 
 /// Render row `k` of a series through the same [`Series`] Display as
@@ -1105,7 +1109,7 @@ mod tests {
             k_max: usize,
         ) -> Result<String, String> {
             self.0.push(engine);
-            Ok(series_rows(engine, &*event, db, k_max, &mut |_, _| {}))
+            series_rows(engine, &*event, db, k_max, &mut |_, _| {})
         }
     }
 

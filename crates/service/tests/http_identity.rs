@@ -267,11 +267,16 @@ fn busy_shed_under_a_full_pool_queue_is_byte_identical_and_503() {
     }
 
     /// Hold the worker with a long series and fill the queue with a mu
-    /// job; returns the loaded clients for draining afterwards.
+    /// job; returns the loaded clients for draining afterwards. The
+    /// series session also holds fifteen constant facts: they make each
+    /// valuation's `v(D)` four times larger without changing the nulls,
+    /// so `series S 10` lasts ~0.5 s in release, past both servers'
+    /// saturation and the probes.
     fn saturate(addr: SocketAddr) -> (LineClient, LineClient) {
         let mut a1 = LineClient::connect(addr);
         for cmd in [
             "fact R(c0,_x0). R(c1,_x1). R(c2,_x2). R(c3,_x3). R(c4,_x4).",
+            "fact R(d0, d1). R(d1, d2). R(d2, d3). R(d3, d4). R(d4, d5). R(d5, d6). R(d6, d7). R(d7, d8). R(d8, d9). R(d9, d10). R(d10, d11). R(d11, d12). R(d12, d13). R(d13, d14). R(d14, d15).",
             "query Q(x, y) := R(x, y)",
             "query S := exists u, v. R(u, v)",
         ] {

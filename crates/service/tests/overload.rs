@@ -128,6 +128,12 @@ fn stats_field(stats: &str, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("missing {name} in:\n{stats}"))
 }
 
+/// Fifteen constant facts for the session whose `series` holds the
+/// worker: they make each valuation's `v(D)` four times larger without
+/// changing the nulls, so `series S 10` lasts ~0.5 s in release and
+/// several seconds in debug, far past the sleeps below.
+const BALLAST: &str = "fact R(d0, d1). R(d1, d2). R(d2, d3). R(d3, d4). R(d4, d5). R(d5, d6). R(d6, d7). R(d7, d8). R(d8, d9). R(d9, d10). R(d10, d11). R(d11, d12). R(d12, d13). R(d13, d14). R(d14, d15).";
+
 /// Saturate the single worker deterministically: one long `series` job
 /// running on the worker plus one `mu` job filling the depth-1 queue.
 /// Returns the two loaded clients; the caller must drain them with
@@ -135,6 +141,7 @@ fn stats_field(stats: &str, name: &str) -> u64 {
 fn saturate(addr: SocketAddr, series_k: usize) -> (Client, Client) {
     let mut a1 = Client::connect(addr);
     a1.setup();
+    a1.send_ok(BALLAST);
     a1.push(&format!("series S {series_k}"));
     // The worker's recv() wakes in microseconds; after this sleep the
     // series job is running on the worker and the queue is empty again.
@@ -179,7 +186,7 @@ fn drain_saturators(a1: &mut Client, a2: &mut Client, series_k: usize) {
 #[test]
 fn full_queue_sheds_with_exact_busy_framing_and_reconciled_counters() {
     let (addr, handle, join) = spawn_cfg(overload_cfg(1, 60_000));
-    // series S 10 holds the single worker for ~400ms in release and
+    // series S 10 holds the single worker for ~500ms in release and
     // several seconds in debug (μᵏ cost grows steeply with k) — the
     // busy window every declined client below acts inside.
     let (mut a1, mut a2) = saturate(addr, 10);
@@ -333,10 +340,10 @@ fn per_conn_inflight_cap_sheds_excess_pipelining_in_reply_order() {
 #[test]
 fn full_queue_keeps_unrelated_connections_responsive() {
     // The deadline only needs to *arm* shed mode; keep it far above
-    // the saturator's debug-build runtime (~8s, worse on a loaded CI
+    // the saturator's debug-build runtime (~12s, worse on a loaded CI
     // machine) so the queued mu never expires into a busy reply.
     let (addr, handle, join) = spawn_cfg(overload_cfg(1, 120_000));
-    // series S 11 holds the worker for ~700ms in release (several
+    // series S 11 holds the worker for ~900ms in release (several
     // seconds in debug); a parked reply could not arrive before the
     // whole backlog drains, so the 300ms bound below separates the
     // two behaviors cleanly.

@@ -141,11 +141,12 @@ fn no_planner_escape_hatch_sends_everything_to_the_fallback() {
 }
 
 #[test]
-fn a_panicking_fallback_job_is_still_attributed_to_a_route() {
+fn a_refused_fallback_job_is_still_attributed_to_a_route() {
     // 11 nulls exceed the enumeration engine's cap, and the IND keeps
     // the planner from shortcutting (no theorem applies), so the job
-    // falls back and panics in the pool. The drop-guard must still
-    // attribute it, keeping the partition invariant intact.
+    // falls back and the engine refuses it with an error. The
+    // drop-guard must still attribute it, keeping the partition
+    // invariant intact.
     let script = "\
 fact N(_a, _b, _c, _d). N(_e, _f, _g, _h). N(_i, _j, _k, _k).
 constraint ind N[1] <= Z[1]
@@ -155,7 +156,8 @@ stats
 ";
     let frames = batch(script, &ServerConfig::default());
     let stats = final_stats(&frames);
-    assert_eq!(stat(stats, "panics_total"), 1, "{stats}");
+    assert_eq!(stat(stats, "panics_total"), 0, "{stats}");
+    assert_eq!(stat(stats, "errors_total"), 1, "{stats}");
     assert_eq!(stat(stats, "jobs_executed_total"), 1, "{stats}");
     assert_eq!(stat(stats, "planner_fallback_total"), 1, "{stats}");
     assert_eq!(route_sum(stats), 1, "{stats}");

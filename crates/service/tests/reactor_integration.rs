@@ -47,8 +47,9 @@ impl Client {
 
     /// Write a command line without waiting for the reply (pipelining).
     fn push(&mut self, line: &str) {
-        self.writer.write_all(line.as_bytes()).unwrap();
-        self.writer.write_all(b"\n").unwrap();
+        // One write per line: a separate `\n` would wait in Nagle's
+        // buffer for the server's delayed ACK (~40 ms).
+        self.writer.write_all(format!("{line}\n").as_bytes()).unwrap();
         self.writer.flush().unwrap();
     }
 

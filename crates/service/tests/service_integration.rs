@@ -1,6 +1,6 @@
 //! End-to-end tests of the TCP evaluation server: concurrent clients,
 //! reply fidelity against direct [`Session`] evaluation, the
-//! isomorphism-invariant cache, panic isolation, and graceful shutdown.
+//! isomorphism-invariant cache, framed refusals, and graceful shutdown.
 
 use caz_service::proto::{decode_frame, decode_reply, WireFrame, WireReply};
 use caz_service::session::{Reply, Session};
@@ -15,11 +15,14 @@ use std::time::{Duration, Instant};
 fn spawn_server(
     workers: usize,
 ) -> (SocketAddr, ShutdownHandle, std::thread::JoinHandle<()>) {
-    let cfg = ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers,
-        ..ServerConfig::default()
-    };
+    spawn_server_with(ServerConfig { workers, ..ServerConfig::default() })
+}
+
+/// [`spawn_server`] under `cfg`, on an ephemeral port.
+fn spawn_server_with(
+    cfg: ServerConfig,
+) -> (SocketAddr, ShutdownHandle, std::thread::JoinHandle<()>) {
+    let cfg = ServerConfig { addr: "127.0.0.1:0".into(), ..cfg };
     let server = Server::bind(&cfg).expect("bind ephemeral port");
     let addr = server.local_addr().unwrap();
     let handle = server.shutdown_handle().unwrap();
@@ -43,8 +46,9 @@ impl Client {
     }
 
     fn send(&mut self, line: &str) -> WireReply {
-        self.writer.write_all(line.as_bytes()).unwrap();
-        self.writer.write_all(b"\n").unwrap();
+        // One write per line: a separate `\n` would wait in Nagle's
+        // buffer for the server's delayed ACK (~40 ms).
+        self.writer.write_all(format!("{line}\n").as_bytes()).unwrap();
         self.writer.flush().unwrap();
         let mut reply = String::new();
         self.reader.read_line(&mut reply).expect("read reply");
@@ -61,8 +65,9 @@ impl Client {
     /// Send a command and read its whole reply group: the chunk frames
     /// (if any) plus the terminal reply that ends the group.
     fn send_group(&mut self, line: &str) -> (Vec<WireFrame>, WireReply) {
-        self.writer.write_all(line.as_bytes()).unwrap();
-        self.writer.write_all(b"\n").unwrap();
+        // One write per line: a separate `\n` would wait in Nagle's
+        // buffer for the server's delayed ACK (~40 ms).
+        self.writer.write_all(format!("{line}\n").as_bytes()).unwrap();
         self.writer.flush().unwrap();
         let mut chunks = Vec::new();
         loop {
@@ -191,45 +196,54 @@ fn isomorphic_sessions_share_one_cache_entry() {
 }
 
 #[test]
-fn panicking_job_is_isolated_to_an_error_reply() {
+fn jobs_past_the_census_caps_answer_a_framed_error() {
+    // Probe 1: a key and an inclusion into its dependent column over 12
+    // nulls. The key fails naïvely and Σ is not FDs alone, so no
+    // theorem route applies and `cond` runs on the support-polynomial
+    // engine, which refuses more than 10 nulls.
     let (addr, handle, join) = spawn_server(2);
-
     let mut client = Client::connect(addr);
-    // Eleven distinct nulls exceed the support-polynomial engine's
-    // MAX_NULLS = 10 assertion, so this evaluation panics inside the
-    // worker. (The refinement canonicalizer handles 11 nulls fine, so
-    // the request IS keyed — but error replies are never cached, so it
-    // must reach the pool and panic there.) The IND constraint keeps
-    // the planner from shortcutting the job: it is not FD-expressible
-    // (no Theorem 5) and references a relation absent from the
-    // database (no Theorem 4), so `cond` falls back to enumeration.
-    let facts: Vec<String> = (0..11).map(|i| format!("N(_a{i}).")).collect();
+    let facts: Vec<String> =
+        (1..=6).map(|i| format!("S(k{i}, _u{i}). S(k{i}, _w{i}). R(_w{i}).")).collect();
     client.send_ok(&format!("fact {}", facts.join(" ")));
-    client.send_ok("query P := exists x. N(x)");
-    client.send_ok("constraint ind N[1] <= Z[1]");
-    match client.send("cond P") {
-        WireReply::Err(e) => assert!(e.contains("panicked"), "{e}"),
-        other => panic!("expected an error reply, got {other:?}"),
-    }
+    client.send_ok("constraint key S[1]");
+    client.send_ok("constraint ind R[1] <= S[2]");
+    client.send_ok("query Q := exists x. R(x) & S(k1, x)");
+    let refusal = "support-polynomial engine caps at 10 nulls and 64 named constants \
+                   (got 12 nulls, 6 named constants)";
+    assert_eq!(client.send("cond Q"), WireReply::Err(refusal.into()));
 
-    // The same connection and the worker pool both survive.
+    // The same connection keeps answering.
     client.send_ok("clear");
     client.send_ok("fact N(_b).");
     client.send_ok("query Small := exists x. N(x)");
     assert_eq!(client.send_ok("mu Small"), "μ(Q, D) = 1");
 
-    // So does a fresh connection.
-    let mut second = Client::connect(addr);
-    second.send_ok("fact R(a, _x).");
-    second.send_ok("query Q := exists u, v. R(u, v)");
-    assert_eq!(second.send_ok("mu Q"), "μ(Q, D) = 1");
-    let stats = second.send_ok("stats");
-    assert!(stats.contains("panics_total 1"), "{stats}");
+    // Probe 2: without the planner, `mu` over 11 nulls takes the same
+    // engine instead of Theorem 1.
+    let (addr2, handle2, join2) =
+        spawn_server_with(ServerConfig { workers: 2, planner: false, ..ServerConfig::default() });
+    let mut second = Client::connect(addr2);
+    let nulls: Vec<String> = (0..11).map(|i| format!("N(_a{i}).")).collect();
+    second.send_ok(&format!("fact {}", nulls.join(" ")));
+    second.send_ok("query P := exists x. N(x)");
+    let refusal = "support-polynomial engine caps at 10 nulls and 64 named constants \
+                   (got 11 nulls, 0 named constants)";
+    assert_eq!(second.send("mu P"), WireReply::Err(refusal.into()));
+    second.send_ok("clear");
+    second.send_ok("fact N(_b).");
+    second.send_ok("query Small := exists x. N(x)");
+    assert_eq!(second.send_ok("mu Small"), "μ(Q, D) = 1");
 
-    assert_eq!(client.send("quit"), WireReply::Bye);
-    assert_eq!(second.send("quit"), WireReply::Bye);
+    for client in [&mut client, &mut second] {
+        let stats = client.send_ok("stats");
+        assert!(stats.lines().any(|l| l == "panics_total 0"), "{stats}");
+        assert_eq!(client.send("quit"), WireReply::Bye);
+    }
     handle.shutdown();
     join.join().unwrap();
+    handle2.shutdown();
+    join2.join().unwrap();
 }
 
 /// Join a thread, panicking if it does not finish within `timeout` —

@@ -49,7 +49,7 @@ fn main() {
     // the constraint pins ⊥ to three named values).
     let ev = TupleAnswerEvent::new(q_rel.clone(), b_tuple.clone());
     let sig_ev = ConstraintEvent::new(sigma.clone());
-    let (num, den) = caz_core::conditional_polys(&ev, &sig_ev, &parsed.db);
+    let (num, den) = caz_core::conditional_polys(&ev, &sig_ev, &parsed.db).unwrap();
     println!("\n|Suppᵏ(Σ ∧ Q(b̄))| = {}", num.poly);
     println!("|Suppᵏ(Σ)|        = {}", den.poly);
 

@@ -48,7 +48,7 @@ fn main() {
     println!("\nμ(reach(s, g)):");
     let series = mu_k_series(&ev, &p.db, 8);
     print!("{series}");
-    let exact = caz_core::mu_exact(&ev, &p.db);
+    let exact = caz_core::mu_exact(&ev, &p.db).unwrap();
     println!("exact limit: {exact}");
     assert!(exact.is_zero());
 
@@ -56,7 +56,7 @@ fn main() {
     let mut zeros = 0;
     let mut ones = 0;
     for t in adom_candidates(&p.db, 2) {
-        let m = caz_core::mu_exact(&DatalogEvent::new(reach.clone(), t.clone()), &p.db);
+        let m = caz_core::mu_exact(&DatalogEvent::new(reach.clone(), t.clone()), &p.db).unwrap();
         assert!(m.is_zero() || m.is_one(), "0–1 law violated on {t}");
         if m.is_one() {
             ones += 1;

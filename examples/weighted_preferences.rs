@@ -30,7 +30,7 @@ fn main() {
 
     // Under the uniform measure the answer is almost certainly false —
     // a random disease name is none of the two chronic ones.
-    println!("uniform μ(Q, D) = {}", caz_core::mu_exact(&ev, &p.db));
+    println!("uniform μ(Q, D) = {}", caz_core::mu_exact(&ev, &p.db).unwrap());
 
     // With clinical priors the picture changes quantitatively.
     let mut pref = Preference::uniform();
@@ -67,7 +67,7 @@ fn main() {
     // measure is the plain one (0–1 law restored).
     assert_eq!(
         mu_weighted(&ev, &p.db, &Preference::uniform()),
-        caz_core::mu_exact(&ev, &p.db)
+        caz_core::mu_exact(&ev, &p.db).unwrap()
     );
     println!("\nuniform preference ⇒ μ_w = μ (the 0–1 law is the uniform special case)");
 }

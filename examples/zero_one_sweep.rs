@@ -42,7 +42,7 @@ fn main() {
         let q = random_query(&mut rng, &q_cfg);
         let ev = BoolQueryEvent::new(q.clone());
 
-        let exact = caz_core::mu_exact(&ev, &db);
+        let exact = caz_core::mu_exact(&ev, &db).unwrap();
         let naive = naive_eval_bool(&q, &db);
         assert_eq!(exact.is_one(), naive, "Theorem 1");
         assert!(exact.is_zero() || exact.is_one(), "0–1 law");

@@ -172,6 +172,12 @@ if ! cargo test -q --release --test census_differential; then
     exit 1
 fi
 
+# Census cost stage: the allocations one census class costs, under a
+# counting allocator, on the optimized build the server ships (the
+# workspace stage above ran the same bounds unoptimized).
+echo "==> census allocations per class (--release)"
+cargo test -q -p caz-core --release --test census_allocations
+
 # Warm-start stage: batch-run a job file against a persistent store,
 # corrupt the WAL tail like a crash would, run the same file again, and
 # assert from the stats frame that the second run recovered the store
@@ -240,6 +246,35 @@ for want in 'ok route theorem5-chase-then-measure (rejected: ' \
         || { echo "plan/explain smoke FAILED: missing '$want'" >&2; exit 1; }
 done
 echo "    plan/explain OK: routes and rejections on the wire, nothing executed"
+
+# Census-cap smoke: a job past the support-polynomial engine's caps
+# (10 nulls, 64 named constants) gets one framed `err` naming both caps
+# and the instance's size, and no worker panics. Probe 1 is `cond`
+# under a key and an inclusion over 12 nulls, which no theorem route
+# takes; probe 2 is `mu` over 11 nulls with the planner off.
+echo "==> census-cap smoke (framed refusal, no panic)"
+{
+    printf 'fact'
+    for i in 1 2 3 4 5 6; do printf ' S(k%s, _u%s). S(k%s, _w%s). R(_w%s).' "$i" "$i" "$i" "$i" "$i"; done
+    printf '\nconstraint key S[1]\nconstraint ind R[1] <= S[2]\n'
+    printf 'query Q := exists x. R(x) & S(k1, x)\ncond Q\nstats\n'
+} > "$STORE_TMP/caps_cond.caz"
+{
+    printf 'fact'
+    for i in $(seq 0 10); do printf ' N(_a%s).' "$i"; done
+    printf '\nquery P := exists x. N(x)\nmu P\nstats\n'
+} > "$STORE_TMP/caps_mu.caz"
+./target/release/caz serve --batch "$STORE_TMP/caps_cond.caz" > "$STORE_TMP/caps_cond.out"
+./target/release/caz serve --batch "$STORE_TMP/caps_mu.caz" --no-planner > "$STORE_TMP/caps_mu.out"
+for probe in "caps_cond:12 nulls, 6 named constants" "caps_mu:11 nulls, 0 named constants"; do
+    out="$STORE_TMP/${probe%%:*}.out"
+    want="err support-polynomial engine caps at 10 nulls and 64 named constants (got ${probe#*:})"
+    grep -qxF "$want" "$out" \
+        || { echo "census-cap smoke FAILED: missing '$want'" >&2; cat "$out" >&2; exit 1; }
+    grep -qF 'panics_total 0\n' "$out" \
+        || { echo "census-cap smoke FAILED: a worker panicked" >&2; exit 1; }
+done
+echo "    census caps OK: framed refusals, panics_total 0"
 
 # Load smoke stage: the open-loop overload harness, smoke-sized (~5s).
 # One under-capacity step and one far past the tiny server's capacity.

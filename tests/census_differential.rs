@@ -169,7 +169,7 @@ fn census_counts_equal_enumeration_at_every_k() {
         let case = draw_case(&mut rng);
         let db = parse_database(&case.src).expect("generated facts parse").db;
         for (label, event) in events(&mut rng, &case) {
-            let census = SeriesCensus::new(event.as_ref(), &db);
+            let census = SeriesCensus::new(event.as_ref(), &db).unwrap();
             let (m, c) = (census.nulls, census.named_count);
             assert_eq!(u128::from(census.total_classes), census_classes(m, c));
             // Through c + 1 always; one row further when that is cheap.

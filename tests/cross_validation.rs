@@ -58,7 +58,7 @@ fn polynomial_engine_vs_enumeration_vs_naive_seeded() {
         };
         let q = random_query(&mut StdRng::seed_from_u64(seed.wrapping_add(1)), &qcfg);
         let ev = BoolQueryEvent::new(q.clone());
-        let sp = caz_core::support_poly(&ev, &db);
+        let sp = caz_core::support_poly(&ev, &db).unwrap();
         let limit = sp.mu_limit();
         assert!(limit.is_zero() || limit.is_one());
         assert_eq!(limit.is_one(), naive_eval_bool(&q, &db), "seed {seed}");
@@ -125,7 +125,7 @@ mod property_based {
             let q = rand_bool_query(&mut rng);
             let at = format!("CAZ_TEST_SEED={seed} case {case}: {q} over {db}");
             let ev = BoolQueryEvent::new(q.clone());
-            let sp = caz_core::support_poly(&ev, &db);
+            let sp = caz_core::support_poly(&ev, &db).unwrap();
             let limit = sp.mu_limit();
             assert!(limit.is_zero() || limit.is_one(), "0–1 law: {at}");
             assert_eq!(limit.is_one(), naive_eval_bool(&q, &db), "Theorem 1: {at}");

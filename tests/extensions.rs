@@ -64,7 +64,7 @@ fn datalog_fo_agreement_on_nonrecursive_queries() {
     let q = parse_query("J(x, z) := exists y. R(x, y) & S(y, z)").unwrap();
     assert_eq!(naive_eval_datalog(&prog, &p.db), naive_eval(&q, &p.db));
     for t in adom_candidates(&p.db, 2).into_iter().take(6) {
-        let dl = caz_core::mu_exact(&DatalogEvent::new(prog.clone(), t.clone()), &p.db);
+        let dl = caz_core::mu_exact(&DatalogEvent::new(prog.clone(), t.clone()), &p.db).unwrap();
         let fo = caz_core::mu_via_polynomials(&q, &p.db, Some(&t));
         assert_eq!(dl, fo, "Datalog vs FO measure on {t}");
     }
@@ -95,7 +95,7 @@ fn stratified_datalog_under_constraints() {
     // cut() holds iff some pair is mutually unreachable: a→⊥; if
     // v(⊥) = b the graph is connected a→b (but b cannot reach a: still
     // cut). Actually b never reaches a, so cut() is certain.
-    assert!(caz_core::mu_exact(&ev, &p.db).is_one());
+    assert!(caz_core::mu_exact(&ev, &p.db).unwrap().is_one());
 
     // Under Σ: edge targets are nodes, i.e. v(⊥) ∈ {a, b}. With
     // v(⊥) = a the pair (a, b) stays mutually unreachable (cut); with
@@ -104,7 +104,7 @@ fn stratified_datalog_under_constraints() {
     // negation hitting Theorem 3's rational regime.
     let sigma = parse_constraints("ind edge[2] <= node[1]").unwrap();
     let sev = caz_core::ConstraintEvent::new(sigma);
-    let cond = caz_core::mu_conditional_exact(&ev, &sev, &p.db);
+    let cond = caz_core::mu_conditional_exact(&ev, &sev, &p.db).unwrap();
     assert_eq!(cond, Ratio::from_frac(1, 2), "μ(cut | Σ, D)");
 }
 
@@ -122,7 +122,7 @@ fn weighted_datalog() {
     let t = Tuple::new(vec![cst("target")]);
     let ev = DatalogEvent::new(prog, t);
     // Uniformly: reaching target needs v(⊥hop) = mid — measure 0.
-    assert!(caz_core::mu_exact(&ev, &p.db).is_zero());
+    assert!(caz_core::mu_exact(&ev, &p.db).unwrap().is_zero());
     // With P(⊥hop = mid) = 2/3: measure 2/3.
     let mut pref = Preference::uniform();
     pref.set(p.nulls["hop"], [(Cst::new("mid"), Ratio::from_frac(2, 3))])

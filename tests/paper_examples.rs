@@ -87,7 +87,7 @@ fn section_3_3_alternative_measure() {
         assert_eq!(mu_k(&ev, &p.db, k), Ratio::from_frac(1, k as i64));
         assert_eq!(caz_core::m_k(&ev, &p.db, k), Ratio::from_frac(2, k as i64 + 1));
     }
-    assert!(caz_core::mu_exact(&ev, &p.db).is_zero());
+    assert!(caz_core::mu_exact(&ev, &p.db).unwrap().is_zero());
 }
 
 /// §3.4 / Proposition 2 — the OWA counterexamples.

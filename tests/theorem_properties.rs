@@ -36,7 +36,7 @@ fn theorem_1_zero_one_law_randomized() {
     for _ in 0..25 {
         let db = random_database(&mut rng, &db_cfg(3));
         let q = random_query(&mut rng, &q_cfg(0));
-        let exact = caz_core::mu_exact(&BoolQueryEvent::new(q.clone()), &db);
+        let exact = caz_core::mu_exact(&BoolQueryEvent::new(q.clone()), &db).unwrap();
         assert!(exact.is_zero() || exact.is_one(), "0–1 law: {q} on\n{db}");
         assert_eq!(exact.is_one(), naive_eval_bool(&q, &db), "{q} on\n{db}");
     }
