@@ -2,9 +2,9 @@
 //!
 //! Exact arithmetic substrate for the *Certain Answers Meet Zero–One
 //! Laws* reproduction: arbitrary-precision integers ([`BigInt`]), exact
-//! rationals ([`Ratio`]), univariate polynomials over ℚ ([`Poly`]), and
-//! the combinatorial enumerators (set partitions, partial injections)
-//! that drive the support-polynomial engine in `caz-core`.
+//! rationals ([`Ratio`]) and univariate polynomials over ℚ ([`Poly`]),
+//! in which the support-polynomial engine of `caz-core` states its
+//! counts.
 //!
 //! Everything is implemented from scratch: the measures `μ(Q|Σ, D)` of
 //! the paper are exact rationals obtained as ratios of leading
@@ -15,7 +15,6 @@
 #![warn(missing_docs)]
 
 pub mod bigint;
-pub mod combinatorics;
 pub mod poly;
 pub mod ratio;
 

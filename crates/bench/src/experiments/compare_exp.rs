@@ -34,7 +34,8 @@ pub fn e11_compare_fo(max_n: usize) -> String {
         assert_eq!(dom, !col, "reduction must be faithful");
         writeln!(out, "{:>3} {:>7} {:>10} {:>10} {:>14?}", g.n, g.edges.len(), dom, col, dt).unwrap();
     }
-    writeln!(out, "cost grows with (constants + nulls)^nulls — the coNP wall of Theorem 6.").unwrap();
+    writeln!(out, "cost grows with the class count of (nulls, constants) — the coNP wall of Theorem 6.")
+        .unwrap();
 
     // The DP family for ⊲: pairs (G₁ colorable?, G₂ colorable?) — the
     // strict order holds exactly on (yes, no).

@@ -5,10 +5,10 @@
 //! default) and once with `planner: false` (the `--no-planner` escape
 //! hatch), which sends every job to the general enumeration engines.
 //! The enumeration cost is real, not simulated: the support-polynomial
-//! engine sweeps `Bell(m)`-many set partitions times partial
-//! injections per job, and the brute-force `Sep` search is
-//! `(c + m)^m` — the exponentials Theorems 1/4/5/8 let the planner
-//! skip. The report records per-phase and overall wall-clock plus the
+//! engine and the brute-force `Sep` search both walk Theorem 3's
+//! classes, `Bell(m)`-many kernel partitions times the partial
+//! injections into the named constants, per job — the exponentials
+//! Theorems 1/4/5/8 let the planner skip. The report records per-phase and overall wall-clock plus the
 //! routed run's `stats` counters, so it doubles as an end-to-end check
 //! that the fast paths actually fired (and that `--no-planner` really
 //! forces the fallback).
@@ -108,7 +108,7 @@ fn push_shuffled(rng: &mut StdRng, out: &mut String, mut jobs: Vec<String>) {
 }
 
 /// Theorem 1: unconditional μ. The db has `nulls` nulls, so the
-/// support-polynomial engine sweeps every set partition of them; the
+/// support-polynomial engine walks every kernel partition of them; the
 /// routed path is a single naïve evaluation.
 fn theorem1_phase(rng: &mut StdRng, nulls: usize, jobs: usize) -> Phase {
     let mut script = String::from("fact ");
@@ -178,9 +178,9 @@ fn theorem5_phase(rng: &mut StdRng, nulls: usize, jobs: usize) -> Phase {
 
 /// Theorem 8: UCQ comparisons. `c0` has a guaranteed edge, so
 /// `(x) ⊴ (c0)` holds for every `x` — and a true domination makes the
-/// brute-force `Sep` search exhaust its whole `(c + m)^m` pool before
-/// answering "no separation". The PTIME comparator needs only
-/// certificates of `p + k` facts.
+/// brute-force `Sep` search walk every class before answering "no
+/// separation". The PTIME comparator needs only certificates of
+/// `p + k` facts.
 fn ucq_phase(rng: &mut StdRng, nulls: usize, jobs: usize) -> Phase {
     let mut script = String::from("fact R(c0, hub). ");
     for i in 0..nulls {
@@ -232,8 +232,8 @@ fn run_once(input: &str, planner: bool) -> (f64, Vec<WireFrame>) {
 }
 
 /// Run the workload with `nulls` nulls in the measure-phase databases
-/// (the UCQ phase caps itself at 5 — the brute-force baseline there is
-/// `(c + m)^m`, a steeper exponential than the partition sweep).
+/// (the UCQ phase caps itself at 5 — its brute-force `Sep` walks the
+/// classes over `m + 2` named constants, twice per job).
 ///
 /// Besides timing, asserts that the routed run charged every job to
 /// the phase's route and that the enumeration run charged every job to

@@ -47,6 +47,12 @@ impl TestServer {
         let join = std::thread::spawn(move || server.run().expect("server run"));
         TestServer { addr, shutdown, join: Some(join) }
     }
+
+    /// Assert that the server's `stats` read `panics_total 0`.
+    fn assert_no_panics(&self) {
+        let panics = Client::connect(self.addr).stat("panics_total");
+        assert_eq!(panics, 0, "a worker panicked on the server at {}", self.addr);
+    }
 }
 
 impl Drop for TestServer {
@@ -210,6 +216,7 @@ fn torn_wal_chunk_truncates_to_a_record_boundary_and_resyncs() {
     let (status, body) = healthz(server.addr);
     assert_eq!(status, 200, "{body}");
     assert!(body.starts_with("ok\n") && body.contains("role replica"), "{body}");
+    server.assert_no_panics();
 }
 
 /// A real leader over a real store: the replica tails appends, then a
@@ -234,7 +241,7 @@ fn compaction_reset_reanchors_a_connected_replica() {
     )
     .unwrap();
 
-    let (_server, handle) = replica_server();
+    let (server, handle) = replica_server();
     let m = handle.metrics();
     let _applier = caz_cluster::start_replica(
         handle.clone(),
@@ -271,6 +278,7 @@ fn compaction_reset_reanchors_a_connected_replica() {
     assert_eq!(leader_metrics.replicas_connected.load(Ordering::Relaxed), 1);
     assert!(leader_metrics.replication_records_shipped.load(Ordering::Relaxed) >= 3);
     wait_until("replica readiness", || m.replica_ready.load(Ordering::Relaxed) == 1);
+    server.assert_no_panics();
     leader.shutdown();
 }
 
@@ -286,7 +294,7 @@ fn replica_bootstraps_from_snapshot_and_serves_byte_identical_series() {
 
     // Warm the store offline, then fold it into a snapshot so the
     // bootstrap exercises the snapshot path (not just the WAL tail).
-    let script = format!("{SETUP}mu Q\nmu Col\ncond Q\nseries Col 3\n");
+    let script = format!("{SETUP}mu Q\nmu Col\ncond Q\nseries Col 3\nstats\n");
     let warm_cfg = ServerConfig {
         workers: 2,
         cache_path: Some(dir.clone()),
@@ -295,6 +303,12 @@ fn replica_bootstraps_from_snapshot_and_serves_byte_identical_series() {
     };
     let mut sink = Vec::new();
     run_batch(script.as_bytes(), &mut sink, &warm_cfg).unwrap();
+    let stats = String::from_utf8(sink).unwrap();
+    let stats = stats.lines().last().and_then(decode_frame);
+    let Some(WireFrame::Final(WireReply::Ok(stats))) = stats else {
+        panic!("the warm run's stats did not answer ok: {stats:?}");
+    };
+    assert!(stats.lines().any(|l| l == "panics_total 0"), "warm run panicked: {stats}");
     {
         let (mut store, loaded, _) = Store::open(&dir, FsyncPolicy::Never).unwrap();
         assert_eq!(loaded.len(), 4, "warm run persisted all four evals");
@@ -361,6 +375,8 @@ fn replica_bootstraps_from_snapshot_and_serves_byte_identical_series() {
     assert_eq!(replica_mu, leader_mu);
     assert_eq!(on_replica.stat("jobs_executed_total"), 0, "tail entry also hits");
 
+    leader_srv.assert_no_panics();
+    replica_srv.assert_no_panics();
     leader.shutdown();
 }
 
@@ -429,6 +445,8 @@ fn proxied_miss_warms_leader_and_replicates_back() {
     assert_eq!(again, proxied);
     assert_eq!(on_replica.stat("replication_proxied_total"), 1, "no second proxy");
 
+    leader_srv.assert_no_panics();
+    replica_srv.assert_no_panics();
     leader.shutdown();
 }
 
@@ -456,4 +474,5 @@ fn healthz_reflects_replica_readiness_transitions() {
     let (status, body) = healthz(server.addr);
     assert_eq!(status, 503);
     assert!(body.contains("lag_records 50000"), "{body}");
+    server.assert_no_panics();
 }

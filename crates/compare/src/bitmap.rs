@@ -1,18 +1,19 @@
 //! Support bitmaps: the whole support structure of a query over one
 //! database, materialized once.
 //!
-//! The bounded witness pool `Const(D) ∪ C ∪ A_m` is complete for every
-//! statement about inclusions of supports (proof of Theorem 8), so
-//! enumerating its valuations once and recording, for every candidate
-//! tuple, the bitset of supporting valuations decides *all* pairwise
-//! comparisons and the best-answer set by bitset algebra.
+//! With `A = Const(D) ∪ C ∪` the candidates' constants, every support is
+//! a union of Theorem 3's classes over `A` (genericity), so walking the
+//! classes once and recording, for every candidate tuple, the bitset of
+//! supporting classes decides *all* pairwise comparisons and the
+//! best-answer set by bitset algebra.
 
-use caz_idb::{Cst, Database, NullId, Tuple, Valuation, Value};
+use caz_core::{named_pool, walk_classes};
+use caz_idb::{Database, Tuple, Value};
 use caz_logic::{Evaluator, Query};
-use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 
 /// A dense bitset.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BitSet {
     blocks: Vec<u64>,
     len: usize,
@@ -27,6 +28,17 @@ impl BitSet {
     /// Set bit `i`.
     pub fn set(&mut self, i: usize) {
         self.blocks[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Append one bit, growing the set by one.
+    pub fn push(&mut self, bit: bool) {
+        if self.len.is_multiple_of(64) {
+            self.blocks.push(0);
+        }
+        self.len += 1;
+        if bit {
+            self.set(self.len - 1);
+        }
     }
 
     /// Get bit `i`.
@@ -72,11 +84,9 @@ impl BitSet {
 pub struct SupportTable {
     /// The candidate tuples, in input order.
     pub candidates: Vec<Tuple>,
-    /// `supports[i]`: bitset over the pool valuations supporting
-    /// candidate `i`.
+    /// `supports[i]`: bit `k` is set iff the `k`-th class of the walk
+    /// supports candidate `i`.
     pub supports: Vec<BitSet>,
-    /// Number of valuations enumerated (`(c + m)^m`).
-    pub valuation_count: usize,
 }
 
 impl SupportTable {
@@ -133,59 +143,21 @@ pub fn adom_candidates(db: &Database, arity: usize) -> Vec<Tuple> {
 }
 
 /// Build the support table of `q` on `db` for the given candidates
-/// (tuples over `adom(D)`).
+/// (tuples over `adom(D)`): one evaluator per class of
+/// [`caz_core::walk_classes`], asked about every candidate.
 pub fn support_table(q: &Query, db: &Database, candidates: &[Tuple]) -> SupportTable {
-    let mut consts: BTreeSet<Cst> = db.consts();
-    consts.extend(q.generic_consts());
-    for t in candidates {
-        consts.extend(t.consts());
-    }
-    let mut pool: Vec<Cst> = consts.into_iter().collect();
-    pool.sort_by_key(|c| c.name());
-    let nulls: Vec<NullId> = db.nulls().into_iter().collect();
-    for i in 0..nulls.len() {
-        pool.push(Cst::fresh_in("tbl", i));
-    }
-
-    let mut count = 0usize;
-    let mut all_valuations: Vec<Valuation> = Vec::new();
-    enumerate(&nulls, &pool, &mut Valuation::new(), 0, &mut |v| {
-        all_valuations.push(v.clone());
-        count += 1;
-    });
-
-    let mut supports: Vec<BitSet> = candidates
-        .iter()
-        .map(|_| BitSet::new(count))
-        .collect();
-    for (vi, v) in all_valuations.iter().enumerate() {
-        let vdb = v.apply_db(db);
-        let ev = Evaluator::new(&vdb, q);
-        for (ci, t) in candidates.iter().enumerate() {
+    let consts = q.generic_consts().into_iter().chain(candidates.iter().flat_map(Tuple::consts));
+    let named = named_pool(db, consts);
+    let mut supports = vec![BitSet::default(); candidates.len()];
+    walk_classes(db, &named, |v, vdb, _, _| {
+        let ev = Evaluator::new(vdb, q);
+        for (support, t) in supports.iter_mut().zip(candidates) {
             let vt = v.apply_tuple(t);
-            if vt.is_complete() && ev.satisfies(&vt) {
-                supports[ci].set(vi);
-            }
+            support.push(vt.is_complete() && ev.satisfies(&vt));
         }
-    }
-    SupportTable { candidates: candidates.to_vec(), supports, valuation_count: count }
-}
-
-fn enumerate(
-    nulls: &[NullId],
-    pool: &[Cst],
-    v: &mut Valuation,
-    i: usize,
-    f: &mut impl FnMut(&Valuation),
-) {
-    if i == nulls.len() {
-        f(v);
-        return;
-    }
-    for &c in pool {
-        v.bind(nulls[i], c);
-        enumerate(nulls, pool, v, i + 1, f);
-    }
+        ControlFlow::Continue(())
+    });
+    SupportTable { candidates: candidates.to_vec(), supports }
 }
 
 #[cfg(test)]
@@ -211,6 +183,12 @@ mod tests {
         assert!(!a.is_empty());
         assert!(BitSet::new(5).is_empty());
         assert!(a.subset_of(&a) && !a.proper_subset_of(&a));
+        // Pushed bits land where `set` puts them, across block edges.
+        let mut pushed = BitSet::default();
+        for i in 0..130 {
+            pushed.push(a.get(i));
+        }
+        assert_eq!(pushed, a);
     }
 
     #[test]

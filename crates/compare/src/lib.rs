@@ -4,10 +4,11 @@
 //! *Certain Answers Meet Zero–One Laws*):
 //!
 //! * [`sep()`]: the separation predicate `Sep(Q, D, ā, b̄)`, decided
-//!   exactly over the bounded witness pool;
+//!   exactly over Theorem 3's classes (`caz_core::walk_classes`);
 //! * [`orders`]: the orders `⊴` (coNP-complete) and `⊲` (DP-complete);
-//! * [`bitmap`]: materialized support tables deciding all pairwise
-//!   comparisons and `Best(Q, D)` at once;
+//! * [`bitmap`]: materialized support tables, one bit per class of the
+//!   same walk, deciding all pairwise comparisons and `Best(Q, D)` at
+//!   once;
 //! * [`best`]: best answers and `Best_μ` (Propositions 7–8);
 //! * [`ucq`]: Theorem 8's polynomial-time algorithms for unions of
 //!   conjunctive queries;

@@ -5,51 +5,23 @@
 //! (Theorem 6): `ā ⊴ b̄` iff `¬Sep(ā, b̄)`, and `ā ⊲ b̄` iff additionally
 //! `Sep(b̄, ā)`.
 //!
-//! Exactness: by the range-reduction argument in the proof of Theorem 8
-//! (which uses only genericity), if a separating valuation exists then
-//! one exists with range inside `Const(D) ∪ C ∪ A_m` — so the search
-//! below is exact for arbitrary generic queries. Its cost is
-//! `(c + m)^m`, the exponential the coNP/DP-hardness results say cannot
-//! be avoided in general; Theorem 8's PTIME algorithm for UCQs lives in
-//! [`crate::ucq`].
+//! Exactness: both supports are unions of Theorem 3's classes over
+//! `A = Const(D) ∪ C ∪ consts(ā, b̄)` (genericity, as in the
+//! range-reduction argument of Theorem 8's proof), so a separating
+//! valuation exists iff some class representative separates. The search
+//! walks `census_classes(m, |A|)` classes, the exponential the
+//! coNP/DP-hardness results say cannot be avoided in general; Theorem
+//! 8's PTIME algorithm for UCQs lives in [`crate::ucq`].
 
-use caz_core::{SuppEvent, TupleAnswerEvent};
-use caz_idb::{Cst, Database, NullId, Tuple, Valuation};
+use caz_core::{exists_class, named_pool, SuppEvent, TupleAnswerEvent};
+use caz_idb::{Database, Tuple};
 use caz_logic::Query;
 
-/// `∃v: ea(v) ∧ ¬eb(v)`, searched over the bounded witness pool.
+/// `∃v: ea(v) ∧ ¬eb(v)`, searched over the classes of
+/// [`caz_core::walk_classes`]; stops at the first separating class.
 pub fn sep_events(ea: &dyn SuppEvent, eb: &dyn SuppEvent, db: &Database) -> bool {
-    let mut pool: Vec<Cst> = db.consts().into_iter().collect();
-    pool.extend(ea.constants());
-    pool.extend(eb.constants());
-    pool.sort_by_key(|c| c.name());
-    pool.dedup();
-    let nulls: Vec<NullId> = db.nulls().into_iter().collect();
-    for i in 0..nulls.len() {
-        pool.push(Cst::fresh_in("sep", i));
-    }
-    fn rec(
-        ea: &dyn SuppEvent,
-        eb: &dyn SuppEvent,
-        db: &Database,
-        nulls: &[NullId],
-        pool: &[Cst],
-        i: usize,
-        v: &mut Valuation,
-    ) -> bool {
-        if i == nulls.len() {
-            let vdb = v.apply_db(db);
-            return ea.holds(v, &vdb) && !eb.holds(v, &vdb);
-        }
-        for &c in pool {
-            v.bind(nulls[i], c);
-            if rec(ea, eb, db, nulls, pool, i + 1, v) {
-                return true;
-            }
-        }
-        false
-    }
-    rec(ea, eb, db, &nulls, &pool, 0, &mut Valuation::new())
+    let named = named_pool(db, ea.constants().into_iter().chain(eb.constants()));
+    exists_class(db, &named, |v, vdb| ea.holds(v, vdb) && !eb.holds(v, vdb))
 }
 
 /// `Sep(Q, D, ā, b̄)`: some valuation supports `ā` but not `b̄`.

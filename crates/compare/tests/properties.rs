@@ -1,6 +1,8 @@
 //! Property tests for the comparison engines: the bitmap table, the
 //! early-exit Sep search, and the UCQ certificate algorithm must agree;
-//! best answers must satisfy their defining laws.
+//! best answers must satisfy their defining laws. The table and Sep both
+//! run on the class walk, so the walk's own oracle is brute force over
+//! the witness pool, which enumerates valuations without it.
 //!
 //! Seeded (`CAZ_TEST_SEED`, default 3707; every assertion names the
 //! seed and case): each property draws its own stream of databases over
@@ -14,8 +16,11 @@ use caz_compare::{
     adom_candidates, best_among, dominated, sep, strictly_better, support_table, Graph,
     UcqComparator,
 };
-use caz_idb::{random_database, Cst, Database, DbGenConfig, NullId, Schema, Tuple, Value};
-use caz_logic::{random_query, random_ucq, Query, QueryGenConfig};
+use caz_core::{is_certain_answer, is_possible_answer};
+use caz_idb::{
+    random_database, ConstEnum, Cst, Database, DbGenConfig, NullId, Schema, Tuple, Valuation, Value,
+};
+use caz_logic::{random_query, random_ucq, tuple_in_answer, Query, QueryGenConfig};
 use caz_testutil::rngs::StdRng;
 use caz_testutil::{RngExt, SeedableRng};
 
@@ -74,6 +79,61 @@ fn bitmap_table_equals_pairwise_sep() {
                     !sep(&q, &db, a, b),
                     "CAZ_TEST_SEED={seed} case {case}: pair ({a}, {b}) of {q} over {db}"
                 );
+            }
+        }
+    }
+}
+
+/// The witness pool over `Const(D) ∪ extra`: `Vᶜ⁺ᵐ(D)`, every valuation
+/// into the `c` named constants and `m` fresh ones, enumerated without
+/// the class walk.
+fn witness_pool(db: &Database, extra: impl IntoIterator<Item = Cst>) -> Vec<Valuation> {
+    let en = ConstEnum::new(db.consts().into_iter().chain(extra));
+    let nulls = db.nulls();
+    en.valuations(&nulls, en.named_count() + nulls.len()).collect()
+}
+
+/// Does `v` support `t`: `v(t) ∈ Q(v(D))`?
+fn supports(q: &Query, db: &Database, v: &Valuation, t: &Tuple) -> bool {
+    let vt = v.apply_tuple(t);
+    vt.is_complete() && tuple_in_answer(q, &v.apply_db(db), &vt)
+}
+
+/// The class walk decides what brute force over the witness pool
+/// decides: certain and possible answers over `Const(D) ∪ C ∪ consts(ā)`,
+/// and Sep over `Const(D) ∪ C ∪ consts(ā, b̄)`. First-order queries with
+/// negation and a query constant, 0–3 nulls, and candidates that
+/// include a constant outside `adom(D)`.
+#[test]
+fn class_walk_equals_brute_force_over_the_witness_pool() {
+    let (seed, mut rng) = (seed(), stream(7));
+    let outside = Tuple::new(vec![Value::Const(Cst::new("k0"))]);
+    for case in 0..4 * CASES {
+        let nulls = rng.random_range(0..=3usize);
+        let db = gen_db(&mut rng, nulls, 2);
+        let cfg = QueryGenConfig {
+            schema: Schema::from_pairs([("R", 2), ("S", 1)]),
+            arity: 1,
+            max_depth: 2,
+            allow_negation: true,
+            allow_forall: true,
+            constants: vec![Cst::new("d0")],
+        };
+        let q = random_query(&mut rng, &cfg);
+        let mut candidates: Vec<_> = adom_candidates(&db, 1).into_iter().take(3).collect();
+        candidates.push(outside.clone());
+        for a in &candidates {
+            let at = format!("CAZ_TEST_SEED={seed} case {case}: {a} of {q} over {db}");
+            let pool = witness_pool(&db, q.generic_consts().into_iter().chain(a.consts()));
+            let hits = pool.iter().filter(|v| supports(&q, &db, v, a)).count();
+            assert_eq!(is_certain_answer(&q, &db, a), hits == pool.len(), "certain: {at}");
+            assert_eq!(is_possible_answer(&q, &db, a), hits > 0, "possible: {at}");
+            for b in &candidates {
+                let named = q.generic_consts().into_iter().chain(a.consts()).chain(b.consts());
+                let brute = witness_pool(&db, named)
+                    .iter()
+                    .any(|v| supports(&q, &db, v, a) && !supports(&q, &db, v, b));
+                assert_eq!(sep(&q, &db, a, b), brute, "Sep against {b}: {at}");
             }
         }
     }

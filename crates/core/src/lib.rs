@@ -5,12 +5,13 @@
 //! incomplete databases.
 //!
 //! * [`support`]: supports `Supp(Q, D, ā)`, generic events, certain and
-//!   possible answers (decided exactly via bounded witness pools);
+//!   possible answers (decided exactly over Theorem 3's classes);
 //! * [`measure`]: the finite measures `μᵏ` and the alternative `mᵏ`
 //!   (Theorem 2) by exhaustive enumeration;
 //! * [`poly_engine`]: exact closed forms — `|Suppᵏ|` as a polynomial in
 //!   `k`, limits as ratios of leading coefficients (Theorems 1 and 3),
-//!   and the class census that yields every finite `μᵏ` in one pass;
+//!   the class census that yields every finite `μᵏ` in one pass, and
+//!   the class walk behind every exact engine;
 //! * [`theorems`]: the fast paths each theorem licenses (naïve
 //!   evaluation for Theorem 1, the chase for Theorem 5, …);
 //! * [`owa`]: open-world measures (Proposition 2);
@@ -34,8 +35,9 @@ pub mod weighted;
 pub use measure::{m_k, m_k_series, mu_k, mu_k_conditional, mu_k_conditional_series, mu_k_series, Series};
 pub use owa::{owa_m_k, OwaCount};
 pub use poly_engine::{
-    census_classes, census_poly, conditional_polys, mu_conditional_exact, mu_exact, support_poly,
-    CensusTooLarge, SeriesCensus, SeriesCost, SeriesEngine, SupportPoly,
+    census_classes, census_poly, conditional_polys, exists_class, mu_conditional_exact, mu_exact,
+    named_pool, support_poly, walk_classes, CensusTooLarge, SeriesCensus, SeriesCost,
+    SeriesEngine, SupportPoly,
 };
 pub use proof_lemmas::{
     bijective_image_census, mu_k_bijective, non_bijective_exact, partition_of_valuations,

@@ -27,21 +27,28 @@
 //! exactly the classes with no fresh block whose highest named index is
 //! below `k` — one valuation each. One class walk thus answers the whole
 //! series `μ¹..μᴷ`, whose enumeration visits `Σₖ kᵐ` valuations.
+//!
+//! The walk itself ([`walk_classes`]) serves every exact engine: the
+//! census, the conditional measure, and — since every support is a
+//! union of classes — the certain/possible-answer searches and the
+//! support comparisons of `caz-compare`.
 
 use crate::support::SuppEvent;
-use caz_arith::combinatorics::{for_each_partial_injection, for_each_set_partition};
 use caz_arith::{Poly, Ratio};
 use caz_idb::{ConstEnum, Cst, Database, NullId, Valuation};
+use std::ops::ControlFlow;
 
-/// Guard against accidentally exponential inputs: the engine enumerates
-/// `Bell(m)` partitions times the partial injections into `A`.
+/// The most nulls the census accepts: its class count grows like
+/// `Bell(m)`.
 pub const MAX_NULLS: usize = 10;
 
-/// The largest named-constant pool the class walk supports (partial
-/// injections are tracked in a 64-bit mask).
+/// The most named constants the census accepts. It bounds the class
+/// count [`census_classes`], not the walk: [`walk_classes`] takes any
+/// pool, and the searches behind `certain`, `compare` and `best` walk
+/// past this cap.
 pub const MAX_NAMED: usize = 64;
 
-/// An instance past the class walk's caps ([`MAX_NULLS`] nulls,
+/// An instance past the census's caps ([`MAX_NULLS`] nulls,
 /// [`MAX_NAMED`] named constants). Its `Display` is the stable text a
 /// server answers such a job with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -107,53 +114,40 @@ impl SeriesCensus {
     /// Refuses instances past [`MAX_NULLS`] nulls or [`MAX_NAMED`] named
     /// constants before walking anything.
     pub fn new(event: &dyn SuppEvent, db: &Database) -> Result<SeriesCensus, CensusTooLarge> {
-        let nulls: Vec<NullId> = db.nulls().into_iter().collect();
-        let m = nulls.len();
-        let named = named_pool(event, db);
-        let c = named.len();
-        CensusTooLarge::check(m, c)?;
-
-        // Reserved fresh constants, pairwise distinct and outside A by
-        // construction; interned once, not once per class.
-        let fresh: Vec<Cst> = (0..m).map(|i| Cst::fresh_in("pe", i)).collect();
-        let mut census = SeriesCensus {
-            nulls: m,
-            named_count: c,
-            by_fresh: vec![0; m + 1],
-            by_reach: vec![0; c + 1],
-            true_classes: 0,
-            total_classes: 0,
-        };
-        for_each_set_partition(m, |assignment, num_blocks| {
-            for_each_partial_injection(num_blocks, c, |inj| {
-                census.total_classes += 1;
-                // Representative valuation for the class: named blocks take
-                // their constant, fresh blocks the next fresh constant.
-                let mut fresh_seen = 0usize;
-                let mut block_value: Vec<Option<Cst>> = vec![None; num_blocks];
-                let v = Valuation::from_pairs(nulls.iter().enumerate().map(|(i, &n)| {
-                    let b = assignment[i];
-                    let cst = *block_value[b].get_or_insert_with(|| match inj[b] {
-                        Some(t) => named[t],
-                        None => {
-                            fresh_seen += 1;
-                            fresh[fresh_seen - 1]
-                        }
-                    });
-                    (n, cst)
-                }));
-                if event.holds(&v, &v.apply_db(db)) {
-                    census.true_classes += 1;
-                    let j = inj.iter().filter(|t| t.is_none()).count();
-                    census.by_fresh[j] += 1;
-                    if j == 0 {
-                        let reach = inj.iter().flatten().map(|&t| t + 1).max().unwrap_or(0);
-                        census.by_reach[reach] += 1;
-                    }
-                }
-            });
+        let named = named_pool(db, event.constants());
+        let mut census = SeriesCensus::empty(db, named.len())?;
+        walk_classes(db, &named, |v, vdb, fresh, reach| {
+            census.record(event.holds(v, vdb), fresh, reach);
+            ControlFlow::Continue(())
         });
         Ok(census)
+    }
+
+    /// A census of `db`'s nulls over `named_count` named constants with
+    /// no class recorded yet; refuses instances past the caps.
+    fn empty(db: &Database, named_count: usize) -> Result<SeriesCensus, CensusTooLarge> {
+        let nulls = db.nulls().len();
+        CensusTooLarge::check(nulls, named_count)?;
+        Ok(SeriesCensus {
+            nulls,
+            named_count,
+            by_fresh: vec![0; nulls + 1],
+            by_reach: vec![0; named_count + 1],
+            true_classes: 0,
+            total_classes: 0,
+        })
+    }
+
+    /// Count one class with `fresh` fresh blocks and the given reach.
+    fn record(&mut self, holds: bool, fresh: usize, reach: usize) {
+        self.total_classes += 1;
+        if holds {
+            self.true_classes += 1;
+            self.by_fresh[fresh] += 1;
+            if fresh == 0 {
+                self.by_reach[reach] += 1;
+            }
+        }
     }
 
     /// `|Suppᵏ(event, D)|` for any `k`, exactly as enumerating `Vᵏ(D)`
@@ -196,14 +190,108 @@ impl SeriesCensus {
     }
 }
 
-/// `A = Const(D) ∪ C`, name-sorted: the named prefix of the canonical
-/// enumeration, so named index `t` is the constant `cₜ₊₁`.
-fn named_pool(event: &dyn SuppEvent, db: &Database) -> Vec<Cst> {
-    let mut named: Vec<Cst> = db.consts().into_iter().collect();
-    named.extend(event.constants());
+/// `A = Const(D) ∪ extra`, name-sorted: the named prefix of the
+/// canonical enumeration, so named index `t` is the constant `cₜ₊₁`.
+pub fn named_pool(db: &Database, extra: impl IntoIterator<Item = Cst>) -> Vec<Cst> {
+    let mut named: Vec<Cst> = db.consts().into_iter().chain(extra).collect();
     named.sort_by_key(|c| c.name());
     named.dedup();
     named
+}
+
+/// Walk Theorem 3's classes `(ρ, f)` of `Null(D)` over the named pool
+/// `named` (`A`, as [`named_pool`] builds it): `visit(v, v(D), j,
+/// reach)` runs once per class, with a representative valuation `v`,
+/// its number `j` of fresh blocks and its reach (highest named index
+/// used, plus one; 0 when no block is named), until it breaks. Returns
+/// whether `visit` stopped the walk.
+///
+/// Null `i` takes a named constant, joining the block that holds it or
+/// opening one, or joins a fresh block an earlier null opened, or opens
+/// a fresh block. Fresh blocks take pairwise-distinct constants outside
+/// `A`, so every valuation into `A` plus `m` fresh constants lies in
+/// exactly one class, and [`census_classes`] classes are visited, in the
+/// order in which enumerating those valuations (`A` in name order, then
+/// the fresh constants) first meets them. A generic event over `A` is
+/// constant on each class, so the representatives decide every
+/// statement about its support: fullness, emptiness, inclusion and
+/// counts. Any `|A|` is accepted; the caps are the census's.
+pub fn walk_classes(
+    db: &Database,
+    named: &[Cst],
+    visit: impl FnMut(&Valuation, &Database, usize, usize) -> ControlFlow<()>,
+) -> bool {
+    let nulls: Vec<NullId> = db.nulls().into_iter().collect();
+    // Reserved constants, interned once per walk, not once per class.
+    let fresh = (0..).map(|i| Cst::fresh_in("pe", i)).filter(|f| !named.contains(f));
+    let mut walk = Walk {
+        db,
+        fresh: fresh.take(nulls.len()).collect(),
+        nulls,
+        named,
+        used: vec![false; named.len()],
+        v: Valuation::new(),
+        visit,
+    };
+    walk.place(0, 0, 0).is_break()
+}
+
+/// Does some class of [`walk_classes`] satisfy `pred`? Stops at the
+/// first that does.
+pub fn exists_class(
+    db: &Database,
+    named: &[Cst],
+    mut pred: impl FnMut(&Valuation, &Database) -> bool,
+) -> bool {
+    walk_classes(db, named, |v, vdb, _, _| {
+        if pred(v, vdb) {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    })
+}
+
+/// The state of one [`walk_classes`]: which named constants a block
+/// holds, and the representative valuation, bound in place. The open
+/// fresh blocks are the first `j` fresh constants.
+struct Walk<'a, F> {
+    db: &'a Database,
+    nulls: Vec<NullId>,
+    named: &'a [Cst],
+    fresh: Vec<Cst>,
+    /// `used[t]`: a block holds named constant `t`.
+    used: Vec<bool>,
+    v: Valuation,
+    visit: F,
+}
+
+impl<F: FnMut(&Valuation, &Database, usize, usize) -> ControlFlow<()>> Walk<'_, F> {
+    /// Place null `i` and every null after it, with `fresh` fresh
+    /// blocks open and the named ones reaching `reach`.
+    fn place(&mut self, i: usize, fresh: usize, reach: usize) -> ControlFlow<()> {
+        let Some(&null) = self.nulls.get(i) else {
+            let vdb = self.v.apply_db(self.db);
+            return (self.visit)(&self.v, &vdb, fresh, reach);
+        };
+        for t in 0..self.named.len() {
+            self.v.bind(null, self.named[t]);
+            if self.used[t] {
+                self.place(i + 1, fresh, reach)?;
+            } else {
+                self.used[t] = true;
+                let flow = self.place(i + 1, fresh, reach.max(t + 1));
+                self.used[t] = false;
+                flow?;
+            }
+        }
+        // Join fresh block `f < fresh`, or open fresh block `fresh`.
+        for f in 0..=fresh {
+            self.v.bind(null, self.fresh[f]);
+            self.place(i + 1, fresh.max(f + 1), reach)?;
+        }
+        ControlFlow::Continue(())
+    }
 }
 
 /// Which exact engine answers a finite series `μ¹..μᴷ`.
@@ -244,7 +332,7 @@ impl SeriesCost {
     /// The cost of `series` to depth `k_max` for `event` over `db`.
     pub fn of(event: &dyn SuppEvent, db: &Database, k_max: usize) -> SeriesCost {
         let nulls = db.nulls().len();
-        let named_count = named_pool(event, db).len();
+        let named_count = named_pool(db, event.constants()).len();
         let valuations = (1..=k_max).fold(0u128, |acc, k| {
             acc.saturating_add(ConstEnum::count_valuations(k, nulls).unwrap_or(u128::MAX))
         });
@@ -345,14 +433,19 @@ impl SupportPoly {
 /// assert!(sp.mu_limit().is_zero()); // degree 1 < m = 2
 /// ```
 pub fn support_poly(event: &dyn SuppEvent, db: &Database) -> Result<SupportPoly, CensusTooLarge> {
-    let census = SeriesCensus::new(event, db)?;
-    Ok(SupportPoly {
-        poly: census.poly(),
-        nulls: census.nulls,
-        named_count: census.named_count,
-        true_classes: census.true_classes,
-        total_classes: census.total_classes,
-    })
+    SeriesCensus::new(event, db).map(SupportPoly::from)
+}
+
+impl From<SeriesCensus> for SupportPoly {
+    fn from(census: SeriesCensus) -> SupportPoly {
+        SupportPoly {
+            poly: census.poly(),
+            nulls: census.nulls,
+            named_count: census.named_count,
+            true_classes: census.true_classes,
+            total_classes: census.total_classes,
+        }
+    }
 }
 
 /// The exact limit measure `μ(event, D)` (Theorem 1: always 0 or 1).
@@ -375,54 +468,24 @@ pub fn mu_conditional_exact(
 }
 
 /// The two polynomials behind the conditional measure (numerator
-/// `Σ ∧ Q`, denominator `Σ`), sharing one named-constant pool so the
-/// falling factorials line up.
+/// `Σ ∧ Q`, denominator `Σ`), counted in one walk over one named pool
+/// `A = Const(D) ∪ C_Q ∪ C_Σ`, so the falling factorials line up. `Q`
+/// is asked only of the classes where `Σ` holds.
 pub fn conditional_polys(
     q_event: &dyn SuppEvent,
     sigma_event: &dyn SuppEvent,
     db: &Database,
 ) -> Result<(SupportPoly, SupportPoly), CensusTooLarge> {
-    // Wrap so both polynomials see the union of the constant sets: the
-    // class decomposition must be computed over the same pool `A`.
-    struct WithConsts<'a> {
-        inner: &'a dyn SuppEvent,
-        consts: std::collections::BTreeSet<Cst>,
-    }
-    impl SuppEvent for WithConsts<'_> {
-        fn holds(&self, v: &Valuation, vdb: &Database) -> bool {
-            self.inner.holds(v, vdb)
-        }
-        fn constants(&self) -> std::collections::BTreeSet<Cst> {
-            self.consts.clone()
-        }
-        fn label(&self) -> String {
-            self.inner.label()
-        }
-    }
-    struct Both<'a> {
-        q: &'a dyn SuppEvent,
-        s: &'a dyn SuppEvent,
-        consts: std::collections::BTreeSet<Cst>,
-    }
-    impl SuppEvent for Both<'_> {
-        fn holds(&self, v: &Valuation, vdb: &Database) -> bool {
-            self.s.holds(v, vdb) && self.q.holds(v, vdb)
-        }
-        fn constants(&self) -> std::collections::BTreeSet<Cst> {
-            self.consts.clone()
-        }
-        fn label(&self) -> String {
-            format!("{} ∧ {}", self.s.label(), self.q.label())
-        }
-    }
-    let mut consts = q_event.constants();
-    consts.extend(sigma_event.constants());
-    let num = support_poly(
-        &Both { q: q_event, s: sigma_event, consts: consts.clone() },
-        db,
-    )?;
-    let den = support_poly(&WithConsts { inner: sigma_event, consts }, db)?;
-    Ok((num, den))
+    let named = named_pool(db, q_event.constants().into_iter().chain(sigma_event.constants()));
+    let mut num = SeriesCensus::empty(db, named.len())?;
+    let mut den = num.clone();
+    walk_classes(db, &named, |v, vdb, fresh, reach| {
+        let sigma = sigma_event.holds(v, vdb);
+        den.record(sigma, fresh, reach);
+        num.record(sigma && q_event.holds(v, vdb), fresh, reach);
+        ControlFlow::Continue(())
+    });
+    Ok((num.into(), den.into()))
 }
 
 /// Consistency check on the engine itself: summing the class counts over
@@ -431,19 +494,13 @@ pub fn census_poly(
     db: &Database,
     extra_consts: &std::collections::BTreeSet<Cst>,
 ) -> Result<Poly, CensusTooLarge> {
-    struct Always(std::collections::BTreeSet<Cst>);
-    impl SuppEvent for Always {
-        fn holds(&self, _: &Valuation, _: &Database) -> bool {
-            true
-        }
-        fn constants(&self) -> std::collections::BTreeSet<Cst> {
-            self.0.clone()
-        }
-        fn label(&self) -> String {
-            "⊤".into()
-        }
-    }
-    Ok(support_poly(&Always(extra_consts.clone()), db)?.poly)
+    let named = named_pool(db, extra_consts.iter().copied());
+    let mut census = SeriesCensus::empty(db, named.len())?;
+    walk_classes(db, &named, |_, _, fresh, reach| {
+        census.record(true, fresh, reach);
+        ControlFlow::Continue(())
+    });
+    Ok(census.poly())
 }
 
 #[cfg(test)]
@@ -503,9 +560,58 @@ mod tests {
         }
         // The series-cliff instance: five nulls, five named constants.
         assert_eq!(census_classes(5, 5), 10_427);
-        // Past the early-return threshold Bell(m) alone overflows u128.
-        assert!(caz_arith::combinatorics::bell(45) > caz_arith::BigInt::from(u128::MAX));
+        // With no named constant the count is Bell(m): 52 partitions of
+        // five nulls. Saturating arithmetic is exact below u128::MAX, so
+        // a saturated Bell(43) shows that Bell(m) alone overflows u128
+        // before the early-return threshold.
+        assert_eq!(census_classes(5, 0), 52);
+        assert!(census_classes(42, 0) < u128::MAX);
+        assert_eq!(census_classes(43, 0), u128::MAX);
         assert_eq!(census_classes(45, 0), u128::MAX);
+    }
+
+    #[test]
+    fn the_walk_meets_classes_in_enumeration_order() {
+        // Enumerating valuations into A (name order), then m fresh
+        // constants, null 0 outermost, meets each class first at the
+        // point the walk visits it, so an early-exit search never
+        // passes more classes than that enumeration passes valuations.
+        let db = parse_database("R(_x, b). R(_y, a). S(_z).").unwrap().db;
+        let named = named_pool(&db, []);
+        let nulls: Vec<NullId> = db.nulls().into_iter().collect();
+        // A class as each null's named index, or the order in which its
+        // fresh value first turns up.
+        let class_of = |v: &Valuation| -> Vec<Result<usize, usize>> {
+            let mut fresh = Vec::new();
+            let mut key = |c: Cst| match named.iter().position(|&t| t == c) {
+                Some(t) => Ok(t),
+                None => Err(fresh.iter().position(|&f| f == c).unwrap_or_else(|| {
+                    fresh.push(c);
+                    fresh.len() - 1
+                })),
+            };
+            nulls.iter().map(|&n| key(v.get(n).unwrap())).collect()
+        };
+        let mut walked = Vec::new();
+        walk_classes(&db, &named, |v, _, _, _| {
+            walked.push(class_of(v));
+            ControlFlow::Continue(())
+        });
+        let pool: Vec<Cst> =
+            named.iter().copied().chain((0..nulls.len()).map(|i| Cst::fresh_in("ord", i))).collect();
+        let (base, m) = (pool.len(), nulls.len() as u32);
+        let mut first_met = Vec::new();
+        for code in 0..base.pow(m) {
+            let v = Valuation::from_pairs(nulls.iter().zip(0..m).map(|(&n, i)| {
+                (n, pool[code / base.pow(m - 1 - i) % base])
+            }));
+            let class = class_of(&v);
+            if !first_met.contains(&class) {
+                first_met.push(class);
+            }
+        }
+        assert_eq!(walked.len() as u128, census_classes(3, 2));
+        assert_eq!(walked, first_met);
     }
 
     #[test]

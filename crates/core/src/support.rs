@@ -5,8 +5,11 @@
 //! answer", a constraint set, or a Boolean combination thereof. The
 //! measures (`μᵏ` by enumeration, `μ` by support polynomials) are defined
 //! over events, so every theorem of the paper is exercised through one
-//! engine.
+//! engine. Certain and possible answers ask whether a support is full or
+//! nonempty; one representative per class of the census's walk decides
+//! both.
 
+use crate::poly_engine::{exists_class, named_pool};
 use caz_idb::{ConstEnum, Cst, Database, Tuple, Valuation};
 use caz_logic::{eval_bool, naive_contains, tuple_in_answer, Query};
 use std::collections::BTreeSet;
@@ -253,61 +256,26 @@ pub fn supp_k_count_slice(
     Some(hits)
 }
 
-/// The bounded witness pool `Const(D) ∪ C ∪ A_m` that suffices for
-/// existential/universal statements about supports (the range-reduction
-/// argument in the proof of Theorem 8, which only uses genericity).
-pub fn witness_pool(event: &dyn SuppEvent, db: &Database) -> Vec<Cst> {
-    let mut pool: Vec<Cst> = db.consts().into_iter().collect();
-    pool.extend(event.constants());
-    pool.sort_by_key(|c| c.name());
-    pool.dedup();
-    for i in 0..db.nulls().len() {
-        pool.push(Cst::fresh_in("w", i));
-    }
-    pool
-}
-
 /// Is the support of the event *full* (`Supp = V(D)`)? Exact: by
-/// genericity it suffices to check valuations over the witness pool.
+/// genericity the event is constant on each class of
+/// [`walk_classes`](crate::poly_engine::walk_classes) over
+/// `Const(D) ∪ C`, so one representative per class decides it (the
+/// range-reduction argument in the proof of Theorem 8). Stops at the
+/// first class where the event fails.
 pub fn support_is_full(event: &dyn SuppEvent, db: &Database) -> bool {
-    !exists_valuation(event, db, false)
+    let named = named_pool(db, event.constants());
+    !exists_class(db, &named, |v, vdb| !event.holds(v, vdb))
 }
 
-/// Is the support nonempty (the event is *possible*)?
+/// Is the support nonempty (the event is *possible*)? Stops at the
+/// first class where the event holds.
 pub fn support_is_nonempty(event: &dyn SuppEvent, db: &Database) -> bool {
-    exists_valuation(event, db, true)
-}
-
-/// Search for a valuation over the witness pool making the event equal
-/// `want`.
-fn exists_valuation(event: &dyn SuppEvent, db: &Database, want: bool) -> bool {
-    let pool = witness_pool(event, db);
-    let nulls: Vec<_> = db.nulls().into_iter().collect();
-    fn rec(
-        event: &dyn SuppEvent,
-        db: &Database,
-        nulls: &[caz_idb::NullId],
-        pool: &[Cst],
-        i: usize,
-        v: &mut Valuation,
-        want: bool,
-    ) -> bool {
-        if i == nulls.len() {
-            return event.holds(v, &v.apply_db(db)) == want;
-        }
-        for &c in pool {
-            v.bind(nulls[i], c);
-            if rec(event, db, nulls, pool, i + 1, v, want) {
-                return true;
-            }
-        }
-        false
-    }
-    rec(event, db, &nulls, &pool, 0, &mut Valuation::new(), want)
+    let named = named_pool(db, event.constants());
+    exists_class(db, &named, |v, vdb| event.holds(v, vdb))
 }
 
 /// Is `ā` a certain answer: `v(ā) ∈ Q(v(D))` for *every* valuation?
-/// (Exact via the witness pool.)
+/// (Exact via the class walk.)
 pub fn is_certain_answer(q: &Query, db: &Database, t: &Tuple) -> bool {
     support_is_full(&TupleAnswerEvent::new(q.clone(), t.clone()), db)
 }
@@ -478,7 +446,7 @@ mod tests {
         let not_there = Tuple::new(vec![cst("a"), cst("zz")]);
         assert!(!is_certain_answer(&q, &p.db, &not_there));
         // (a, zz) is possible: v(⊥) = zz... but zz ∉ adom ∪ C: the event's
-        // constants include the tuple's constants, so the pool covers it.
+        // constants include the tuple's constants, so the walk names it.
         assert!(is_possible_answer(&q, &p.db, &not_there));
     }
 }

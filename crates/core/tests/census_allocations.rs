@@ -8,9 +8,11 @@
 //! tuple event on that instance. The counter is per thread, so the test
 //! harness's own allocations on other threads do not count.
 //!
-//! Each class still builds its representative valuation and `v(D)`;
-//! what the bounds exclude is the evaluator rebuilding `Const(v(D)) ∪ C`
-//! (which the join path never reads) and allocating join bindings.
+//! The walk binds each class's representative valuation in place, so a
+//! class still builds `v(D)` and nothing else of its own; what the
+//! bounds exclude is a fresh representative per class, the evaluator
+//! rebuilding `Const(v(D)) ∪ C` (which the join path never reads) and
+//! allocating join bindings.
 
 use caz_core::{BoolQueryEvent, SeriesCensus, SuppEvent, TupleAnswerEvent};
 use caz_idb::{cst, parse_database, Database, Tuple};
@@ -74,19 +76,19 @@ fn allocations_per_class(event: &dyn SuppEvent, db: &Database) -> f64 {
 }
 
 #[test]
-fn a_boolean_class_costs_at_most_twelve_allocations() {
+fn a_boolean_class_costs_at_most_nine_allocations() {
     let db = cliff_db();
     // A series-cliff job: do two named rows share their null?
     let event = BoolQueryEvent::new(parse_query("Z := exists v. R(p1, v) & R(p3, v)").unwrap());
     let per_class = allocations_per_class(&event, &db);
-    assert!(per_class <= 12.0, "{per_class:.2} allocations per class (bound 12)");
+    assert!(per_class <= 9.0, "{per_class:.2} allocations per class (bound 9)");
 }
 
 #[test]
-fn a_tuple_class_costs_at_most_fourteen_allocations() {
+fn a_tuple_class_costs_at_most_ten_allocations() {
     let db = cliff_db();
     let query = parse_query("Z(u) := exists v. R(u, v) & R(p3, v)").unwrap();
     let event = TupleAnswerEvent::new(query, Tuple::new(vec![cst("p1")]));
     let per_class = allocations_per_class(&event, &db);
-    assert!(per_class <= 14.0, "{per_class:.2} allocations per class (bound 14)");
+    assert!(per_class <= 10.0, "{per_class:.2} allocations per class (bound 10)");
 }

@@ -6,8 +6,7 @@
 //! (they are least-fixed-point definable), so every notion plugs in
 //! unchanged: naïve evaluation via bijective valuations computes the
 //! almost certainly true answers, the support-polynomial engine computes
-//! exact measures, and the witness-pool argument decides certain
-//! answers.
+//! exact measures, and its class walk decides certain answers.
 
 use crate::ast::Program;
 use crate::eval::{output_contains, output_facts};
@@ -74,8 +73,7 @@ impl SuppEvent for DatalogEvent {
 }
 
 /// Is `t` a certain answer of the Datalog program (true under every
-/// valuation)? Exact via the witness-pool argument, which only needs
-/// genericity.
+/// valuation)? Exact via the class walk, which only needs genericity.
 pub fn is_certain_datalog_answer(p: &Program, db: &Database, t: &Tuple) -> bool {
     support_is_full(&DatalogEvent::new(p.clone(), t.clone()), db)
 }

@@ -175,7 +175,9 @@ fn stripped_live_frames_are_byte_identical_to_batch() {
     let seed = seed();
     let mut rng = StdRng::seed_from_u64(seed ^ 0xA17_71E);
     let script: Vec<String> = (0..12).flat_map(|_| random_script(&mut rng)).collect();
-    let want = batch_groups(&script);
+    // The batch run ends with `stats`, read apart from the compared groups.
+    let mut want = batch_groups(&[script.clone(), vec!["stats".into()]].concat());
+    let batch_stats = want.pop().expect("the batch's stats group");
     assert_eq!(want.len(), script.len());
 
     let (addr, handle, join) = spawn_server();
@@ -192,6 +194,13 @@ fn stripped_live_frames_are_byte_identical_to_batch() {
             "CAZ_TEST_SEED={seed}: live reply (approx stripped) diverges from \
              the batch reply for {cmd:?}"
         );
+    }
+    let batch_stats = match decode_frame(&batch_stats[0]) {
+        Some(WireFrame::Final(WireReply::Ok(stats))) => stats,
+        other => panic!("batch stats: {other:?}"),
+    };
+    for (side, stats) in [("batch", batch_stats), ("live", client.send_ok("stats"))] {
+        assert_eq!(stats_field(&stats, "panics_total"), 0, "CAZ_TEST_SEED={seed}: {side}: {stats}");
     }
 
     handle.shutdown();

@@ -11,7 +11,7 @@
 //! gateway test asserts they do flow over HTTP).
 
 use caz_service::http::{format_request, read_response};
-use caz_service::proto::{decode_frame, WireFrame};
+use caz_service::proto::{decode_frame, decode_reply, WireFrame, WireReply};
 use caz_service::{Server, ServerConfig, ShutdownHandle};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -64,6 +64,14 @@ fn surface() -> Vec<&'static str> {
         "bogus nonsense",
         "",
     ]
+}
+
+/// Assert that a server's `stats` reply group reads `panics_total 0`.
+fn assert_no_panics(server: &str, group: &str) {
+    let Some(WireReply::Ok(stats)) = decode_reply(group) else {
+        panic!("{server} server: malformed stats group {group:?}");
+    };
+    assert!(stats.lines().any(|l| l == "panics_total 0"), "{server} server panicked: {stats}");
 }
 
 struct LineClient {
@@ -166,6 +174,8 @@ fn http_bodies_are_byte_identical_to_line_groups_across_the_surface() {
             "transport divergence for command {cmd:?}"
         );
     }
+    assert_no_panics("line", &line.run("stats"));
+    assert_no_panics("http", &http.eval("stats").1);
 
     line_handle.shutdown();
     http_handle.shutdown();

@@ -4,7 +4,7 @@
 
 use caz_service::proto::{decode_frame, decode_reply, WireFrame, WireReply};
 use caz_service::session::{Reply, Session};
-use caz_service::{Server, ServerConfig, ShutdownHandle};
+use caz_service::{Request, Server, ServerConfig, ShutdownHandle};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -244,6 +244,36 @@ fn jobs_past_the_census_caps_answer_a_framed_error() {
     join.join().unwrap();
     handle2.shutdown();
     join2.join().unwrap();
+}
+
+/// The class walk takes any named pool: past the census's 64 named
+/// constants, `certain`, a non-UCQ `best` and a non-UCQ `compare` answer
+/// on the forced enumeration route with the replies the witness-pool
+/// searches gave before the walk, and `mu` still answers the census's
+/// refusal.
+#[test]
+fn the_class_walk_answers_past_the_census_named_constant_cap() {
+    let mut session = Session::new();
+    let wide: Vec<String> = (0..68).map(|i| format!("Z(z{i}).")).collect();
+    for line in [
+        "fact N(_x). M(k0). K(k0). K(k1).".to_string(),
+        format!("fact {}", wide.join(" ")),
+        "query P(u) := K(u) & !(N(u) & M(u))".to_string(),
+    ] {
+        session.execute(&line).unwrap();
+    }
+    let eval = |line: &str| match Request::parse(line) {
+        Ok(Some(Request::Eval(ev))) => session.eval(&ev),
+        other => panic!("not an eval command: {line:?} -> {other:?}"),
+    };
+    assert_eq!(eval("certain P"), Ok("{(k1)}".into()));
+    assert_eq!(eval("best P"), Ok("{(k1)}".into()));
+    let strictly = "(⊥x) ⊲ (k0) ((k0) is strictly better)";
+    assert_eq!(eval("compare P (k0) (_x)"), Ok(strictly.into()));
+    assert_eq!(eval("compare P (_x) (k0)"), Ok(strictly.into()));
+    let refusal = "support-polynomial engine caps at 10 nulls and 64 named constants \
+                   (got 1 nulls, 70 named constants)";
+    assert_eq!(eval("mu P (k0)"), Err(refusal.into()));
 }
 
 /// Join a thread, panicking if it does not finish within `timeout` —

@@ -220,6 +220,42 @@ mod property_based {
         }
     }
 
+    /// Theorem 3's two polynomials come from one class walk: at every
+    /// `k = c … c + 2` the denominator counts `Suppᵏ(Σ)` and the
+    /// numerator `Suppᵏ(Σ ∧ Q)` exactly as enumerating `Vᵏ(D)` does,
+    /// under an FD and under an IND, over 0–3 nulls.
+    #[test]
+    fn one_pass_conditional_polys_count_both_supports() {
+        let (seed, mut rng) = (seed(), stream(9));
+        let sigmas = ["fd R: 1 -> 2", "ind R[1] <= S[1]"].map(|s| parse_constraints(s).unwrap());
+        for case in 0..CASES {
+            let db = small_db(&mut rng, case % 4);
+            let q = rand_bool_query(&mut rng);
+            let sigma = &sigmas[case % 2];
+            let (num, den) = caz_core::conditional_polys(
+                &BoolQueryEvent::new(q.clone()),
+                &ConstraintEvent::new(sigma.clone()),
+                &db,
+            )
+            .unwrap();
+            let both = caz_core::AndEvent::new(vec![
+                Box::new(ConstraintEvent::new(sigma.clone())),
+                Box::new(BoolQueryEvent::new(q.clone())),
+            ]);
+            let sev = ConstraintEvent::new(sigma.clone());
+            for k in den.named_count..=den.named_count + 2 {
+                let at = format!(
+                    "CAZ_TEST_SEED={seed} case {case}: k = {k}, {q} under {sigma} over {db}"
+                );
+                let enumerated = |event: &dyn SuppEvent| {
+                    Ratio::from_int(caz_core::supp_k_count(event, &db, k) as i64)
+                };
+                assert_eq!(den.count_at(k), enumerated(&sev), "Σ: {at}");
+                assert_eq!(num.count_at(k), enumerated(&both), "Σ ∧ Q: {at}");
+            }
+        }
+    }
+
     /// Theorem 5: the chase fast path equals the polynomial engine for
     /// FD constraints (Boolean queries), and obeys the 0–1 law.
     #[test]
