@@ -45,22 +45,32 @@ pub fn is_positive(f: &Formula) -> bool {
 
 /// True iff the formula is in `Pos∀G` (Compton's positive FO with
 /// universal guards, as used in Corollary 3): atoms, closed under
-/// `∧, ∨, ∃, ∀`, plus guarded implications `∀x̄ (α(x̄) → φ)` where `α`
-/// is a relational atom over a tuple of distinct variables and `φ` is in
-/// the fragment. In our AST the implication appears as `¬α ∨ φ`.
+/// `∧, ∨, ∃, ∀`, plus guarded implications `∀x̄ (α → φ)` where `α`
+/// is a relational atom over distinct variables, all of them among x̄,
+/// and `φ` is in the fragment. In our AST the implication appears as
+/// `¬α ∨ φ`.
+///
+/// Every such formula is preserved under the maps a valuation induces
+/// (`D → v(D)`, onto, identity on constants), which is what makes its
+/// naïve answers certain. The positive part is Lyndon's case. For a
+/// guard, a fact `α(b̄)` of `v(D)` is the image of a fact `α(ā)` of
+/// `D`, and `φ` holds at ā in `D`; that needs `α`'s variables to be
+/// distinct and bound by the guarded block. A guard with a constant, a
+/// repeated variable or a variable bound further out can match in
+/// `v(D)` where it matched nothing in `D`: under `Q(y) := T(y) ∧
+/// ∀x (R(y) → S(x, y))` and `D = {T(⊥), R(a)}`, ⊥ is a naïve answer,
+/// but not a certain one (`⊥ ↦ a`).
 pub fn is_pos_forall_guarded(f: &Formula) -> bool {
-    fn distinct_var_atom(a: &Atom) -> bool {
+    fn guard_over(a: &Atom, block: &[Symbol]) -> bool {
         let vars: Vec<Symbol> = a.args.iter().filter_map(Term::as_var).collect();
-        vars.len() == a.args.len() && {
-            let set: BTreeSet<_> = vars.iter().collect();
-            set.len() == vars.len()
-        }
+        let set: BTreeSet<_> = vars.iter().collect();
+        vars.len() == a.args.len() && set.len() == vars.len() && set.iter().all(|v| block.contains(v))
     }
     match f {
         Formula::Atom(_) | Formula::Eq(_, _) => true,
         Formula::And(gs) | Formula::Or(gs) => gs.iter().all(is_pos_forall_guarded),
         Formula::Exists(_, g) => is_pos_forall_guarded(g),
-        Formula::Forall(_, g) => {
+        Formula::Forall(block, g) => {
             if is_pos_forall_guarded(g) {
                 return true;
             }
@@ -71,7 +81,7 @@ pub fn is_pos_forall_guarded(f: &Formula) -> bool {
                 for item in items {
                     match item {
                         Formula::Not(inner) => match inner.as_ref() {
-                            Formula::Atom(a) if guard.is_none() && distinct_var_atom(a) => {
+                            Formula::Atom(a) if guard.is_none() && guard_over(a, block) => {
                                 guard = Some(a)
                             }
                             _ => return false,
@@ -333,6 +343,39 @@ mod tests {
         // Plain positive universal is allowed.
         let univ = Formula::forall(["z"], Formula::atom("U", vec![var("z")]));
         assert!(is_pos_forall_guarded(&univ));
+
+        // A guard over a variable bound outside its block is no guard:
+        // T(y) ∧ ∀x (R(y) → S(x, y)) holds naïvely at ⊥ over
+        // {T(⊥), R(a)}, and fails once ⊥ ↦ a.
+        let outer = Formula::and([
+            Formula::atom("T", vec![var("y")]),
+            Formula::forall(
+                ["x"],
+                Formula::implies(
+                    Formula::atom("R", vec![var("y")]),
+                    Formula::atom("S", vec![var("x"), var("y")]),
+                ),
+            ),
+        ]);
+        assert!(!is_pos_forall_guarded(&outer));
+        // Nor is a constant in the guard.
+        let constant = Formula::forall(
+            ["x"],
+            Formula::implies(
+                Formula::atom("R", vec![var("x"), con("c")]),
+                Formula::atom("U", vec![var("x")]),
+            ),
+        );
+        assert!(!is_pos_forall_guarded(&constant));
+        // A guard over part of its block is one.
+        let part = Formula::forall(
+            ["x", "z"],
+            Formula::implies(
+                Formula::atom("U", vec![var("x")]),
+                Formula::atom("R", vec![var("x"), var("z")]),
+            ),
+        );
+        assert!(is_pos_forall_guarded(&part));
     }
 
     #[test]

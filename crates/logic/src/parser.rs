@@ -15,6 +15,19 @@
 //! * an identifier in term position is a *variable* if it is bound (by
 //!   the head or a quantifier) and a *constant* otherwise; quoted
 //!   identifiers (`'c'`) and numbers are always constants.
+//!
+//! The parser also reads the syntax a [`Query`] renders to, so that
+//! `parse_query(&q.to_string())` gives `q` back for every `q` it
+//! returns:
+//!
+//! ```text
+//! D2(x) := ∃y ((E('c', y) ∧ E(y, x)))
+//! Sat() := ∀x ((¬(U(x)) ∨ (R(x) ∧ ¬(S(x)))))
+//! ```
+//!
+//! `∧`, `∨` and `¬` are `&`, `|` and `!`; `∃x,y (φ)` and `∀x,y (φ)`
+//! take the parenthesized formula after their variables as the whole
+//! body, so they bind like an atom.
 
 use crate::ast::{Atom, Formula, Query, Term};
 use caz_idb::parser::ParseError;
@@ -183,7 +196,21 @@ fn lex(src: &str) -> Result<Lexer, ParseError> {
                 };
                 toks.push((tok, l, c));
             }
-            _ => return Err(err(l, c, &format!("unexpected character {:?}", b as char))),
+            _ => {
+                // The rendered syntax's connectives and quantifiers.
+                let ch = src[i..].chars().next().unwrap_or(char::REPLACEMENT_CHARACTER);
+                let tok = match ch {
+                    '∃' => Tok::Exists,
+                    '∀' => Tok::Forall,
+                    '∧' => Tok::Amp,
+                    '∨' => Tok::Pipe,
+                    '¬' => Tok::Bang,
+                    _ => return Err(err(l, c, &format!("unexpected character {ch:?}"))),
+                };
+                toks.push((tok, l, c));
+                i += ch.len_utf8();
+                col += 1;
+            }
         }
     }
     toks.push((Tok::Eof, line, col));
@@ -238,13 +265,6 @@ impl Parser {
         }
     }
 
-    fn formula(&mut self) -> Result<Formula, ParseError> {
-        match self.lx.peek() {
-            Tok::Exists | Tok::Forall => self.quantifier(),
-            _ => self.implication(),
-        }
-    }
-
     /// Intern a name from the query text; running out of ids is a parse
     /// error.
     fn symbol(&self, name: &str) -> Result<Symbol, ParseError> {
@@ -254,7 +274,8 @@ impl Parser {
     fn quantifier(&mut self) -> Result<Formula, ParseError> {
         let is_exists = matches!(self.lx.bump(), Tok::Exists);
         let mut vars = Vec::new();
-        loop {
+        // `exists x. φ`, or the rendered `∃x (φ)`.
+        let parenthesized = loop {
             let name = self.ident("a quantified variable")?;
             vars.push(self.symbol(&name)?);
             match self.lx.peek() {
@@ -263,15 +284,22 @@ impl Parser {
                 }
                 Tok::Dot => {
                     self.lx.bump();
-                    break;
+                    break false;
                 }
-                _ => return Err(self.lx.error("expected ',' or '.' after variable")),
+                Tok::LParen => {
+                    self.lx.bump();
+                    break true;
+                }
+                _ => return Err(self.lx.error("expected ',', '.' or '(' after variable")),
             }
-        }
+        };
         let vars = exact(vars);
         let mark = self.scope.len();
         self.scope.extend(vars.iter().copied());
         let body = self.formula()?;
+        if parenthesized {
+            self.lx.expect(Tok::RParen, "')'")?;
+        }
         self.scope.truncate(mark);
         Ok(if is_exists {
             Formula::Exists(vars, Box::new(body))
@@ -280,7 +308,12 @@ impl Parser {
         })
     }
 
-    fn implication(&mut self) -> Result<Formula, ParseError> {
+    /// A formula: implications of disjunctions of conjunctions. A
+    /// quantifier is parsed where a unary formula may stand: the client
+    /// form's body extends as far right as it can, so nothing follows
+    /// it, and the rendered form's body is parenthesized, so it may be
+    /// followed by `∧`, `∨` or `->` like an atom.
+    fn formula(&mut self) -> Result<Formula, ParseError> {
         let lhs = self.disjunction()?;
         if *self.lx.peek() == Tok::Arrow {
             self.lx.bump();
@@ -420,6 +453,7 @@ fn exact<T>(mut v: Vec<T>) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Formula;
     use crate::eval::{eval_bool, eval_query};
     use crate::fragments::{is_cq_shaped, is_ucq_shaped, Ucq};
     use caz_idb::{cst, parse_database, Tuple};
@@ -519,6 +553,29 @@ mod tests {
             let e = parse_query(src).unwrap_err();
             assert!(e.message.contains("reserved prefix"), "{src}: {e}");
         }
+    }
+
+    #[test]
+    fn rendered_syntax_parses_back() {
+        for src in [
+            "Q(x, y) := R1(x, y) & !R2(x, y)",
+            "D2(x) := exists y. E('c', y) & E(y, x)",
+            "S := forall x. U(x) -> R(x) & !T(x)",
+            "P(x) := R(x) & exists x. S(x) | x != 7",
+            "E := !(exists x. U(x)) | (exists y, z. V(y, z)) & W(-1, 'two words')",
+        ] {
+            let q = parse_query(src).unwrap();
+            assert_eq!(parse_query(&q.to_string()).unwrap(), q, "{src} renders {q}");
+        }
+        // A rendered quantifier binds like an atom; the client form
+        // scopes to the right.
+        let rendered = parse_query("B() := (∃x (U(x)) ∧ ¬(V('a')))").unwrap();
+        assert!(matches!(&rendered.body, Formula::And(parts) if parts.len() == 2), "{rendered}");
+        let client = parse_query("B := exists x. U(x) & !V('a')").unwrap();
+        assert!(matches!(&client.body, Formula::Exists(..)), "{client}");
+        assert!(parse_query("B := ∃x (U(x)").is_err(), "unclosed body");
+        assert!(parse_query("B := ∃x U(x)").is_err(), "no body");
+        assert!(parse_query("B := U(x) ⊕ V(x)").is_err(), "unknown connective");
     }
 
     #[test]

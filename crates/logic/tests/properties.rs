@@ -1,6 +1,6 @@
 //! Property tests for the query substrate: genericity, the UCQ normal
-//! form, naïve evaluation, three-valued evaluation and the join fast
-//! path.
+//! form, naïve evaluation, three-valued evaluation, the join fast path,
+//! and the parser reading back what a query renders to.
 //!
 //! Seeded (`CAZ_TEST_SEED`, default 3707; every assertion names the
 //! seed and case): each property draws its own stream of random
@@ -16,8 +16,8 @@ use caz_idb::{
 };
 use caz_logic::three_valued::{eval3_bool, NullMode, Truth};
 use caz_logic::{
-    con, eval_bool, eval_query, naive_eval, naive_eval_bool, random_query, random_ucq, var, Atom,
-    Evaluator, Formula, Query, QueryGenConfig, Term, Ucq,
+    con, eval_bool, eval_query, naive_eval, naive_eval_bool, parse_query, random_query,
+    random_ucq, var, Atom, Evaluator, Formula, Query, QueryGenConfig, Term, Ucq,
 };
 use caz_testutil::rngs::StdRng;
 use caz_testutil::{RngExt, SeedableRng};
@@ -263,4 +263,70 @@ fn lazily_built_domains_answer_like_full_evaluation() {
             "{at}: {b} over {db}"
         );
     }
+}
+
+/// Client-syntax text for a random formula over `R/2` and `S/1`: atoms,
+/// `=` and `!=`, `!`, `&`, `|`, `->`, `exists` and `forall` blocks and
+/// parentheses. Terms are the variables in `scope`, which may be
+/// shadowed, and identifier, quoted and numeric constants.
+fn client_formula(rng: &mut StdRng, scope: &mut Vec<String>, depth: usize) -> String {
+    const CONSTANTS: [&str; 6] = ["d0", "'d1'", "'two words'", "7", "-3", "'0'"];
+    let term = |rng: &mut StdRng, scope: &[String]| match rng.random_range(0..3u8) {
+        0 | 1 if !scope.is_empty() => scope[rng.random_range(0..scope.len())].clone(),
+        _ => CONSTANTS[rng.random_range(0..CONSTANTS.len())].to_string(),
+    };
+    let leaf = depth == 0 || rng.random_bool(0.25);
+    match if leaf { rng.random_range(0..4u8) } else { rng.random_range(4..11u8) } {
+        0 | 1 => format!("R({}, {})", term(rng, scope), term(rng, scope)),
+        2 => format!("S({})", term(rng, scope)),
+        3 => {
+            let op = if rng.random_bool(0.5) { "=" } else { "!=" };
+            format!("{} {op} {}", term(rng, scope), term(rng, scope))
+        }
+        4 => format!("!{}", client_formula(rng, scope, depth - 1)),
+        5 => format!("({})", client_formula(rng, scope, depth - 1)),
+        6 | 7 => {
+            let op = ["&", "|", "->"][rng.random_range(0..3usize)];
+            let lhs = client_formula(rng, scope, depth - 1);
+            format!("{lhs} {op} {}", client_formula(rng, scope, depth - 1))
+        }
+        _ => {
+            let word = if rng.random_bool(0.5) { "exists" } else { "forall" };
+            let vars: Vec<String> =
+                (0..rng.random_range(1..3u8)).map(|_| format!("v{}", rng.random_range(0..3u8))).collect();
+            let mark = scope.len();
+            scope.extend(vars.iter().cloned());
+            let body = client_formula(rng, scope, depth - 1);
+            scope.truncate(mark);
+            format!("{word} {}. {body}", vars.join(", "))
+        }
+    }
+}
+
+/// Every query `parse_query` returns on client text parses back from
+/// its rendering, to an equal query with the same rendering: a session
+/// keeps only that text, and each cache key embeds it.
+#[test]
+fn rendered_queries_parse_back_to_themselves() {
+    let (seed, mut rng) = (seed(), stream(9));
+    let mut parsed = 0;
+    for case in 0..400 {
+        let head: Vec<String> = (0..rng.random_range(0..3)).map(|i| format!("h{i}")).collect();
+        let mut scope = head.clone();
+        let body = client_formula(&mut rng, &mut scope, 3);
+        let src = match head.is_empty() && rng.random_bool(0.5) {
+            true => format!("B := {body}"),
+            false => format!("Q({}) := {body}", head.join(", ")),
+        };
+        // Text with a free non-head variable, or an unknown arity mix,
+        // is refused; what parses must round-trip.
+        let Ok(q) = parse_query(&src) else { continue };
+        parsed += 1;
+        let text = q.to_string();
+        let again = parse_query(&text)
+            .unwrap_or_else(|e| panic!("CAZ_TEST_SEED={seed} case {case}: {src:?} renders {text:?}: {e}"));
+        assert_eq!(again, q, "CAZ_TEST_SEED={seed} case {case}: {src:?} renders {text:?}");
+        assert_eq!(again.to_string(), text, "CAZ_TEST_SEED={seed} case {case}: {src:?}");
+    }
+    assert!(parsed >= 200, "CAZ_TEST_SEED={seed}: only {parsed} of 400 texts parsed");
 }

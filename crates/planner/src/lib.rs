@@ -56,7 +56,7 @@ use caz_datalog::{
     certain_datalog_answers, naive_contains_datalog, naive_eval_datalog, DatalogEvent, Program,
 };
 use caz_idb::{Database, Tuple};
-use caz_logic::Query;
+use caz_logic::{is_pos_forall_guarded, Query};
 use std::collections::BTreeSet;
 
 /// Which evaluation the job asks for: the evaluation commands of the
@@ -250,6 +250,51 @@ pub fn execute(job: &Job, route: Route) -> Result<ExecOutcome, String> {
         }
         Route::EnumerationFallback => enumerate(job),
     }
+}
+
+/// The name `explain` and `stats` give the engine [`corollary3`]
+/// licenses for a `certain` job.
+pub const COROLLARY3_NAIVE: &str = "corollary3-naive";
+
+/// Corollary 3 for a `certain` job: its query is preserved under the
+/// maps valuations induce (`D → v(D)`, onto and the identity on
+/// constants), so each naïve answer ā is certain (`v(ā) ∈ Q(v(D))` for
+/// every valuation `v`), and Corollary 1 (certain ⊆ naïve) gives the
+/// converse: the certain answers are the naïve ones. Two cases qualify:
+/// a first-order query in Pos∀G ([`caz_logic::is_pos_forall_guarded`],
+/// which contains the UCQs), and a program without negation
+/// ([`Program::is_positive`]), whose least fixed point every
+/// homomorphism preserves. `Err` names the hypothesis that fails,
+/// verbatim for `explain`.
+///
+/// This is an engine of the enumeration route, like the class census
+/// for `series`: [`plan`] routes a `certain` job to
+/// [`Route::EnumerationFallback`], whose general engine (each naïve
+/// answer tested against Theorem 3's classes) stays the reference a
+/// planned reply must match.
+pub fn corollary3(job: &Job) -> Result<(), String> {
+    if job.kind != PlanKind::Certain {
+        return Err("Corollary 3 decides certain answers (certain jobs only)".into());
+    }
+    match job.query {
+        QueryRef::Fo(q) if is_pos_forall_guarded(&q.body) => Ok(()),
+        QueryRef::Fo(_) => Err("query is not in Pos∀G (it negates, or guards a ∀ by an atom \
+                                that is not over distinct variables of its own block), so \
+                                valuations need not preserve it"
+            .into()),
+        QueryRef::Datalog(p) if p.is_positive() => Ok(()),
+        QueryRef::Datalog(_) => Err("program negates a body atom; Corollary 3 needs a \
+                                     negation-free program"
+            .into()),
+    }
+}
+
+/// A `certain` job's answers by Corollary 3: its naïve answers, from one
+/// naïve evaluation. An error, not a wrong answer, when [`corollary3`]
+/// does not hold.
+pub fn certain_by_corollary3(job: &Job) -> Result<ExecOutcome, String> {
+    corollary3(job)?;
+    enumerate(&Job { kind: PlanKind::Naive, ..job.clone() })
 }
 
 /// The general engines: the paper's definitions evaluated directly —
@@ -506,6 +551,42 @@ mod tests {
         assert_eq!(execute(&j, Route::EnumerationFallback), Ok(ExecOutcome::Tuples(answers)));
         let j = job(PlanKind::Series, &q, &sigma, &db, None);
         assert!(execute(&j, Route::EnumerationFallback).is_err());
+    }
+
+    #[test]
+    fn corollary_3_answers_certain_by_naive_evaluation() {
+        // Item 1's probe at n = 3: the naïve answers are all certain.
+        let db = parse_database("R(a1, _x1). R(a2, _x2). R(a3, _x3).").unwrap().db;
+        let sigma = ConstraintSet::new();
+        let q = parse_query("Q(u) := exists v. R(u, v)").unwrap();
+        let j = job(PlanKind::Certain, &q, &sigma, &db, None);
+        assert_eq!(corollary3(&j), Ok(()));
+        let walked = execute(&j, Route::EnumerationFallback).unwrap();
+        assert_eq!(certain_by_corollary3(&j).unwrap(), walked);
+        let ExecOutcome::Tuples(answers) = walked else { panic!("certain yields tuples") };
+        assert_eq!(answers.len(), 3);
+
+        // Negation: a naïve answer that is not certain.
+        let neg = parse_query("N(u) := exists v. R(u, v) & !R(v, u)").unwrap();
+        let j = job(PlanKind::Certain, &neg, &sigma, &db, None);
+        let reason = corollary3(&j).unwrap_err();
+        assert!(reason.contains("Pos∀G"), "{reason}");
+        assert!(certain_by_corollary3(&j).is_err());
+        // A guard over a variable bound outside its block: ⊥ is naïve,
+        // not certain.
+        let db = parse_database("T(_n). R(a).").unwrap().db;
+        let outer = parse_query("O(y) := T(y) & forall x. R(y) -> S(x, y)").unwrap();
+        let j = job(PlanKind::Certain, &outer, &sigma, &db, None);
+        assert!(corollary3(&j).is_err());
+        assert_eq!(execute(&j, Route::EnumerationFallback), Ok(ExecOutcome::Tuples(BTreeSet::new())));
+        let naive = Job { kind: PlanKind::Naive, ..j.clone() };
+        let ExecOutcome::Tuples(naive) = execute(&naive, Route::EnumerationFallback).unwrap() else {
+            panic!("naive yields tuples")
+        };
+        assert_eq!(naive.len(), 1);
+        // Only certain jobs.
+        let j = job(PlanKind::Mu, &q, &sigma, &db, None);
+        assert!(corollary3(&j).is_err());
     }
 
     #[test]

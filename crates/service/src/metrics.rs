@@ -132,6 +132,11 @@ pub struct Metrics {
     /// polynomial class census instead of enumerating valuations (a
     /// subset of `planner_fallback_total`: no theorem routes a series).
     pub series_census: AtomicU64,
+    /// Executed `certain` jobs the planner answered by Corollary 3 with
+    /// one naïve evaluation instead of the class walk (a subset of
+    /// `planner_fallback_total`, like `series_census_total`: the engine
+    /// runs on the enumeration route).
+    pub route_corollary3: AtomicU64,
     /// The process's replication role, numerically encoded
     /// ([`crate::replication::Role::as_u64`]: 0 single, 1 leader,
     /// 2 replica) so the snapshot stays all-`u64`.
@@ -218,6 +223,7 @@ impl Default for Metrics {
             route_theorem8: AtomicU64::new(0),
             route_fallback: AtomicU64::new(0),
             series_census: AtomicU64::new(0),
+            route_corollary3: AtomicU64::new(0),
             role: AtomicU64::new(0),
             replication_records_shipped: AtomicU64::new(0),
             replication_bytes_shipped: AtomicU64::new(0),
@@ -336,6 +342,10 @@ impl Metrics {
         );
         line("planner_fallback_total", self.route_fallback.load(Ordering::Relaxed));
         line("series_census_total", self.series_census.load(Ordering::Relaxed));
+        line(
+            "planner_route_corollary3_naive_total",
+            self.route_corollary3.load(Ordering::Relaxed),
+        );
         line("role", self.role.load(Ordering::Relaxed));
         line(
             "replication_records_shipped_total",
@@ -459,6 +469,7 @@ mod tests {
             "queue_depth 0",
             "anytime_chunks_total 0",
             "series_census_total 0",
+            "planner_route_corollary3_naive_total 0",
             // Replication keys are always present; a standalone server
             // reports role 0 (single) and ready 1.
             "role 0",

@@ -555,8 +555,8 @@ pub(crate) fn unless_expired(shared: &Shared, result: JobResult, outcome: Outcom
 const PROXY_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Forward one cache-missed job to the leader's client port: replay the
-/// session's setup lines, send the job, and serve the leader's final
-/// reply. Returns `None` on any transport trouble or protocol surprise
+/// session's state ([`Session::replay_lines`]), send the job, and serve
+/// the leader's final reply. Returns `None` on any transport trouble or protocol surprise
 /// — the caller then computes locally, so a dead or unreachable leader
 /// degrades a proxying replica to a computing one instead of an erroring
 /// one. `series` jobs never proxy: their chunked replies don't fit the
@@ -575,12 +575,12 @@ fn proxy_to_leader(addr: &str, session: &Session, ev: &EvalRequest) -> Option<Jo
         reader.read_line(&mut reply).ok()?;
         decode_frame(reply.trim_end_matches(['\r', '\n']))
     };
-    // Replay the session state. Every setup line succeeded locally, so
-    // anything but `ok` from the leader is a protocol surprise: bail to
-    // local compute rather than serve a reply computed in the wrong
-    // state.
-    for line in session.setup_lines() {
-        match exchange(line)? {
+    // Replay the session state. Each line renders state the session
+    // holds, so anything but `ok` from the leader is a protocol
+    // surprise: bail to local compute rather than serve a reply
+    // computed in the wrong state.
+    for line in session.replay_lines() {
+        match exchange(&line)? {
             WireFrame::Final(WireReply::Ok(_)) => {}
             _ => return None,
         }
@@ -593,7 +593,8 @@ fn proxy_to_leader(addr: &str, session: &Session, ev: &EvalRequest) -> Option<Jo
 }
 
 /// A worker's [`Sink`]: rows go to the live connection, if any; the
-/// class census is counted in `series_census_total`; and enumeration
+/// class census is counted in `series_census_total` and Corollary 3 in
+/// `planner_route_corollary3_naive_total`; and enumeration
 /// streams estimates between its rows ([`crate::anytime`]) when the job
 /// streams, else runs sequentially.
 struct WorkerSink<'a> {
@@ -606,6 +607,10 @@ impl Sink for WorkerSink<'_> {
         if let Some(stream) = &self.stream {
             stream.row(k, row)
         }
+    }
+
+    fn corollary3(&mut self) {
+        self.shared.metrics.route_corollary3.fetch_add(1, Ordering::Relaxed);
     }
 
     fn rows(
@@ -774,7 +779,7 @@ pub(crate) fn plan_on_worker(
     explain: bool,
 ) -> JobResult {
     let account = Account::new(shared, Instant::now(), Counted::Plan);
-    let report = session.in_request(|| session.plan_for(target).map(|r| r.text(explain)));
+    let report = session.plan_for(target).map(|r| r.text(explain));
     account.finish(report)
 }
 
@@ -1195,5 +1200,41 @@ mod tests {
         }
         assert_eq!(replies[5], done_frame(3));
         assert_eq!(replies[2..6], replies[6..10], "cache hit replays the same chunks");
+    }
+
+    #[test]
+    fn a_proxied_miss_replays_a_database_longer_than_one_line() {
+        // 60,000 ground facts render to ~1.3 MB: more than one line.
+        let mut session = Session::new();
+        for chunk in 0..6 {
+            let facts: Vec<String> = (chunk * 10_000..(chunk + 1) * 10_000)
+                .map(|i| format!("E(k{i:06}, k{:06}).", i + 1))
+                .collect();
+            session.execute(&format!("fact {}", facts.join(" "))).unwrap();
+        }
+        session.execute("fact R(k000000, _x). R(_x, _y). R(_y, _x).").unwrap();
+        // Unary: `naive` tries every constant of `D` as the answer.
+        session.execute("query Q(u) := exists v. R(u, v) & R(v, u)").unwrap();
+        let lines = session.replay_lines();
+        let facts = lines.iter().filter(|l| l.starts_with("fact ")).count();
+        assert!(facts >= 2, "{facts} fact line(s)");
+        assert!(lines.iter().all(|l| l.len() <= MAX_LINE_BYTES));
+
+        let leader = Server::bind(&ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let addr = leader.local_addr().unwrap().to_string();
+        let stop = leader.shutdown_handle().unwrap();
+        let running = std::thread::spawn(move || leader.run());
+        let ev = EvalRequest { kind: EvalKind::Naive, args: "Q".into() };
+        let proxied = proxy_to_leader(&addr, &session, &ev);
+        stop.shutdown();
+        running.join().unwrap().unwrap();
+        let local = session.eval_planned(&ev, &mut |_| {});
+        assert_eq!(local.as_deref(), Ok("{(⊥x), (⊥y)}"));
+        assert_eq!(proxied, Some(local));
     }
 }

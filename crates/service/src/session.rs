@@ -19,7 +19,9 @@ use caz_idb::{
 };
 use caz_logic::{parse_query, Query};
 use caz_planner::{ExecOutcome, Features, QueryRef, Rejection, Route};
-use std::collections::BTreeMap;
+use std::borrow::Borrow;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -39,10 +41,13 @@ const ANSWER_REL: &str = "__caz_answer";
 /// and Datalog programs.
 ///
 /// A server clones the session into every evaluation job, so all of it
-/// is shared copy-on-write: a clone costs six reference counts and
+/// is shared copy-on-write: a clone costs five reference counts and
 /// copies no state. `fact` builds a new `D` (and so a fresh
 /// canonical-form memo); a definition or constraint copies its map or
 /// `Σ` only while a job still holds the old snapshot.
+///
+/// The state is all the session keeps: no log of the lines that built
+/// it. [`Session::replay_lines`] renders lines that rebuild it.
 ///
 /// The names a client sends live as long as the state that holds them
 /// (see [`caz_idb::SymbolScope`]): state commands run in the session's
@@ -52,16 +57,76 @@ const ANSWER_REL: &str = "__caz_answer";
 pub struct Session {
     scope: SymbolScope,
     instance: Arc<Instance>,
-    queries: Arc<BTreeMap<String, Query>>,
+    queries: Arc<BTreeSet<Definition>>,
     programs: Arc<BTreeMap<String, caz_datalog::Program>>,
     sigma: Arc<ConstraintSet>,
-    /// The raw state-mutating lines applied so far, in order, exactly
-    /// as a fresh session would need to replay them to reach this
-    /// state. A replica proxying a cache miss to the leader replays
-    /// these over the leader's client port before sending the job (see
-    /// [`crate::replication::MissPolicy::Proxy`]). `clear` resets it
-    /// along with everything else.
-    setup: Arc<Vec<String>>,
+}
+
+/// A first-order definition, kept as the one string it renders to:
+/// `Z7() := ∃v ((R('p1', v) ∧ R('p3', v)))`. The same bytes serve as
+/// the definition's part of a cache key (after `fo:`), as its replay
+/// line (after `query `), and as what a job parses where it runs:
+/// [`caz_logic::parse_query`] reads the rendered syntax back to the
+/// query it came from. A set of definitions is ordered by the name at
+/// the start of each, so it looks a definition up by its name.
+#[derive(Clone, Debug)]
+struct Definition(Box<str>);
+
+impl Definition {
+    fn of(q: &Query) -> Definition {
+        Definition(q.to_string().into_boxed_str())
+    }
+
+    /// The rendered text.
+    fn text(&self) -> &str {
+        &self.0
+    }
+
+    /// The query's name: the text up to its head's `(`.
+    fn name(&self) -> &str {
+        self.0.split_once('(').map_or(&self.0, |(name, _)| name)
+    }
+
+    /// The query's arity: the variables between the head's parentheses,
+    /// which hold identifiers and `, ` only.
+    fn arity(&self) -> usize {
+        let head = self.0.split_once('(').and_then(|(_, rest)| rest.split_once(')'));
+        match head {
+            Some(("", _)) | None => 0,
+            Some((vars, _)) => vars.split(',').count(),
+        }
+    }
+
+    /// The query itself: parsed again, in the caller's scope.
+    fn parse(&self) -> Result<Query, String> {
+        parse_query(&self.0).map_err(|e| format!("definition {}: {e}", self.name()))
+    }
+}
+
+impl Borrow<str> for Definition {
+    fn borrow(&self) -> &str {
+        self.name()
+    }
+}
+
+impl PartialEq for Definition {
+    fn eq(&self, other: &Definition) -> bool {
+        self.name() == other.name()
+    }
+}
+
+impl Eq for Definition {}
+
+impl PartialOrd for Definition {
+    fn partial_cmp(&self, other: &Definition) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Definition {
+    fn cmp(&self, other: &Definition) -> Ordering {
+        self.name().cmp(other.name())
+    }
 }
 
 /// The database `D` with the session's names for its nulls and `D`'s
@@ -318,22 +383,18 @@ impl Session {
             Request::ShowDb => Ok(Reply::Text(format!("{}", self.instance.db))),
             Request::ShowSigma => Ok(Reply::Text(format!("{}", self.sigma))),
             Request::Stats => Err("stats is only available in serve/batch mode".into()),
-            Request::AddFacts(src) => self.apply_logged("fact", src, Session::add_facts),
-            Request::DefineQuery(src) => self.apply_logged("query", src, Session::add_query),
-            Request::DefineProgram(src) => self.apply_logged("datalog", src, Session::add_program),
-            Request::AddConstraint(src) => {
-                self.apply_logged("constraint", src, Session::add_constraint)
-            }
-            Request::Eval(ev) => {
-                self.in_request(|| self.eval_planned(ev, &mut |_| {})).map(Reply::Text)
-            }
+            Request::AddFacts(src) => self.mutate(src, Session::add_facts),
+            Request::DefineQuery(src) => self.mutate(src, Session::add_query),
+            Request::DefineProgram(src) => self.mutate(src, Session::add_program),
+            Request::AddConstraint(src) => self.mutate(src, Session::add_constraint),
+            Request::Eval(ev) => self.eval_planned(ev, &mut |_| {}).map(Reply::Text),
             Request::Plan { explain, target } => {
-                self.in_request(|| self.plan_for(target)).map(|r| Reply::Text(r.text(*explain)))
+                self.plan_for(target).map(|r| Reply::Text(r.text(*explain)))
             }
             // Outside a server there is no pool to fan out over: run the
             // jobs sequentially and tag each output line with its index,
             // mirroring the wire format's tagged chunks.
-            Request::EvalMulti(jobs) => self.in_request(|| {
+            Request::EvalMulti(jobs) => {
                 let mut out = String::new();
                 for (i, job) in jobs.iter().enumerate() {
                     let result =
@@ -347,7 +408,7 @@ impl Session {
                     }
                 }
                 Ok(Reply::Text(out))
-            }),
+            }
         }
     }
 
@@ -360,25 +421,42 @@ impl Session {
         self.scope.child(f).0
     }
 
-    /// Apply one state mutation in the session's scope and, when it
-    /// succeeds, record the raw line (`word src`) in the replayable
-    /// setup log. A line that fails keeps none of the names it interned.
-    fn apply_logged(
+    /// Apply one state mutation in the session's scope. A line that
+    /// fails keeps none of the names it interned.
+    fn mutate(
         &mut self,
-        word: &str,
         src: &str,
         apply: fn(&mut Session, &str) -> Result<Reply, String>,
     ) -> Result<Reply, String> {
         let scope = self.scope.clone();
-        let reply = scope.enter(|| apply(self, src))?;
-        Arc::make_mut(&mut self.setup).push(format!("{word} {src}"));
-        Ok(reply)
+        scope.enter(|| apply(self, src))
     }
 
-    /// The raw state-mutating lines that rebuild this session's state
-    /// when replayed, in order, into a fresh session.
-    pub fn setup_lines(&self) -> &[String] {
-        &self.setup
+    /// Lines that rebuild this session's state when a fresh session runs
+    /// them in order, rendered from the state itself:
+    ///
+    /// - `fact` lines holding `D`, each null under the session's name
+    ///   for it (`_` for an anonymous one), at most
+    ///   [`MAX_LINE_BYTES`](crate::reactor::MAX_LINE_BYTES) per line so a
+    ///   server reads each one;
+    /// - one `constraint` line per member of `Σ`, in order;
+    /// - one `datalog` line per program;
+    /// - one `query` line per first-order definition, its rendered text.
+    ///
+    /// The replayed session answers every request with the same bytes
+    /// and the same cache key: the facts come in an order in which the
+    /// nulls are first named in the order of their ids, which is the
+    /// order reports list them in. Nulls named only `_` are the
+    /// exception: their rendering names a process-wide id.
+    pub fn replay_lines(&self) -> Vec<String> {
+        let mut lines = fact_lines(&self.instance, crate::reactor::MAX_LINE_BYTES);
+        lines.extend(self.sigma.iter().map(|c| format!("constraint {c}")));
+        // A program renders one rule per line; `datalog` reads `;` as a
+        // line break.
+        let program = |p: &caz_datalog::Program| p.to_string().trim_end().replace('\n', "; ");
+        lines.extend(self.programs.values().map(|p| format!("datalog {}", program(p))));
+        lines.extend(self.queries.iter().map(|d| format!("query {}", d.text())));
+        lines
     }
 
     /// Run a read-only evaluation request on the forced enumeration
@@ -387,7 +465,7 @@ impl Session {
     /// server clones the session state into a worker job, so evaluation
     /// must not (and cannot) touch session state.
     pub fn eval(&self, req: &EvalRequest) -> Result<String, String> {
-        self.resolve(req)?.execute(false, &mut |_| {}, &mut ())
+        self.in_request(|| self.resolve(req)?.execute(false, &mut |_| {}, &mut ()))
     }
 
     /// The isomorphism-invariant cache key of `req` (see
@@ -447,9 +525,8 @@ impl Session {
 
     fn add_query(&mut self, src: &str) -> Result<Reply, String> {
         let q = parse_query(src).map_err(|e| e.to_string())?;
-        let name = q.name.clone();
-        Arc::make_mut(&mut self.queries).insert(name.clone(), q);
-        Ok(Reply::Text(format!("query {name} defined")))
+        Arc::make_mut(&mut self.queries).replace(Definition::of(&q));
+        Ok(Reply::Text(format!("query {} defined", q.name)))
     }
 
     fn add_program(&mut self, src: &str) -> Result<Reply, String> {
@@ -469,7 +546,7 @@ impl Session {
         Ok(Reply::Text(format!("{} constraint(s) added", set.len())))
     }
 
-    fn query(&self, name: &str) -> Result<&Query, String> {
+    fn query(&self, name: &str) -> Result<&Definition, String> {
         self.queries
             .get(name)
             .ok_or_else(|| format!("no query named {name:?} (define one with 'query')"))
@@ -477,11 +554,11 @@ impl Session {
 
     /// Resolve a name with the evaluators' shadowing: programs first,
     /// then queries.
-    fn query_ref(&self, name: &str) -> Result<QueryRef<'_>, String> {
+    fn query_ref(&self, name: &str) -> Result<Def<'_>, String> {
         if let Some(p) = self.programs.get(name) {
-            Ok(QueryRef::Datalog(p))
+            Ok(Def::Datalog(p))
         } else {
-            self.query(name).map(QueryRef::Fo)
+            self.query(name).map(Def::Fo)
         }
     }
 
@@ -511,23 +588,23 @@ impl Session {
     /// the series length — and it owns every canonical error text:
     /// malformed arguments, an unknown name, an arity mismatch, and for
     /// `cond` a constraint column outside its relation in `D`. It only
-    /// borrows from the session: nothing is evaluated and no query is
-    /// cloned, so resolving a cache hit stays cheap.
+    /// borrows from the session: nothing is evaluated and no definition
+    /// is parsed or cloned, so resolving a cache hit stays cheap.
     pub(crate) fn resolve(&self, req: &EvalRequest) -> Result<Job<'_>, String> {
         let mut series_len = None;
         let mut tuple2 = None;
-        let (query, tuple) = match req.kind {
+        let (def, tuple) = match req.kind {
             EvalKind::Naive | EvalKind::Certain => (self.query_ref(&req.args)?, None),
             // The support order ranks answers of first-order queries, so
             // `best` and `compare` look up queries only.
-            EvalKind::Best => (QueryRef::Fo(self.query(&req.args)?), None),
+            EvalKind::Best => (Def::Fo(self.query(&req.args)?), None),
             EvalKind::Compare => {
                 let open = req.args.find('(').ok_or("usage: compare <name> (t1) (t2)")?;
                 let tuples = &req.args[open..];
                 let mid = tuples.find(')').ok_or("expected two tuples")? + 1;
                 let t1 = self.tuple(&tuples[..mid])?;
                 tuple2 = Some(self.tuple(&tuples[mid..])?);
-                (QueryRef::Fo(self.query(req.args[..open].trim())?), Some(t1))
+                (Def::Fo(self.query(req.args[..open].trim())?), Some(t1))
             }
             EvalKind::Mu | EvalKind::Cond | EvalKind::Series => {
                 let mut head = req.args.as_str();
@@ -543,9 +620,9 @@ impl Session {
                 }
                 let (name, tuple_src) = split_name_tuple(head);
                 let tuple = tuple_src.map(|s| self.tuple(s)).transpose()?;
-                let query = self.query_ref(name)?;
-                check_arity(name, query, tuple.as_ref())?;
-                (query, tuple)
+                let def = self.query_ref(name)?;
+                check_arity(name, def, tuple.as_ref())?;
+                (def, tuple)
             }
         };
         // Only `cond` reads Σ, and every engine indexes D's tuples by
@@ -554,8 +631,16 @@ impl Session {
         if req.kind == EvalKind::Cond {
             self.sigma.check_columns(&db.schema())?;
         }
-        let plan = caz_planner::Job { kind: req.kind, query, sigma: &self.sigma, db, tuple, tuple2 };
-        Ok(Job { plan, series_len, canon: &self.instance.canon })
+        Ok(Job {
+            kind: req.kind,
+            def,
+            sigma: &self.sigma,
+            db,
+            tuple,
+            tuple2,
+            series_len,
+            canon: &self.instance.canon,
+        })
     }
 
     /// Evaluate through the planner: resolve the request, take the
@@ -574,8 +659,10 @@ impl Session {
         req: &EvalRequest,
         note_route: &mut dyn FnMut(Route),
     ) -> Result<String, String> {
-        let job = self.resolve(req).inspect_err(|_| note_route(Route::EnumerationFallback))?;
-        job.execute(true, note_route, &mut ())
+        self.in_request(|| {
+            let job = self.resolve(req).inspect_err(|_| note_route(Route::EnumerationFallback))?;
+            job.execute(true, note_route, &mut ())
+        })
     }
 
     /// Evaluate a `series` request on the enumeration engine,
@@ -589,7 +676,7 @@ impl Session {
         mut emit: &mut dyn FnMut(usize, &str),
     ) -> Result<String, String> {
         let req = EvalRequest { kind: EvalKind::Series, args: rest.to_string() };
-        self.resolve(&req)?.execute(false, &mut |_| {}, &mut emit)
+        self.in_request(|| self.resolve(&req)?.execute(false, &mut |_| {}, &mut emit))
     }
 
     /// Answer a `plan`/`explain` request: parse the target as an
@@ -599,18 +686,124 @@ impl Session {
         let Some(Request::Eval(ev)) = Request::parse(target)? else {
             return Err("plan/explain take an evaluation command, e.g.  plan cond Q".into());
         };
-        let job = self.resolve(&ev)?;
-        let plan = caz_planner::plan(&job.plan);
-        let series = job
-            .series_len
-            .map(|k| SeriesCost::of(&*caz_planner::event(&job.plan), job.plan.db, k));
-        Ok(PlanReport {
-            route: plan.route,
-            features: plan.features,
-            rejected: plan.rejected,
-            series,
+        self.in_request(|| {
+            let job = self.resolve(&ev)?;
+            job.planned(|plan_job| {
+                let plan = caz_planner::plan(plan_job);
+                let series = job
+                    .series_len
+                    .map(|k| SeriesCost::of(&*caz_planner::event(plan_job), job.db, k));
+                let certain = (job.kind == EvalKind::Certain)
+                    .then(|| caz_planner::corollary3(plan_job));
+                Ok(PlanReport {
+                    route: plan.route,
+                    features: plan.features,
+                    rejected: plan.rejected,
+                    series,
+                    certain,
+                })
+            })
         })
     }
+}
+
+/// `D` as `fact` lines of at most `max_bytes` each (a longer fact gets a
+/// line of its own), for [`Session::replay_lines`]. Each null renders
+/// under the session's name for it, or as `_` when it has none.
+///
+/// The facts come in an order in which the nulls are first named in the
+/// order of their ids, so a fresh session replaying them mints ids in
+/// the same order. Such an order exists: a session mints a null where a
+/// `fact` line first names it, so the fact of `D` holding that first
+/// mention names before it only nulls with smaller ids, and after it
+/// only older nulls and the ones its line minted next, in order. The
+/// walk below emits, for the unnamed null with the smallest id, a fact
+/// that names its unnamed nulls in that order.
+fn fact_lines(instance: &Instance, max_bytes: usize) -> Vec<String> {
+    let names: BTreeMap<NullId, &str> =
+        instance.nulls.iter().map(|(name, &id)| (id, name.as_str())).collect();
+    let ids: Vec<NullId> = instance.db.nulls().into_iter().collect();
+    let rank = |id: NullId| ids.binary_search(&id).unwrap_or(0);
+    let mut rels: Vec<_> = instance.db.relations().collect();
+    rels.sort_by_key(|r| r.name().resolve());
+    let facts: Vec<(Symbol, &Tuple)> =
+        rels.iter().flat_map(|r| r.iter().map(move |t| (r.name(), t))).collect();
+    // The facts holding each null.
+    let mut holding: Vec<Vec<usize>> = vec![Vec::new(); ids.len()];
+    for (i, (_, t)) in facts.iter().enumerate() {
+        for n in t.iter().filter_map(Value::as_null) {
+            let held = &mut holding[rank(n)];
+            if held.last() != Some(&i) {
+                held.push(i);
+            }
+        }
+    }
+    let mut done: Vec<bool> = facts.iter().map(|(_, t)| t.is_complete()).collect();
+    let mut order: Vec<usize> = (0..facts.len()).filter(|&i| done[i]).collect();
+    let mut named = vec![false; ids.len()];
+    let mut next = 0;
+    loop {
+        while next < ids.len() && named[next] {
+            next += 1;
+        }
+        if next == ids.len() {
+            break;
+        }
+        // Whether fact `i` names its unnamed nulls in id order.
+        let in_order = |i: usize| {
+            let mut want = next;
+            facts[i].1.iter().filter_map(Value::as_null).all(|n| {
+                let r = rank(n);
+                if named[r] || r < want {
+                    return true;
+                }
+                if r != want {
+                    return false;
+                }
+                want += 1;
+                while want < ids.len() && named[want] {
+                    want += 1;
+                }
+                true
+            })
+        };
+        let open: Vec<usize> = holding[next].iter().copied().filter(|&i| !done[i]).collect();
+        let Some(pick) = open.iter().copied().find(|&i| in_order(i)).or(open.first().copied())
+        else {
+            break;
+        };
+        done[pick] = true;
+        order.push(pick);
+        for n in facts[pick].1.iter().filter_map(Value::as_null) {
+            named[rank(n)] = true;
+        }
+    }
+    order.extend((0..facts.len()).filter(|&i| !done[i]));
+
+    let mut lines = Vec::new();
+    let mut line = String::new();
+    for i in order {
+        let (rel, tuple) = facts[i];
+        let mut fact = format!("{rel}(");
+        for (k, v) in tuple.iter().enumerate() {
+            let sep = if k > 0 { ", " } else { "" };
+            match v {
+                Value::Const(c) => write!(fact, "{sep}{c}"),
+                Value::Null(n) => write!(fact, "{sep}_{}", names.get(n).copied().unwrap_or("")),
+            }
+            .expect("formatting into a String");
+        }
+        fact.push_str(").");
+        if !line.is_empty() && line.len() + 1 + fact.len() > max_bytes {
+            lines.push(std::mem::take(&mut line));
+        }
+        line.push_str(if line.is_empty() { "fact " } else { " " });
+        line.push_str(&fact);
+    }
+    if !line.is_empty() {
+        lines.push(line);
+    }
+    lines
 }
 
 /// Split `name (tuple)` into the name and the tuple literal, if any.
@@ -624,31 +817,47 @@ fn split_name_tuple(rest: &str) -> (&str, Option<&str>) {
 /// Check a measure job's answer tuple against its query: a program
 /// takes a tuple of its output arity (none for arity 0), a first-order
 /// query one of its own arity, or none when it is Boolean.
-fn check_arity(name: &str, query: QueryRef<'_>, tuple: Option<&Tuple>) -> Result<(), String> {
+fn check_arity(name: &str, def: Def<'_>, tuple: Option<&Tuple>) -> Result<(), String> {
     let got = tuple.map_or(0, Tuple::arity);
-    match query {
-        QueryRef::Datalog(p) if got != p.output_arity => Err(format!(
+    match def {
+        Def::Datalog(p) if got != p.output_arity => Err(format!(
             "program {name} has output arity {}, tuple has {got}",
             p.output_arity
         )),
-        QueryRef::Fo(q) if tuple.is_none() && !q.is_boolean() => {
+        Def::Fo(d) if tuple.is_none() && d.arity() > 0 => {
             Err(format!("query {name} needs a tuple, e.g.  mu {name} (a, b)"))
         }
-        QueryRef::Fo(q) if got != q.arity() => {
-            Err(format!("query {name} has arity {}, tuple has {got}", q.arity()))
+        Def::Fo(d) if got != d.arity() => {
+            Err(format!("query {name} has arity {}, tuple has {got}", d.arity()))
         }
         _ => Ok(()),
     }
 }
 
+/// The definition a job evaluates: a first-order query's rendered text,
+/// or a Datalog program.
+#[derive(Clone, Copy, Debug)]
+enum Def<'s> {
+    Fo(&'s Definition),
+    Datalog(&'s caz_datalog::Program),
+}
+
 /// One resolved evaluation: what [`Session::resolve`] makes of an
 /// [`EvalRequest`], and what the cache key, the planner,
-/// `plan`/`explain` and execution all read. It borrows the query, `Σ`,
-/// `D` and `D`'s canonical-form memo from the session.
+/// `plan`/`explain` and execution all read. It borrows the definition,
+/// `Σ`, `D` and `D`'s canonical-form memo from the session; a
+/// first-order definition is parsed only by [`Job::planned`], so
+/// keying a job parses nothing.
 #[derive(Clone, Debug)]
 pub(crate) struct Job<'s> {
-    /// The planner's view: kind, query, `Σ`, `D` and answer tuples.
-    pub(crate) plan: caz_planner::Job<'s>,
+    kind: EvalKind,
+    def: Def<'s>,
+    sigma: &'s ConstraintSet,
+    db: &'s Database,
+    /// The answer tuple `ā`, when the command supplies one.
+    tuple: Option<Tuple>,
+    /// The second tuple of a `compare` job.
+    tuple2: Option<Tuple>,
     /// For `series` jobs, the length `k` of `μ¹..μᵏ`.
     pub(crate) series_len: Option<usize>,
     /// `D`'s canonical form for the latest answer tuple keyed.
@@ -673,7 +882,7 @@ impl Job<'_> {
     /// land in the same shard. Both come from the session's memo when
     /// `D` and ā are those of its previous keyed request.
     pub(crate) fn cache_key(&self) -> Option<CacheKey> {
-        self.key(|answer| self.canon.get(self.plan.db, answer))
+        self.key(|answer| self.canon.get(self.db, answer))
     }
 
     /// [`Job::cache_key`] from the memo alone: `None` unless the memo
@@ -687,28 +896,59 @@ impl Job<'_> {
     /// The one key builder: `canon` supplies the canonical form of `D`
     /// with the answer tuple embedded.
     fn key(&self, canon: impl FnOnce(&Tuple) -> Option<Canon>) -> Option<CacheKey> {
-        let job = &self.plan;
-        let kind_tag = match (job.kind, self.series_len) {
-            (EvalKind::Mu, _) => "mu".to_string(),
-            (EvalKind::Cond, _) => "cond".to_string(),
+        let mut text = match (self.kind, self.series_len) {
+            (EvalKind::Mu, _) => String::from("mu"),
+            (EvalKind::Cond, _) => String::from("cond"),
             (EvalKind::Series, Some(k)) => format!("series:{k}"),
             _ => return None,
         };
-        if job.db.relation(ANSWER_REL).is_some() {
+        if self.db.relation(ANSWER_REL).is_some() {
             return None; // user squatted on the reserved name; don't cache
         }
         // Embed the answer tuple into the database so its nulls are
         // renamed consistently with the database's during minimization.
         let empty = Tuple::empty();
-        let (canon, shard_hash) = canon(job.tuple.as_ref().unwrap_or(&empty))?;
+        let (canon, shard_hash) = canon(self.tuple.as_ref().unwrap_or(&empty))?;
         // Key on the *definition*, not the name: two sessions may bind
-        // the same name to different queries.
-        let def = match job.query {
-            QueryRef::Fo(q) => format!("fo:{q}"),
-            QueryRef::Datalog(p) => format!("dl:{p}"),
+        // the same name to different queries. A first-order definition
+        // is kept rendered, so its bytes are copied, not formatted.
+        match self.def {
+            Def::Fo(d) => write!(text, "\u{1}fo:{}\u{1}", d.text()),
+            Def::Datalog(p) => write!(text, "\u{1}dl:{p}\u{1}"),
+        }
+        .ok()?;
+        if self.kind == EvalKind::Cond {
+            write!(text, "{}", self.sigma).ok()?;
+        }
+        write!(text, "\u{1}{canon}").ok()?;
+        Some(CacheKey { text, shard_hash })
+    }
+
+    /// Parse the definition, in the caller's scope, and hand `f` the
+    /// planner's view of this job: kind, query, `Σ`, `D` and answer
+    /// tuples. Planning and executing a job each parse it once. The
+    /// text parses: it is a parsed query's rendering, and the session's
+    /// scope holds every name in it.
+    fn planned<R>(
+        &self,
+        f: impl FnOnce(&caz_planner::Job<'_>) -> Result<R, String>,
+    ) -> Result<R, String> {
+        let parsed;
+        let query = match self.def {
+            Def::Fo(d) => {
+                parsed = d.parse()?;
+                QueryRef::Fo(&parsed)
+            }
+            Def::Datalog(p) => QueryRef::Datalog(p),
         };
-        let sigma = if job.kind == EvalKind::Cond { job.sigma.to_string() } else { String::new() };
-        Some(CacheKey { text: format!("{kind_tag}\u{1}{def}\u{1}{sigma}\u{1}{canon}"), shard_hash })
+        f(&caz_planner::Job {
+            kind: self.kind,
+            query,
+            sigma: self.sigma,
+            db: self.db,
+            tuple: self.tuple.clone(),
+            tuple2: self.tuple2.clone(),
+        })
     }
 
     /// Execute the job and render its reply. `planned` takes the
@@ -723,44 +963,69 @@ impl Job<'_> {
         note_route: &mut dyn FnMut(Route),
         sink: &mut dyn Sink,
     ) -> Result<String, String> {
-        let job = &self.plan;
-        let route = if planned { caz_planner::plan(job).route } else { Route::EnumerationFallback };
-        note_route(route);
-        if let Some(k_max) = self.series_len {
-            let event = caz_planner::event(job);
-            let engine = if planned {
-                SeriesCost::of(&*event, job.db, k_max).engine()
-            } else {
-                SeriesEngine::Enumeration
-            };
-            return sink.rows(engine, event, job.db, k_max);
-        }
-        Ok(match caz_planner::execute(job, route)? {
-            ExecOutcome::Measure(v) if job.kind == EvalKind::Cond => format!("μ(Q | Σ, D) = {v}"),
-            ExecOutcome::Measure(v) => format!("μ(Q, D) = {v}"),
-            ExecOutcome::Tuples(ts) => format_tuples(&ts),
-            // `d12` is `t1 ⊴ t2`, `d21` is `t2 ⊴ t1`.
-            ExecOutcome::Comparison { d12, d21 } => {
-                let (Some(t1), Some(t2)) = (&job.tuple, &job.tuple2) else {
-                    return Err("compare needs two tuples".into());
-                };
-                match (d12, d21) {
-                    (true, true) => "equivalent support".to_string(),
-                    (true, false) => format!("{t1} ⊲ {t2} ({t2} is strictly better)"),
-                    (false, true) => format!("{t2} ⊲ {t1} ({t1} is strictly better)"),
-                    (false, false) => "incomparable".to_string(),
-                }
-            }
-        })
+        self.planned(|job| execute_planned(job, self.series_len, planned, note_route, sink))
     }
 }
 
-/// Where a `series` job's rows go as they are computed. The aggregate
-/// reply carries every row either way; a server streams each row as a
-/// reply chunk, and may run the enumeration on an engine of its own.
+/// [`Job::execute`] on the parsed job. A planned `certain` job whose
+/// query Corollary 3 covers is answered by its naïve answers, on the
+/// enumeration route.
+fn execute_planned(
+    job: &caz_planner::Job<'_>,
+    series_len: Option<usize>,
+    planned: bool,
+    note_route: &mut dyn FnMut(Route),
+    sink: &mut dyn Sink,
+) -> Result<String, String> {
+    let route = if planned { caz_planner::plan(job).route } else { Route::EnumerationFallback };
+    note_route(route);
+    if let Some(k_max) = series_len {
+        let event = caz_planner::event(job);
+        let engine = if planned {
+            SeriesCost::of(&*event, job.db, k_max).engine()
+        } else {
+            SeriesEngine::Enumeration
+        };
+        return sink.rows(engine, event, job.db, k_max);
+    }
+    let corollary3 = planned && caz_planner::corollary3(job).is_ok();
+    let outcome = if corollary3 {
+        sink.corollary3();
+        caz_planner::certain_by_corollary3(job)?
+    } else {
+        caz_planner::execute(job, route)?
+    };
+    Ok(match outcome {
+        ExecOutcome::Measure(v) if job.kind == EvalKind::Cond => format!("μ(Q | Σ, D) = {v}"),
+        ExecOutcome::Measure(v) => format!("μ(Q, D) = {v}"),
+        ExecOutcome::Tuples(ts) => format_tuples(&ts),
+        // `d12` is `t1 ⊴ t2`, `d21` is `t2 ⊴ t1`.
+        ExecOutcome::Comparison { d12, d21 } => {
+            let (Some(t1), Some(t2)) = (&job.tuple, &job.tuple2) else {
+                return Err("compare needs two tuples".into());
+            };
+            match (d12, d21) {
+                (true, true) => "equivalent support".to_string(),
+                (true, false) => format!("{t1} ⊲ {t2} ({t2} is strictly better)"),
+                (false, true) => format!("{t2} ⊲ {t1} ({t1} is strictly better)"),
+                (false, false) => "incomparable".to_string(),
+            }
+        }
+    })
+}
+
+/// Where a `series` job's rows go as they are computed, and who hears
+/// which exact engine answered a job on the enumeration route. The
+/// aggregate reply carries every row either way; a server streams each
+/// row as a reply chunk, may run the enumeration on an engine of its
+/// own, and counts the engines.
 pub(crate) trait Sink {
     /// Row `k`, rendered, as soon as `μᵏ` is known.
     fn row(&mut self, _k: usize, _row: &str) {}
+
+    /// A `certain` job is answered by Corollary 3's naïve evaluation
+    /// ([`caz_planner::COROLLARY3_NAIVE`]).
+    fn corollary3(&mut self) {}
 
     /// Compute `μ¹..μ^k_max` on `engine`, handing each row to
     /// [`Sink::row`], and return the aggregate reply.
@@ -840,6 +1105,9 @@ pub struct PlanReport {
     /// For `series` jobs: the cost of both exact engines, and so the
     /// engine the planner runs the job on.
     pub series: Option<SeriesCost>,
+    /// For `certain` jobs: whether Corollary 3 answers the job by its
+    /// naïve answers, or why not (the class walk answers it then).
+    pub certain: Option<Result<(), String>>,
 }
 
 impl PlanReport {
@@ -856,10 +1124,11 @@ impl PlanReport {
 
     /// The `explain` report as `(tag, payload)` lines: one `route`
     /// line, one `features` line, for `series` jobs one
-    /// `engine census|enumeration <classes> <valuations>` line, and one
-    /// `reject` line per rejected candidate. A server frames each as a
-    /// tagged reply chunk; the plain REPL joins them as `tag payload`
-    /// text lines.
+    /// `engine census|enumeration <classes> <valuations>` line, for
+    /// `certain` jobs one `engine corollary3-naive|class-walk` line, and
+    /// one `reject` line per rejected candidate, Corollary 3 last. A
+    /// server frames each as a tagged reply chunk; the plain REPL joins
+    /// them as `tag payload` text lines.
     pub fn lines(&self) -> Vec<(&'static str, String)> {
         let mut out = vec![
             ("route", self.route.name().to_string()),
@@ -869,8 +1138,17 @@ impl PlanReport {
             let engine = cost.engine().name();
             out.push(("engine", format!("{engine} {} {}", cost.classes, cost.valuations)));
         }
+        let corollary3 = caz_planner::COROLLARY3_NAIVE;
+        match &self.certain {
+            Some(Ok(())) => out.push(("engine", corollary3.to_string())),
+            Some(Err(_)) => out.push(("engine", "class-walk".to_string())),
+            None => {}
+        }
         for r in &self.rejected {
             out.push(("reject", format!("{}: {}", r.route.name(), r.reason)));
+        }
+        if let Some(Err(reason)) = &self.certain {
+            out.push(("reject", format!("{corollary3}: {reason}")));
         }
         out
     }
@@ -1168,6 +1446,104 @@ mod tests {
         assert_eq!(run(&mut s, "mu P"), "μ(Q, D) = 1");
         let line = format!("eval* {}", crate::proto::join_jobs(["mu P", "cond P"]));
         assert_eq!(run(&mut s, &line), "[0] μ(Q, D) = 1\n[1] μ(Q | Σ, D) = 1");
+    }
+
+    #[test]
+    fn definitions_are_kept_rendered_and_parse_back() {
+        let mut s = Session::new();
+        run(&mut s, "fact R(a, _x).");
+        run(&mut s, "query T(u, w) := exists v. R(u, v) & w != 7");
+        run(&mut s, "query B := forall v. S(v) -> R('two words', v)");
+        let texts: Vec<&str> = s.queries.iter().map(Definition::text).collect();
+        assert_eq!(
+            texts,
+            ["B() := ∀v ((¬(S(v)) ∨ R('two words', v)))", "T(u, w) := ∃v ((R(u, v) ∧ ¬(w = '7')))"]
+        );
+        let t = s.query("T").unwrap();
+        assert_eq!((t.name(), t.arity(), s.query("B").unwrap().arity()), ("T", 2, 0));
+        assert_eq!(t.parse().unwrap().to_string(), t.text());
+        // Redefining a name replaces its definition.
+        run(&mut s, "query T(u) := R(u, u)");
+        assert_eq!(s.queries.len(), 2);
+        assert_eq!(s.query("T").unwrap().text(), "T(u) := R(u, u)");
+        assert!(s.execute("mu T").is_err_and(|e| e.contains("needs a tuple")));
+    }
+
+    #[test]
+    fn replay_lines_render_the_state_not_its_history() {
+        let mut s = Session::new();
+        // `_y` is minted first, in the relation that renders last.
+        run(&mut s, "fact S(_y). R(a, _x).");
+        run(&mut s, "fact R(_x, _y). R(a, _x). S(7).");
+        run(&mut s, "constraint fd R: 1 2 -> 2");
+        run(&mut s, "constraint fk R[2] -> S[1]");
+        run(&mut s, "datalog P(x) :- S(x); P(x) :- R(x, y), P(y)");
+        run(&mut s, "query N(u) := S(u) | exists v. R(v, u)");
+        run(&mut s, "query N(u) := exists v. R(v, u) | S(u)");
+        assert!(s.execute("query Bad := R(").is_err());
+        let lines = s.replay_lines();
+        assert_eq!(
+            lines,
+            [
+                "fact S(7). S(_y). R(a, _x). R(_x, _y).",
+                "constraint fd R: 1 2 -> 2",
+                "constraint fk R[2] -> S[1]",
+                "datalog P(x) :- S(x).; P(x) :- R(x, y), P(y).; output P",
+                "query N(u) := ∃v ((R(v, u) ∨ S(u)))",
+            ]
+        );
+        let mut fresh = Session::new();
+        for line in &lines {
+            run(&mut fresh, line);
+        }
+        for line in ["db", "sigma", "naive N", "certain P", "naive P"] {
+            assert_eq!(run(&mut fresh, line), run(&mut s, line), "{line}");
+        }
+        assert_eq!(run(&mut s, "naive N"), "{(7), (⊥y), (⊥x)}");
+        assert_eq!(fresh.replay_lines(), lines);
+        run(&mut s, "clear");
+        assert!(s.replay_lines().is_empty());
+    }
+
+    #[test]
+    fn fact_lines_split_at_the_line_bound() {
+        let mut s = Session::new();
+        run(&mut s, "fact R(a, _x). R(_x, _y). R(_y, _z). S(a). S(_z). S(_).");
+        let lines = fact_lines(&s.instance, 24);
+        // The anonymous null is minted last, so `S(_)` precedes `S(_z)`.
+        assert_eq!(
+            lines,
+            ["fact S(a). R(a, _x).", "fact R(_x, _y).", "fact R(_y, _z). S(_).", "fact S(_z)."]
+        );
+        assert!(lines.iter().all(|l| l.len() <= 24), "{lines:?}");
+        // A fact longer than the bound gets a line of its own.
+        assert_eq!(fact_lines(&s.instance, 8).len(), 6);
+        let mut fresh = Session::new();
+        for line in &lines {
+            run(&mut fresh, line);
+        }
+        assert_eq!(fresh.instance.db.len(), s.instance.db.len());
+        let one = fact_lines(&fresh.instance, usize::MAX);
+        assert_eq!(one, fact_lines(&s.instance, usize::MAX));
+    }
+
+    #[test]
+    fn explain_names_the_engine_of_a_certain_job() {
+        let mut s = Session::new();
+        run(&mut s, "fact R(a1, _x1). R(a2, _x2).");
+        run(&mut s, "query Q(u) := exists v. R(u, v)");
+        run(&mut s, "query N(u) := exists v. R(u, v) & !R(v, u)");
+        assert_eq!(
+            run(&mut s, "explain certain Q"),
+            "route enumeration-fallback\nfeatures fragment=cq constants=no sigma=empty db=codd \
+             nulls=2 facts=2 tuple=none\nengine corollary3-naive"
+        );
+        let explain = run(&mut s, "explain certain N");
+        assert!(explain.contains("\nengine class-walk\nreject corollary3-naive: query is not in \
+                                  Pos∀G"), "{explain}");
+        assert_eq!(run(&mut s, "plan certain Q"), "route enumeration-fallback");
+        assert_eq!(run(&mut s, "certain Q"), "{(a1), (a2)}");
+        assert!(!run(&mut s, "explain mu Q (a1)").contains("engine"));
     }
 
     #[test]

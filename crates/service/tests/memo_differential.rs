@@ -7,8 +7,8 @@
 //! `mu`, `cond` and `series`, Boolean and with tuples mixing constants
 //! and nulls, several per database state. After every line, each
 //! request's `cache_key` on the long-lived session must equal its key on
-//! a fresh session that replays `setup_lines()` and so canonicalizes
-//! from scratch. The memo-only key a server answers hits inline from
+//! a fresh session that replays `replay_lines()`, the state rendered,
+//! and so canonicalizes from scratch. The memo-only key a server answers hits inline from
 //! (`memoized_cache_key`) must be absent or equal that key too: present
 //! when the previous line's last request was keyed and the line was
 //! neither `fact` nor `clear`, absent right after either. A few lines
@@ -185,7 +185,7 @@ fn memoized_keys_equal_keys_from_scratch() {
                 }
             }
             let reset = line == "clear" || line.starts_with("fact ");
-            let fresh = replay(session.setup_lines());
+            let fresh = replay(&session.replay_lines());
             // The previous line's last request first, so a memo the line
             // should have reset is read before anything replaces it.
             let burst: Vec<String> = previous

@@ -11,11 +11,13 @@
 //!   default is fixed, so CI is reproducible) generating 1,000+
 //!   command-text cases across every evaluation kind, query fragment,
 //!   constraint shape, and null structure. Command *text* is generated
-//!   from templates — the `Query` Display form is not re-parseable, so
-//!   generating ASTs and printing them would not exercise the wire
-//!   surface;
+//!   from templates in the client syntax, the text a client sends;
 //! * deterministic pinning cases, one per route, asserting both that
-//!   the expected route fires and that the replies agree.
+//!   the expected route fires and that the replies agree;
+//! * `certain` jobs whose query Corollary 3 covers (Pos∀G queries with
+//!   guarded `∀`, positive programs), answered by their naïve answers,
+//!   against the class walk, and ones it does not cover (negation,
+//!   stratified programs, a guard over an outer variable).
 
 use caz_service::{EvalRequest, Request, Session};
 use caz_testutil::{rngs::StdRng, RngExt, SeedableRng};
@@ -123,6 +125,25 @@ const SCENARIOS: &[Scenario] = &[
         datalog: true,
         arity: 2,
     },
+    // Pos∀G, a guarded ∀ under a head variable: Corollary 3's case.
+    Scenario {
+        def: "query Q(u) := S(u) & forall v. S(v) -> exists w. R(v, w) | R(w, u)",
+        datalog: false,
+        arity: 1,
+    },
+    // A guard over a variable the ∀ does not bind: not Pos∀G, so
+    // `certain` walks the classes.
+    Scenario {
+        def: "query Q(u) := S(u) & forall v. R(u, v) -> S(v)",
+        datalog: false,
+        arity: 1,
+    },
+    // A UCQ whose answers carry nulls.
+    Scenario { def: "query Q(u) := exists v. R(v, u) | S(u)", datalog: false, arity: 1 },
+    // Positive recursive Datalog: Corollary 3's other case.
+    Scenario { def: "datalog Q(x) :- S(x); Q(x) :- R(x, y), Q(y)", datalog: true, arity: 1 },
+    // Stratified Datalog with negation: the class walk.
+    Scenario { def: "datalog Q(x) :- R(x, y), !S(y)", datalog: true, arity: 1 },
 ];
 
 /// A random tuple literal of the given arity (nulls may or may not be
@@ -164,6 +185,8 @@ fn routed_replies_are_byte_identical_to_enumeration() {
     let mut rng = StdRng::seed_from_u64(seed());
     let mut seen_routes = BTreeSet::new();
     let mut cases = 0usize;
+    // `certain` jobs by engine: Corollary 3, then the class walk.
+    let mut certain_engines = [0usize; 2];
     for round in 0..200 {
         let mut session = Session::new();
         let mut setup = vec![facts_cmd(&mut rng)];
@@ -172,6 +195,11 @@ fn routed_replies_are_byte_identical_to_enumeration() {
         setup.push(scenario.def.to_string());
         for line in &setup {
             run(&mut session, line);
+        }
+        match session.plan_for("certain Q").map(|report| report.certain) {
+            Ok(Some(Ok(()))) => certain_engines[0] += 1,
+            Ok(Some(Err(_))) => certain_engines[1] += 1,
+            other => panic!("certain Q after {setup:?} plans as {other:?}"),
         }
         for cmd in eval_cmds(&mut rng, scenario) {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -184,6 +212,11 @@ fn routed_replies_are_byte_identical_to_enumeration() {
         }
     }
     assert!(cases >= 1000, "sweep must cover 1000+ cases, got {cases}");
+    assert!(
+        certain_engines.iter().all(|&n| n > 0),
+        "certain jobs by engine (Corollary 3, class walk): {certain_engines:?} (seed {})",
+        seed()
+    );
     // The sweep must actually exercise the fast paths, not just agree
     // on fallbacks. (Theorem 5 needs a naïvely-violated FD *and* an
     // FD-only Σ — rare but expected in 200 rounds; if a future seed
@@ -281,6 +314,59 @@ fn each_route_fires_and_agrees_on_its_canonical_case() {
         "best N",
         "enumeration-fallback",
     );
+}
+
+/// The engine `plan_for` reports for `certain Q` after `setup`: `Ok`
+/// when Corollary 3 answers it.
+fn certain_engine(setup: &[&str]) -> (Session, Result<(), String>) {
+    let mut session = Session::new();
+    for line in setup {
+        run(&mut session, line);
+    }
+    let report = session.plan_for("certain Q").expect("certain Q plans");
+    let engine = report.certain.expect("a certain job reports its engine");
+    (session, engine)
+}
+
+/// Corollary 3: a `certain` job whose query valuations preserve is
+/// answered by its naïve answers, byte-identical to the class walk, and
+/// a job outside its hypotheses is not. Every case's answers carry
+/// nulls.
+#[test]
+fn corollary_3_answers_certain_like_the_class_walk() {
+    let facts = "fact R(a, _x). R(_x, _y). R(b, _y). S(_x). S(a). S(_y).";
+    let covered = [
+        "query Q(u, v) := R(u, v)",
+        "query Q(u) := exists v. R(u, v) | R(v, u)",
+        "query Q(u) := S(u) & forall v. S(v) -> exists w. R(v, w) | R(w, v)",
+        "query Q := forall u, v. R(u, v) -> S(u) | S(v)",
+        "query Q(u) := exists v. R(u, v) & u = a",
+        "datalog Q(x, y) :- R(x, y); Q(x, z) :- Q(x, y), R(y, z)",
+        "datalog Q(x) :- S(x); Q(x) :- R(x, y), Q(y)",
+    ];
+    let uncovered = [
+        ("query Q(u) := S(u) & !R(u, u)", "Pos∀G"),
+        ("query Q(u) := S(u) & forall v. R(u, v) -> S(v)", "Pos∀G"),
+        ("query Q(u) := exists v. R(u, v) & u != v", "Pos∀G"),
+        ("datalog Q(x) :- R(x, y), !S(y)", "negat"),
+    ];
+    let mut seen = BTreeSet::new();
+    for def in covered {
+        let (session, engine) = certain_engine(&[facts, def]);
+        assert_eq!(engine, Ok(()), "{def}");
+        assert_identical(&session, "certain Q", &mut seen);
+        let naive = session.eval_planned(&eval_request("naive Q"), &mut |_| {});
+        assert_eq!(session.eval(&eval_request("certain Q")), naive, "{def}: certain = naive");
+    }
+    for (def, why) in uncovered {
+        let (session, engine) = certain_engine(&[facts, def]);
+        let reason = engine.expect_err(def);
+        assert!(reason.contains(why), "{def}: {reason}");
+        assert_identical(&session, "certain Q", &mut seen);
+    }
+    // Planning picks no theorem route for `certain`: the engine runs on
+    // the enumeration route.
+    assert_eq!(seen.into_iter().collect::<Vec<_>>(), ["enumeration-fallback"]);
 }
 
 /// Errors must also be byte-identical: an unroutable request falls back

@@ -64,7 +64,9 @@ fi
 
 # Property stage: caz-logic's genericity, UCQ normal form (Theorem 8's
 # search unifies against its disjuncts), naïve and three-valued
-# evaluation, and the join fast path vs. plain domain iteration.
+# evaluation, the join fast path vs. plain domain iteration, and the
+# parser reading back every query it returns from its rendered text
+# (`parse_query(&q.to_string()) == q`: a session keeps that text).
 echo "==> logic properties (CAZ_TEST_SEED=${CAZ_TEST_SEED})"
 if ! cargo test -q -p caz-logic --test properties; then
     echo "logic properties FAILED — reproduce with: CAZ_TEST_SEED=${CAZ_TEST_SEED} cargo test -p caz-logic --test properties" >&2
@@ -94,10 +96,22 @@ fi
 # Memo differential stage: after every line of seeded scripts that
 # interleave fact/constraint/query/datalog/clear with mu/cond/series
 # requests, each key from the session's memoized canonical form must
-# equal the key of a fresh session replaying its setup lines.
+# equal the key of a fresh session replaying its rendered state.
 echo "==> canonical-form memo differential (CAZ_TEST_SEED=${CAZ_TEST_SEED})"
 if ! cargo test -q -p caz-service --test memo_differential; then
     echo "memo differential FAILED — reproduce with: CAZ_TEST_SEED=${CAZ_TEST_SEED} cargo test -p caz-service --test memo_differential" >&2
+    exit 1
+fi
+
+# Replay differential stage: a fresh session that runs a session's
+# rendered state (`replay_lines()`, what a proxying replica sends its
+# leader) must answer every request byte for byte like the session,
+# with the planner on and off, and key it the same, after every line of
+# seeded scripts over nulls, every constraint kind, programs,
+# redefinitions and `clear`.
+echo "==> rendered-state replay differential (CAZ_TEST_SEED=${CAZ_TEST_SEED})"
+if ! cargo test -q -p caz-service --release --test replay_differential; then
+    echo "replay differential FAILED — reproduce with: CAZ_TEST_SEED=${CAZ_TEST_SEED} cargo test -p caz-service --release --test replay_differential" >&2
     exit 1
 fi
 
@@ -177,6 +191,16 @@ fi
 # workspace stage above ran the same bounds unoptimized).
 echo "==> census allocations per class (--release)"
 cargo test -q -p caz-core --release --test census_allocations
+
+# Retention stage: the requested bytes a kept definition costs, under a
+# tracking allocator, on the optimized build: 10,000 fresh definitions
+# keep at most 128 bytes each, and 10,000 redefinitions of one name keep
+# one definition.
+echo "==> bytes per kept definition (--release)"
+if ! cargo test -q -p caz-service --release --test definition_retention; then
+    echo "definition retention FAILED — reproduce with: cargo test -p caz-service --release --test definition_retention" >&2
+    exit 1
+fi
 
 # Warm-start stage: batch-run a job file against a persistent store,
 # corrupt the WAL tail like a crash would, run the same file again, and
@@ -275,6 +299,30 @@ for probe in "caps_cond:12 nulls, 6 named constants" "caps_mu:11 nulls, 0 named 
         || { echo "census-cap smoke FAILED: a worker panicked" >&2; exit 1; }
 done
 echo "    census caps OK: framed refusals, panics_total 0"
+
+# Corollary 3 smoke: `certain` over R(a1, _x1) … R(a7, _x7) for
+# Q(u) := ∃v R(u, v), a CQ, is its naïve answer set, from one naïve
+# evaluation instead of a walk over 7 × 3,017,562 classes. `explain`
+# must name the engine, the reply must be the naïve set, and no worker
+# may panic.
+echo "==> corollary 3 smoke (certain by naïve evaluation, n = 7)"
+{
+    printf 'fact'
+    for i in $(seq 1 7); do printf ' R(a%s, _x%s).' "$i" "$i"; done
+    printf '\nquery Q(u) := exists v. R(u, v)\nexplain certain Q\ncertain Q\nnaive Q\nstats\n'
+} > "$STORE_TMP/corollary3.caz"
+./target/release/caz serve --batch "$STORE_TMP/corollary3.caz" > "$STORE_TMP/corollary3.out"
+NAIVE_SET='{(a1), (a2), (a3), (a4), (a5), (a6), (a7)}'
+for want in 'ok* engine corollary3-naive' 'planner_route_corollary3_naive_total 1\n' \
+            'panics_total 0\n'; do
+    grep -qF "$want" "$STORE_TMP/corollary3.out" \
+        || { echo "corollary 3 smoke FAILED: missing '$want' — reproduce with: caz serve --batch $STORE_TMP/corollary3.caz" >&2
+             cat "$STORE_TMP/corollary3.out" >&2; exit 1; }
+done
+[ "$(grep -cxF "ok $NAIVE_SET" "$STORE_TMP/corollary3.out")" -eq 2 ] \
+    || { echo "corollary 3 smoke FAILED: certain Q and naive Q are not both $NAIVE_SET" >&2
+         cat "$STORE_TMP/corollary3.out" >&2; exit 1; }
+echo "    corollary 3 OK: certain Q = naive Q by one naïve evaluation, panics_total 0"
 
 # Load smoke stage: the open-loop overload harness, smoke-sized (~5s).
 # One under-capacity step and one far past the tiny server's capacity.
